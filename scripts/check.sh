@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The full local gate: domain lint -> whole-program scan -> generic
-# lint -> typing -> tests.
+# lint -> typing -> goldens -> e2e benchmark smoke -> tests.
 #
 #   scripts/check.sh          # everything (tier-1 includes the soak tests)
 #   scripts/check.sh --fast   # deselect the soak tests
@@ -49,6 +49,12 @@ fi
 
 step "gateway serving goldens (byte-identical fixtures)" \
     python -m repro.bench.golden gateway_serving gateway_group_commit
+
+# The benchmark the PR pipeline runs, at smoke size (~10 s): exits
+# non-zero on a correctness failure or a broken entry point.  Read-only
+# use of benchmarks/e2e; its output dir is git-ignored.
+step "e2e benchmark smoke (benchmarks/e2e/run.py --smoke)" \
+    python3 benchmarks/e2e/run.py --smoke
 
 if [ "$fast" = 1 ]; then
     step "tier-1 tests (fast: no soak)" python -m pytest -x -q -m "not soak" tests/

@@ -29,6 +29,7 @@ Invariants checked (IDs appear in :class:`SanitizerError`):
 ``sync.dirty-lines``      write-verify read with the entry's lines still staged
 ``table.invariant``       mapping-table capacity/alignment/overlap violated
 ``table.checker-split``   the LBA checker gates against a different table
+``pcie.unsettled-read``   BAR-target memory accessed with a landed TLP still queued
 ``kernel.past-event``     an event was scheduled before the current sim time
 ``kernel.time-reversal``  a continuation would move simulated time backwards
 ========================  =====================================================
@@ -47,6 +48,7 @@ if TYPE_CHECKING:  # import cycle: sim.resources imports this module
     from repro.core.device import TwoBSSD
     from repro.host.cpu import HostCPU
     from repro.host.memory import ByteRegion
+    from repro.pcie.link import PcieLink
     from repro.sim.resources import Request
 
 # The module-level enable flag every hook checks.  Mutated only via
@@ -312,6 +314,26 @@ def on_write_verify_read(cpu: "HostCPU") -> None:
                 sim_time=now, context={"entry_id": scope.entry_id,
                                        "staged_lines": staged},
             )
+
+
+def check_settled(link: "PcieLink", region: "ByteRegion") -> None:
+    """BAR-target ``region`` is being accessed; no landed TLP may be queued.
+
+    A posted write is part of device memory from its landing time on, so
+    an access that finds one still in the link's in-flight FIFO would read
+    (or overwrite) bytes the hardware had already replaced.  Not counted
+    in ``checks``: it runs on every region access, which would drown the
+    per-operation counters the goldens pin.
+    """
+    if link.unsettled():
+        raise _violation(
+            "pcie.unsettled-read",
+            f"region {region.name!r} accessed while a posted write that has "
+            "already landed is still queued on the link (settle before "
+            "touching BAR-target memory)",
+            sim_time=link.engine.now,
+            context={"region": region.name, "in_flight": link.in_flight},
+        )
 
 
 # -- BA mapping table ---------------------------------------------------------

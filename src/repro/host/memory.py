@@ -10,6 +10,13 @@ BA-buffer once the recovery manager has saved it).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Optional
+
+from repro.analysis import sanitizer as simsan
+
+if TYPE_CHECKING:  # import cycle: pcie.link is imported by repro.host
+    from repro.pcie.link import PcieLink
+
 
 class ByteRegion:
     """A named, bounds-checked byte store.
@@ -19,6 +26,11 @@ class ByteRegion:
     constructed and never — or only sparsely — touched, and eagerly
     zero-filling them dominated short-run platform construction.
     An untouched region reads as zeros, exactly like the eager version.
+
+    A region behind a BAR takes posted writes that land some time after
+    they are issued; the link that carries them (``_inbound``, set by the
+    link on the first such write) deposits every landed one before any
+    access here looks at or replaces the bytes.
     """
 
     def __init__(self, name: str, size: int) -> None:
@@ -27,6 +39,7 @@ class ByteRegion:
         self.name = name
         self.size = size
         self._data: bytearray | None = None
+        self._inbound: Optional["PcieLink"] = None
 
     def _check(self, offset: int, nbytes: int) -> None:
         if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
@@ -34,19 +47,32 @@ class ByteRegion:
                 f"access [{offset}, +{nbytes}) outside region {self.name!r} of {self.size} bytes"
             )
 
+    def _settle_inbound(self) -> None:
+        """Bring the bytes up to date with the inbound link (which is set)."""
+        link = self._inbound
+        link.settle()
+        if simsan.enabled:
+            simsan.check_settled(link, self)
+
     def write(self, offset: int, data: bytes) -> None:
         self._check(offset, len(data))
+        if self._inbound is not None:
+            self._settle_inbound()
         if self._data is None:
             self._data = bytearray(self.size)
         self._data[offset:offset + len(data)] = data
 
     def read(self, offset: int, nbytes: int) -> bytes:
         self._check(offset, nbytes)
+        if self._inbound is not None:
+            self._settle_inbound()
         if self._data is None:
             return bytes(nbytes)
         return bytes(self._data[offset:offset + nbytes])
 
     def snapshot(self) -> bytes:
+        if self._inbound is not None:
+            self._settle_inbound()
         if self._data is None:
             return bytes(self.size)
         return bytes(self._data)
@@ -56,12 +82,16 @@ class ByteRegion:
             raise ValueError(
                 f"restore image of {len(image)} bytes does not match region size {self.size}"
             )
+        if self._inbound is not None:
+            self._settle_inbound()
         if self._data is None:
             self._data = bytearray(image)
         else:
             self._data[:] = image
 
     def clear(self) -> None:
+        if self._inbound is not None:
+            self._settle_inbound()
         self._data = None
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Union
 
 from repro.host.memory import ByteRegion
-from repro.pcie.link import PcieLink
+from repro.pcie.link import PcieLink, PostedTlp
 
 
 @dataclass
@@ -66,8 +67,10 @@ class WriteCombiningBuffer:
         self.link = link
         self.line_size = link.params.wc_line_bytes
         self.max_lines = max_lines
-        # key: (region, line_index) -> _Line, in staging (FIFO) order.
-        self._lines: OrderedDict[tuple[ByteRegion, int], _Line] = OrderedDict()
+        # key: (region, line_index) -> staged line, in staging (FIFO) order.
+        # A line stored whole is kept as its immutable ``bytes``; only a
+        # partially written line needs the masked :class:`_Line` form.
+        self._lines: OrderedDict[tuple[ByteRegion, int], Union[bytes, _Line]] = OrderedDict()
         self.stats = WcStats()
 
     def __len__(self) -> int:
@@ -81,51 +84,93 @@ class WriteCombiningBuffer:
         Overflowing the line pool evicts the oldest line to the link; the
         issuing store stalls briefly while the line drains (the caller
         charges :attr:`HostParams.wc_evict_stall` per eviction), and the
-        evicted bytes are lost if power fails before they land.
+        evicted bytes are lost if power fails before they land.  All the
+        lines one store evicts go to the link as one burst.
         """
         if not data:
             return 0, 0
         region._check(offset, len(data))
+        if type(data) is not bytes:
+            data = bytes(data)
+        line_size = self.line_size
+        max_lines = self.max_lines
+        lines = self._lines
+        burst: list[PostedTlp] = []
         touched = 0
+        staged = 0
         evicted = 0
         position = 0
-        while position < len(data):
-            absolute = offset + position
-            line_index = absolute // self.line_size
-            within = absolute % self.line_size
-            chunk = min(len(data) - position, self.line_size - within)
+        end = len(data)
+        while position < end:
+            line_index, within = divmod(offset + position, line_size)
+            run = (end - position) // line_size
+            if within == 0 and run > 1 and self._is_fresh(region, line_index, run):
+                # A run of whole lines none of which is staged: what the
+                # per-line walk below would do, in closed form.  It evicts
+                # max(0, staged + run - max_lines) lines, oldest first,
+                # and once the pool holds only this run those are the
+                # run's own head — which goes to the link as one entry.
+                evict = max(0, len(lines) + run - max_lines)
+                head = max(0, evict - len(lines))
+                for _ in range(evict - head):
+                    self._post_line(burst, *lines.popitem(last=False))
+                cut = position + head * line_size
+                if head:
+                    burst.append((line_size, region, line_index * line_size,
+                                  data[position:cut]))
+                for index in range(line_index + head, line_index + run):
+                    lines[(region, index)] = data[cut:cut + line_size]
+                    cut += line_size
+                staged += run
+                evicted += evict
+                touched += run
+                position = cut
+                continue
+            chunk = min(end - position, line_size - within)
             key = (region, line_index)
-            line = self._lines.get(key)
+            piece = data[position:position + chunk]
+            line = lines.get(key)
             if line is None:
-                evicted += self._maybe_evict_for_space()
-                line = _Line(bytearray(self.line_size), bytearray(self.line_size))
-                self._lines[key] = line
-                self.stats.lines_staged += 1
-            line.data[within:within + chunk] = data[position:position + chunk]
-            line.mask[within:within + chunk] = b"\x01" * chunk
+                while len(lines) >= max_lines:
+                    self._post_line(burst, *lines.popitem(last=False))
+                    evicted += 1
+                staged += 1
+            if chunk == line_size:
+                # A whole line; (re)assignment keeps the key's FIFO position.
+                lines[key] = piece
+            else:
+                if line is None:
+                    line = lines[key] = _Line(bytearray(line_size), bytearray(line_size))
+                elif type(line) is bytes:
+                    line = lines[key] = _Line(bytearray(line), bytearray(b"\x01" * line_size))
+                line.data[within:within + chunk] = piece
+                line.mask[within:within + chunk] = b"\x01" * chunk
             touched += 1
             position += chunk
+        self.stats.lines_staged += staged
+        self.stats.lines_evicted += evicted
+        if burst:
+            self.link.posted_burst(burst)
         return touched, evicted
 
-    def _maybe_evict_for_space(self) -> int:
-        evicted = 0
-        while len(self._lines) >= self.max_lines:
-            key, line = self._lines.popitem(last=False)
-            self._post_line(key, line)
-            self.stats.lines_evicted += 1
-            evicted += 1
-        return evicted
+    def _is_fresh(self, region: ByteRegion, first: int, count: int) -> bool:
+        """True when none of ``count`` lines from ``first`` is staged."""
+        last = first + count - 1
+        for staged_region, index in self._lines:
+            if staged_region is region and first <= index <= last:
+                return False
+        return True
 
-    def _post_line(self, key: tuple[ByteRegion, int], line: _Line) -> None:
+    def _post_line(self, burst: list[PostedTlp], key: tuple[ByteRegion, int],
+                   line: Union[bytes, _Line]) -> None:
+        """Append the TLPs carrying ``line`` (one per dirty span) to ``burst``."""
         region, line_index = key
         base = line_index * self.line_size
-        for within, payload in line.spans():
-            target_offset = base + within
-            chunk = bytes(payload)
-            self.link.posted_write(
-                len(chunk),
-                deposit=lambda off=target_offset, data=chunk, reg=region: reg.write(off, data),
-            )
+        if type(line) is bytes:
+            burst.append((len(line), region, base, line))
+        else:
+            for within, payload in line.spans():
+                burst.append((len(payload), region, base + within, payload))
 
     # -- flushing ---------------------------------------------------------------
 
@@ -144,9 +189,11 @@ class WriteCombiningBuffer:
                     key for key in self._lines
                     if key[0] is region and first <= key[1] <= last
                 ]
+        burst: list[PostedTlp] = []
         for key in selected:
-            line = self._lines.pop(key)
-            self._post_line(key, line)
+            self._post_line(burst, key, self._lines.pop(key))
+        if burst:
+            self.link.posted_burst(burst)
         self.stats.lines_flushed += len(selected)
         return len(selected)
 

@@ -12,13 +12,28 @@ exploits for durability (§III-B).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
+from repro.analysis import sanitizer as simsan
 from repro.obs import tracing
 from repro.sim import Engine
 from repro.sim.engine import Event
 from repro.sim.units import NSEC
+
+if TYPE_CHECKING:  # import cycle: repro.host imports this module
+    from repro.host.memory import ByteRegion
+
+# One entry of a :meth:`PcieLink.posted_burst`: ``(nbytes, region, offset,
+# payload)``.  With a region, ``payload`` is the bytes written at
+# ``region[offset:]`` on landing; a payload of several times ``nbytes`` is a
+# run of that many equal TLPs at consecutive offsets.  Without a region it
+# is one TLP whose payload is a callable run on landing, or ``None`` for a
+# TLP that only occupies the wire.
+PostedTlp = tuple[int, Optional["ByteRegion"], int,
+                  Union[bytes, Callable[[], None], None]]
 
 
 @dataclass(frozen=True)
@@ -54,10 +69,16 @@ class PcieLink:
         self.params = params or PcieParams()
         self._down_free_at = 0.0
         self._last_posted_landing = 0.0
-        self._epoch = 0
         self.posted_writes_issued = 0
         self.read_tlps_issued = 0
         self.posted_writes_lost = 0
+        # Posted TLPs still on the wire, in issue order, one record per
+        # burst entry: (region, offset, payload, landing time of each TLP).
+        # A TLP is part of device memory from its landing time on because
+        # settle() runs before anything can observe the target region.
+        self._inflight: deque[tuple] = deque()
+        self._settling = False
+        engine.on_purge(self._drop_unlanded)
 
     # -- posted writes ------------------------------------------------------
 
@@ -71,36 +92,136 @@ class PcieLink:
         """
         if nbytes < 0:
             raise ValueError(f"posted write size must be >= 0, got {nbytes}")
+        return self.posted_burst(((nbytes, None, 0, deposit),))
+
+    def posted_burst(self, tlps: Iterable[PostedTlp]) -> float:
+        """Issue posted writes back to back; returns the last landing time.
+
+        Each TLP serializes on the wire behind the previous one and lands
+        at its own time; the whole burst costs the kernel one wake-up, at
+        the last landing.
+        """
+        engine = self.engine
+        now = engine.now
         params = self.params
-        start = max(self.engine.now, self._down_free_at)
-        occupancy = params.tlp_overhead + nbytes / params.bandwidth_bytes_per_sec
-        self._down_free_at = start + occupancy
-        landing = self._down_free_at + params.propagation
+        overhead = params.tlp_overhead
+        bandwidth = params.bandwidth_bytes_per_sec
+        propagation = params.propagation
+        inflight = self._inflight
+        free_at = self._down_free_at
+        landing = self._last_posted_landing
+        issued = total_bytes = 0
+        wake = unchecked = None
+        for nbytes, region, offset, payload in tlps:
+            if region is None:
+                count = 1
+            else:
+                if nbytes < 1 or len(payload) % nbytes:
+                    raise ValueError(
+                        f"payload of {len(payload)} bytes is not a run of "
+                        f"{nbytes}-byte TLPs")
+                count = len(payload) // nbytes
+                if region._inbound is not self:
+                    if region._inbound is not None:
+                        raise ValueError(
+                            f"region {region.name!r} already takes posted "
+                            "writes from another link")
+                    region._inbound = self
+            occupancy = overhead + nbytes / bandwidth
+            whens = []
+            for _ in range(count):
+                start = free_at if free_at > now else now
+                free_at = start + occupancy
+                landing = free_at + propagation
+                delay = landing - now
+                if tracing.enabled:
+                    tracing.observe("pcie.link.posted_write_flight", delay)
+                if payload is not None:
+                    # kernel.past-event stays a per-TLP check; the
+                    # wake-up's own _schedule() checks the last one.
+                    if simsan.enabled and unchecked is not None:
+                        simsan.check_schedule(engine, unchecked)
+                    unchecked = delay
+                    # The latest landing: the last one, unless rounding
+                    # put two keys out of order.
+                    if wake is None or delay > wake:
+                        wake = delay
+                    whens.append(now + delay)
+            issued += count
+            total_bytes += count * nbytes
+            if payload is not None:
+                inflight.append((region, offset, payload, whens))
+        self._down_free_at = free_at
         self._last_posted_landing = max(self._last_posted_landing, landing)
-        self.posted_writes_issued += 1
+        self.posted_writes_issued += issued
         if tracing.enabled:
-            tracing.count("pcie.link.posted_writes")
-            tracing.count("pcie.link.posted_bytes", nbytes)
-            tracing.observe("pcie.link.posted_write_flight",
-                            landing - self.engine.now)
-        if deposit is not None:
-            epoch = self._epoch
-            event = Event(self.engine)
+            tracing.count("pcie.link.posted_writes", issued)
+            tracing.count("pcie.link.posted_bytes", total_bytes)
+        if wake is not None:
+            event = Event(engine)
             event._triggered = True
-            self.engine._schedule(event, delay=landing - self.engine.now)
-
-            def land(_ev: Event) -> None:
-                if self._epoch == epoch:
-                    deposit()
-                else:
-                    self.posted_writes_lost += 1
-
-            event.callbacks.append(land)
+            event.callbacks.append(self._wake)
+            engine._schedule(event, delay=wake)
         return landing
+
+    def _wake(self, _event: Event) -> None:
+        self.settle()
+
+    def settle(self) -> None:
+        """Deposit every in-flight TLP whose landing time has come, in order.
+
+        Runs from the burst's wake-up and from every access to a region
+        this link writes (:class:`~repro.host.memory.ByteRegion`), so a
+        TLP is never observed un-landed after its landing time.  Deposits
+        go through ``region.write``, which calls back here; the flag makes
+        that inner call a no-op so it cannot deposit a later TLP first.
+        """
+        inflight = self._inflight
+        if self._settling or not inflight:
+            return
+        now = self.engine.now
+        self._settling = True
+        try:
+            while inflight:
+                region, offset, payload, whens = inflight[0]
+                if whens[0] > now:
+                    break
+                if whens[-1] <= now:
+                    inflight.popleft()
+                else:
+                    # The landed head of a run; the rest stays in flight.
+                    landed = bisect_right(whens, now)
+                    cut = landed * (len(payload) // len(whens))
+                    inflight[0] = (region, offset + cut, payload[cut:],
+                                   whens[landed:])
+                    payload = payload[:cut]
+                if region is None:
+                    payload()
+                else:
+                    region.write(offset, payload)
+        finally:
+            self._settling = False
+
+    def unsettled(self) -> bool:
+        """True when a landed TLP is still queued outside a settle()."""
+        inflight = self._inflight
+        return (not self._settling and bool(inflight)
+                and inflight[0][3][0] <= self.engine.now)
+
+    @property
+    def in_flight(self) -> int:
+        """Posted TLPs issued but not yet deposited."""
+        return sum(len(record[3]) for record in self._inflight)
+
+    def _drop_unlanded(self) -> None:
+        """Deposit what has landed, lose the rest (power loss, kernel purge)."""
+        self.settle()
+        self.posted_writes_lost += self.in_flight
+        self._inflight.clear()
 
     def power_loss(self) -> None:
         """Discard in-flight posted writes: they never reach device memory."""
-        self._epoch += 1
+        self._drop_unlanded()
         self._last_posted_landing = self.engine.now
         self._down_free_at = self.engine.now
 

@@ -87,8 +87,16 @@ class Platform:
         Legal only once every in-flight operation has completed: run the
         engine dry (and ``drain()`` the devices) first.  The WC buffer
         must be empty too — its lines are keyed by live region objects
-        and cannot be serialized; issue a ``wc_flush`` before capturing.
+        and cannot be serialized; issue a ``wc_flush`` before capturing —
+        and so must the link: a posted write still on the wire is in
+        neither the CPU nor device memory.
         """
+        in_flight = self.link.in_flight
+        if in_flight:
+            raise RuntimeError(
+                f"platform snapshot with {in_flight} posted writes "
+                "in flight; issue a write-verify read or run the engine to "
+                "quiescence before capturing")
         if not self.engine.quiescent():
             raise RuntimeError(
                 "platform snapshot requires a quiescent engine; "
@@ -105,7 +113,6 @@ class Platform:
             link={
                 "down_free_at": self.link._down_free_at,
                 "last_posted_landing": self.link._last_posted_landing,
-                "epoch": self.link._epoch,
                 "posted_writes_issued": self.link.posted_writes_issued,
                 "read_tlps_issued": self.link.read_tlps_issued,
                 "posted_writes_lost": self.link.posted_writes_lost,
@@ -161,7 +168,6 @@ class Platform:
         self.rng.restore_state(snap.rng)
         self.link._down_free_at = snap.link["down_free_at"]
         self.link._last_posted_landing = snap.link["last_posted_landing"]
-        self.link._epoch = snap.link["epoch"]
         self.link.posted_writes_issued = snap.link["posted_writes_issued"]
         self.link.read_tlps_issued = snap.link["read_tlps_issued"]
         self.link.posted_writes_lost = snap.link["posted_writes_lost"]

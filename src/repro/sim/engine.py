@@ -332,6 +332,9 @@ class Engine:
         self._init_event = Event(self)
         self._init_event._triggered = True
         self._init_event._processed = True
+        # Components holding in-flight state outside the queues (PCIe
+        # links); each hook runs on every purge().
+        self._purge_hooks: list[Callable[[], None]] = []
 
     # -- scheduling ---------------------------------------------------------
 
@@ -555,7 +558,18 @@ class Engine:
         self._queue.clear()
         self._deferred.clear()
         self._failed_events.clear()
+        for hook in self._purge_hooks:
+            hook()
         return discarded
+
+    def on_purge(self, hook: Callable[[], None]) -> None:
+        """Register ``hook()`` to run on every :meth:`purge`.
+
+        For in-flight work kept outside the event queues — a PCIe link's
+        posted-write FIFO — that must die with a purge exactly as queued
+        events do.
+        """
+        self._purge_hooks.append(hook)
 
     def raise_unobserved_failures(self) -> None:
         """Raise the first event failure that no waiter ever observed."""

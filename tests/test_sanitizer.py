@@ -229,3 +229,49 @@ class TestKernelMutants:
         event._triggered = True
         with pytest.raises(SimulationError):
             engine.run(until=event)
+
+
+class TestPostedWriteMutants:
+    """A posted TLP is part of device memory from its landing time on;
+    the link deposits landed TLPs lazily, so every access to BAR-target
+    memory must settle the link first."""
+
+    LINES = 8
+
+    @staticmethod
+    def _read_mid_burst(platform, lines):
+        """clflush a burst, stop between two landings, read device memory."""
+        engine, api = platform.engine, platform.api
+        entry = engine.run_process(api.ba_pin(0, 0, 300, PAGE))
+        engine.run()
+        platform.cpu.wc.store(api.region, entry.offset, b"\x5a" * (lines * 64))
+        platform.cpu.wc.flush()
+        params = platform.link.params
+        per_tlp = params.tlp_overhead + 64 / params.bandwidth_bytes_per_sec
+        engine.run(until=engine.now + params.propagation + 3.5 * per_tlp)
+        return api.region.read(entry.offset, lines * 64)
+
+    def test_mid_burst_read_sees_landed_lines_without_violation(self, sanitized_device):
+        seen = self._read_mid_burst(sanitized_device, self.LINES)
+        assert seen == b"\x5a" * (3 * 64) + bytes((self.LINES - 3) * 64)
+        assert sanitized_device.sanitizer_state.violations == 0
+
+    def test_mutant_read_skips_the_settle(self, sanitized_device, monkeypatch):
+        """Mutant: ``ByteRegion.read`` regresses to looking at the bytes
+        without settling the inbound link (the hook stays) — three TLPs
+        have landed but are still queued -> ``pcie.unsettled-read``."""
+        from repro.host.memory import ByteRegion
+
+        def buggy_read(region, offset, nbytes):
+            region._check(offset, nbytes)
+            if region._inbound is not None and simsan.enabled:
+                simsan.check_settled(region._inbound, region)  # bug: no settle()
+            if region._data is None:
+                return bytes(nbytes)
+            return bytes(region._data[offset:offset + nbytes])
+
+        monkeypatch.setattr(ByteRegion, "read", buggy_read)
+        with pytest.raises(SanitizerError) as excinfo:
+            self._read_mid_burst(sanitized_device, self.LINES)
+        assert excinfo.value.invariant == "pcie.unsettled-read"
+        assert excinfo.value.context["in_flight"] == self.LINES

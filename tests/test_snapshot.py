@@ -121,3 +121,32 @@ def test_restore_rejects_used_platform():
     _warm(used)
     with pytest.raises(RuntimeError, match="freshly constructed"):
         used.restore(snap)
+
+
+def test_snapshot_refuses_posted_writes_in_flight_then_round_trips():
+    """A TLP on the wire is in neither the CPU nor device memory, so it
+    cannot be captured; once the burst has drained the snapshot forks
+    exactly like any other."""
+    warmed = Platform(seed=31)
+    _warm(warmed)
+    engine, api = warmed.engine, warmed.api
+    entry = engine.run_process(api.ba_pin(3, 0, 700, 4 * PAGE))
+    engine.run()
+    # clflush a burst and stop the clock right there: nothing has landed.
+    warmed.cpu.wc.store(api.region, entry.offset, b"\xcd" * (24 * 64))
+    warmed.cpu.wc.flush()
+    assert len(warmed.cpu.wc) == 0 and warmed.link.in_flight == 24
+    with pytest.raises(RuntimeError, match="posted writes in flight"):
+        warmed.snapshot()
+
+    engine.run()
+    assert warmed.link.in_flight == 0
+    assert api.region.read(entry.offset, 24 * 64) == b"\xcd" * (24 * 64)
+    engine.run_process(api.ba_flush(3))
+    engine.run_process(warmed.device.drain())
+    engine.run()
+    blob = pickle.dumps(warmed.snapshot())
+    continued = canonical_json(_leg(warmed))
+    fresh = Platform(seed=31)
+    fresh.restore(pickle.loads(blob))
+    assert canonical_json(_leg(fresh)) == continued
