@@ -38,7 +38,7 @@ def main() -> None:
             for i in range(BATCH_BYTES // RECORD.size)
         )
         start = engine.now
-        yield engine.process(device.write(0, batch))
+        yield from device.write(0, batch)
         ingest_time = engine.now - start
         print(f"ingest: {BATCH_BYTES >> 20} MiB via block I/O in "
               f"{ingest_time * 1e3:.2f} ms "
@@ -49,20 +49,19 @@ def main() -> None:
         for i in range(SAMPLES):
             record_offset = (i * 9973 * RECORD.size) % BATCH_BYTES
             page = record_offset // PAGE
-            raw = yield engine.process(device.read(page, PAGE))
+            raw = yield from device.read(page, PAGE)
             RECORD.unpack_from(raw, record_offset % PAGE)
         block_time = (engine.now - start) / SAMPLES
 
         # 2b. Preload (pin) a hot region once, then sample via MMIO.
         hot_bytes = 4 * MiB  # half the BA-buffer holds the hot region
         start = engine.now
-        entry = yield engine.process(api.ba_pin(0, 0, 0, hot_bytes))
+        entry = yield from api.ba_pin(0, 0, 0, hot_bytes)
         preload_time = engine.now - start
         start = engine.now
         for i in range(SAMPLES):
             record_offset = (i * 9973 * RECORD.size) % hot_bytes
-            raw = yield engine.process(
-                api.mmio_read(entry, record_offset, RECORD.size))
+            raw = yield from api.mmio_read(entry, record_offset, RECORD.size)
             RECORD.unpack(raw)
         mmio_time = (engine.now - start) / SAMPLES
         return block_time, mmio_time, preload_time

@@ -41,7 +41,7 @@ def main() -> None:
     recovered = MemKV(engine, aof)
 
     def recovery():
-        count = yield engine.process(recovered.recover())
+        count = yield from recovered.recover()
         return count
 
     replayed = engine.run_process(recovery())

@@ -52,16 +52,16 @@ def main() -> None:
     def sql_tenant():
         for i in range(150):
             txn = sql.begin()
-            yield engine.process(sql.insert(txn, "orders", i, {"total": i * 10}))
-            yield engine.process(sql.commit(txn))
+            yield from sql.insert(txn, "orders", i, {"total": i * 10})
+            yield from sql.commit(txn)
 
     def lsm_tenant():
         for i in range(150):
-            yield engine.process(lsm.put(f"event{i:04d}", b"payload-%04d" % i))
+            yield from lsm.put(f"event{i:04d}", b"payload-%04d" % i)
 
     def cache_tenant():
         for i in range(150):
-            yield engine.process(cache.set(f"session{i % 20}", b"%04d" % i))
+            yield from cache.set(f"session{i % 20}", b"%04d" % i)
 
     def workload():
         yield engine.all_of([

@@ -30,13 +30,13 @@ def run_workload(platform, db):
     def scenario():
         for i in range(5):
             txn = db.begin()
-            yield engine.process(db.insert(txn, "accounts", i,
-                                           {"balance": 100 * (i + 1)}))
-            yield engine.process(db.commit(txn))
+            yield from db.insert(txn, "accounts", i,
+                                 {"balance": 100 * (i + 1)})
+            yield from db.commit(txn)
         # One transaction that never commits...
         dangling = db.begin()
-        yield engine.process(db.insert(dangling, "accounts", 99,
-                                       {"balance": -1}))
+        yield from db.insert(dangling, "accounts", 99,
+                             {"balance": -1})
         # ...and the crash happens here.
 
     engine.run_process(scenario())
@@ -48,10 +48,10 @@ def recover(platform, db):
     fresh.create_table("accounts")
 
     def scenario():
-        replayed = yield engine.process(fresh.recover())
+        replayed = yield from fresh.recover()
         rows = {}
         for key in list(range(6)) + [99]:
-            row = yield engine.process(fresh.get("accounts", key))
+            row = yield from fresh.get("accounts", key)
             if row is not None:
                 rows[key] = row["balance"]
         return replayed, rows

@@ -25,31 +25,31 @@ def main() -> None:
 
     def scenario():
         print("== 1. block path: write a file at LBA 100")
-        yield engine.process(device.write(100, b"hello from the block world".ljust(64)))
+        yield from device.write(100, b"hello from the block world".ljust(64))
 
         print("== 2. byte path: BA_PIN the page and read it via MMIO")
-        entry = yield engine.process(api.ba_pin(0, 0, 100, PAGE))
-        data = yield engine.process(api.mmio_read(entry, 0, 27))
+        entry = yield from api.ba_pin(0, 0, 100, PAGE)
+        data = yield from api.mmio_read(entry, 0, 27)
         print(f"   MMIO read -> {bytes(data)!r}")
 
         print("== 3. byte-granular durable update (no 4 KiB page write!)")
         start = engine.now
-        yield engine.process(api.mmio_write(entry, 11, b"the byte  "))
-        yield engine.process(api.ba_sync(0))
+        yield from api.mmio_write(entry, 11, b"the byte  ")
+        yield from api.ba_sync(0)
         commit_latency = engine.now - start
         print(f"   8..10-byte update durable in {commit_latency / USEC:.2f} us "
               f"(a DC-SSD block write takes ~17 us)")
 
         print("== 4. BA_FLUSH: push the buffer contents to NAND")
-        yield engine.process(api.ba_flush(0))
-        data = yield engine.process(device.read(100, 27))
+        yield from api.ba_flush(0)
+        data = yield from device.read(100, 27)
         print(f"   block read -> {bytes(data)!r}")
 
         print("== 5. durability across power loss")
-        entry = yield engine.process(api.ba_pin(1, 0, 200, PAGE))
-        yield engine.process(api.mmio_write(entry, 0, b"committed transaction"))
-        yield engine.process(api.ba_sync(1))
-        yield engine.process(api.mmio_write(entry, 32, b"UNCOMMITTED tail"))
+        entry = yield from api.ba_pin(1, 0, 200, PAGE)
+        yield from api.mmio_write(entry, 0, b"committed transaction")
+        yield from api.ba_sync(1)
+        yield from api.mmio_write(entry, 32, b"UNCOMMITTED tail")
         # no BA_SYNC for the tail: it only exists in the CPU's WC buffer.
 
     engine.run_process(scenario())

@@ -23,8 +23,8 @@ def drive_clients(pool, stream, clients=3, records=8, payload_bytes=512):
     def client(cid):
         for seq in range(records):
             payload = make_payload("wal0", cid, seq, payload_bytes)
-            lsn = yield engine.process(stream.append(payload))
-            yield engine.process(stream.commit(lsn))
+            lsn = yield from stream.append(payload)
+            yield from stream.commit(lsn)
             acked.append(payload)
 
     procs = [engine.process(client(c)) for c in range(clients)]

@@ -22,7 +22,7 @@ def run_sql(platform, session, *statements):
     def script():
         results = []
         for statement in statements:
-            results.append((yield engine.process(session.execute(statement))))
+            results.append((yield from session.execute(statement)))
         return results
 
     return engine.run_process(script())

@@ -47,8 +47,13 @@ else
     echo "==> mypy: not installed, skipping (baseline in pyproject.toml)"
 fi
 
-step "gateway serving goldens (byte-identical fixtures)" \
-    python -m repro.bench.golden gateway_serving gateway_group_commit
+# All seven goldens, twice: the kernel's conventions (delegated calls,
+# posted bursts, fast paths) may change no simulated byte, with or
+# without the runtime sanitizer's bookkeeping.
+step "golden fixtures (all seven, byte-identical)" \
+    python -m repro.bench.golden
+step "golden fixtures under the runtime sanitizer" \
+    env REPRO_SANITIZE=1 python -m repro.bench.golden
 
 # The benchmark the PR pipeline runs, at smoke size (~10 s): exits
 # non-zero on a correctness failure or a broken entry point.  Read-only

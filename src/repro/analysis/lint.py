@@ -15,7 +15,8 @@ Three rule classes (run ``repro lint --list-rules`` for the live table):
   ``random`` module, entropy sources, salted ``hash()``, ordering by
   ``id()``, and set iteration that feeds scheduling decisions.
 * **SIM** — kernel misuse: events created and discarded, wall-clock
-  blocking, negative timeouts, float equality on simulated timestamps.
+  blocking, negative timeouts, float equality on simulated timestamps,
+  processes spawned only to be joined at once.
 * **OBS** — observability contract: BA_* API entry points must emit
   spans, direct ``tracing.observe``/``count`` calls must be guarded by
   ``tracing.enabled``, and span names must follow the dotted
@@ -36,6 +37,8 @@ import pathlib
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
+
+from repro.analysis.scan.report import is_placeholder
 
 #: Every implemented rule: ID -> one-line description (the contract the
 #: docs and ``--list-rules`` print; tests assert this table is complete).
@@ -61,6 +64,10 @@ RULES: dict[str, str] = {
     "SIM105": "yield inside a finally suite of a generator; GeneratorExit "
               "thrown at kernel close lands there and the yield raises "
               "RuntimeError or abandons the cleanup",
+    "SIM106": "spawn-and-join: 'yield engine.process(callee())' pays a "
+              "process bootstrap and a completion wake-up to await a callee "
+              "nobody else sees; delegate with 'yield from callee()', or keep "
+              "the process with a '# spawn: <what moves if delegated>' reason",
     "OBS101": "BA_* API entry point emits no tracing span/observation",
     "OBS102": "tracing.observe/count call not guarded by 'if "
               "tracing.enabled' (costs allocations when tracing is off)",
@@ -101,6 +108,7 @@ _SCHEDULING_ATTRS = frozenset({
 })
 _SPAN_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
 _PRAGMA_RE = re.compile(r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\s]+)")
+_SPAWN_REASON_RE = re.compile(r"#\s*spawn:\s*(.*)$")
 
 
 @dataclass(frozen=True)
@@ -147,6 +155,16 @@ def _parse_pragmas(source: str) -> dict[int, set[str]]:
                 for token in match.group(1).split(",") if token.strip()
             }
     return pragmas
+
+
+def _parse_spawn_reasons(source: str) -> set[int]:
+    """Line numbers carrying a real ``# spawn: <reason>`` justification."""
+    justified: set[int] = set()
+    for number, text in enumerate(source.splitlines(), start=1):
+        match = _SPAWN_REASON_RE.search(text)
+        if match and not is_placeholder(match.group(1)):
+            justified.add(number)
+    return justified
 
 
 class _FileLinter(ast.NodeVisitor):
@@ -295,6 +313,23 @@ class _FileLinter(ast.NodeVisitor):
             self._report(node, "SIM101",
                          f"result of .{value.func.attr}(...) is discarded; "
                          "the event will never be waited on")
+        self.generic_visit(node)
+
+    # -- SIM106: a process spawned only to be joined at once -------------------
+
+    def visit_Yield(self, node: ast.Yield) -> None:
+        value = node.value
+        if (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Attribute)
+            and value.func.attr == "process"
+            and value.args and isinstance(value.args[0], ast.Call)
+        ):
+            self._report(node, "SIM106",
+                         "process spawned and joined at once by its only "
+                         "holder; write 'yield from <callee>(...)', or keep it "
+                         "with a '# spawn: <what moves if delegated>' comment "
+                         "on this or the preceding line")
         self.generic_visit(node)
 
     # -- OBS101: BA_* entry points must trace ---------------------------------
@@ -455,10 +490,14 @@ def lint_source(source: str, path: str = "<memory>",
     linter = _FileLinter(path, config)
     linter.visit(tree)
     pragmas = _parse_pragmas(source)
+    spawn_reasons = _parse_spawn_reasons(source)
     kept = []
     for violation in linter.violations:
         suppressed = pragmas.get(violation.line, ())
         if "all" in suppressed or violation.rule in suppressed:
+            continue
+        if violation.rule == "SIM106" and (
+                {violation.line, violation.line - 1} & spawn_reasons):
             continue
         kept.append(violation)
     return sorted(kept, key=lambda v: (v.path, v.line, v.col, v.rule))

@@ -58,6 +58,14 @@ class BaselineError(Exception):
 
 
 _PLACEHOLDER_PREFIXES = ("todo", "fixme", "xxx")
+
+
+def is_placeholder(justification: str) -> bool:
+    """True for a justification that says nothing: empty or TODO-style."""
+    text = justification.strip().lower()
+    return not text or text.startswith(_PLACEHOLDER_PREFIXES)
+
+
 #: What --write-baseline emits; the loader refuses it until edited.
 PLACEHOLDER_JUSTIFICATION = "FIXME: justify this suppression"
 
@@ -77,8 +85,7 @@ def load_baseline(path: pathlib.Path) -> dict[str, dict]:
         justification = str(entry.get("justification", "")).strip()
         if not fingerprint:
             raise BaselineError(f"baseline entry missing fingerprint: {entry}")
-        if (not justification
-                or justification.lower().startswith(_PLACEHOLDER_PREFIXES)):
+        if is_placeholder(justification):
             raise BaselineError(
                 f"suppression {fingerprint} ({entry.get('location', '?')}) "
                 "has no real justification; every baselined finding must "

@@ -53,7 +53,7 @@ def run_write_combining_ablation(
             link.posted_write(chunk,
                               deposit=lambda o=offset, n=chunk: region.write(o, bytes(n)))
             yield engine.timeout(UNCOMBINED_STORE_COST)
-        yield engine.process(link.non_posted_read(0))  # drain ordering
+        yield from link.non_posted_read(0)  # drain ordering
         return None
 
     uncombined: dict[int, float] = {}
@@ -80,8 +80,8 @@ def run_read_dma_ablation(
     engine, api = platform.engine, platform.api
 
     def setup() -> Iterator:
-        yield engine.process(platform.device.write(0, bytes(PAGE)))
-        return (yield engine.process(api.ba_pin(0, 0, 0, PAGE)))
+        yield from platform.device.write(0, bytes(PAGE))
+        return (yield from api.ba_pin(0, 0, 0, PAGE))
 
     entry = engine.run_process(setup())
     host_buffer = ByteRegion("dma-dst", PAGE)
@@ -114,10 +114,10 @@ def _sustained_ba_wal_bytes_per_sec(
     def producer() -> Iterator:
         payload = bytes(record_bytes - 64)
         for index in range(records):
-            lsn = yield engine.process(wal.append(payload))
+            lsn = yield from wal.append(payload)
             if index % commit_interval == commit_interval - 1:
-                yield engine.process(wal.commit(lsn))
-        yield engine.process(wal.commit(wal.tail_lsn))
+                yield from wal.commit(lsn)
+        yield from wal.commit(wal.tail_lsn)
         return None
 
     start = engine.now
@@ -172,9 +172,9 @@ def run_pmr_ablation(segment_mib: int = 4, iterations: int = 3) -> dict:
     def twob_drain() -> Iterator:
         total = 0.0
         for _ in range(iterations):
-            yield engine.process(api.ba_pin(0, 0, 0, segment))
+            yield from api.ba_pin(0, 0, 0, segment)
             start = engine.now
-            yield engine.process(api.ba_flush(0))
+            yield from api.ba_flush(0)
             total += engine.now - start
         return total / iterations
 
@@ -185,16 +185,14 @@ def run_pmr_ablation(segment_mib: int = 4, iterations: int = 3) -> dict:
     def pmr_drain() -> Iterator:
         total = 0.0
         for _ in range(iterations):
-            yield engine.process(api.ba_pin(0, 0, 0, segment))
+            yield from api.ba_pin(0, 0, 0, segment)
             start = engine.now
             # PMR path: DMA the region to host DRAM, then block-write it.
-            yield engine.process(api.ba_read_dma(0, host_buffer, 0, segment))
-            yield engine.process(
-                device.write(segment // PAGE * 2, host_buffer.read(0, segment))
-            )
-            yield engine.process(device.fsync())
+            yield from api.ba_read_dma(0, host_buffer, 0, segment)
+            yield from device.write(segment // PAGE * 2, host_buffer.read(0, segment))
+            yield from device.fsync()
             total += engine.now - start
-            yield engine.process(api.ba_flush(0))  # unpin (untimed region reuse)
+            yield from api.ba_flush(0)  # unpin (untimed region reuse)
         return total / iterations
 
     pmr_time = engine.run_process(pmr_drain())
@@ -228,7 +226,7 @@ def run_tail_latency_ablation(commits: int = 1500,
         def producer() -> Iterator:
             for _ in range(commits):
                 start = engine.now
-                yield engine.process(wal.append_and_commit(bytes(record_bytes)))
+                yield from wal.append_and_commit(bytes(record_bytes))
                 recorder.record(engine.now - start)
             return None
 
@@ -271,8 +269,8 @@ def run_waf_ablation(commits: int = 800, record_bytes: int = 100) -> dict:
 
     def block_run() -> Iterator:
         for _ in range(commits):
-            yield engine.process(block_wal.append_and_commit(bytes(record_bytes)))
-        yield engine.process(device.drain())
+            yield from block_wal.append_and_commit(bytes(record_bytes))
+        yield from device.drain()
         return None
 
     engine.run(until=engine.process(block_run(), name="waf-block"))
@@ -287,7 +285,7 @@ def run_waf_ablation(commits: int = 800, record_bytes: int = 100) -> dict:
 
     def ba_run() -> Iterator:
         for _ in range(commits):
-            yield engine.process(ba_wal.append_and_commit(bytes(record_bytes)))
+            yield from ba_wal.append_and_commit(bytes(record_bytes))
         return None
 
     engine.run(until=engine.process(ba_run(), name="waf-ba"))

@@ -55,7 +55,7 @@ def _run_clients(
         while remaining[0] > 0:
             remaining[0] -= 1
             request = next_request()
-            yield engine.process(execute(request))
+            yield from execute(request)
         return None
 
     def supervisor() -> Iterator[Event]:
@@ -83,14 +83,14 @@ def run_ycsb_on_lsm(
 
     def execute(request: YcsbRequest) -> Iterator[Event]:
         if request.op is YcsbOp.READ:
-            yield engine.process(tree.get(request.key))
+            yield from tree.get(request.key)
         elif request.op in (YcsbOp.UPDATE, YcsbOp.INSERT):
-            yield engine.process(tree.put(request.key, request.value))
+            yield from tree.put(request.key, request.value)
         elif request.op is YcsbOp.READ_MODIFY_WRITE:
-            yield engine.process(tree.get(request.key))
-            yield engine.process(tree.put(request.key, request.value))
+            yield from tree.get(request.key)
+            yield from tree.put(request.key, request.value)
         else:
-            yield engine.process(tree.scan(request.key, request.scan_length))
+            yield from tree.scan(request.key, request.scan_length)
         return None
 
     ops, elapsed = _run_clients(engine, execute, workload.next_request,
@@ -101,7 +101,7 @@ def run_ycsb_on_lsm(
 def _load_lsm(engine: Engine, tree: LSMTree, workload: YcsbWorkload) -> None:
     def loader() -> Iterator[Event]:
         for request in workload.load_requests():
-            yield engine.process(tree.put(request.key, request.value))
+            yield from tree.put(request.key, request.value)
         return None
 
     engine.run(until=engine.process(loader(), name="lsm-load"))
@@ -120,7 +120,7 @@ def run_ycsb_on_memkv(
     if load_first:
         def loader() -> Iterator[Event]:
             for request in workload.load_requests():
-                yield engine.process(store.set(request.key, request.value))
+                yield from store.set(request.key, request.value)
             return None
 
         engine.run(until=engine.process(loader(), name="memkv-load"))
@@ -128,9 +128,9 @@ def run_ycsb_on_memkv(
 
     def execute(request: YcsbRequest) -> Iterator[Event]:
         if request.op is YcsbOp.READ:
-            yield engine.process(store.get(request.key))
+            yield from store.get(request.key)
         else:
-            yield engine.process(store.set(request.key, request.value))
+            yield from store.set(request.key, request.value)
         return None
 
     ops, elapsed = _run_clients(engine, execute, workload.next_request,
@@ -164,7 +164,7 @@ def run_linkbench_on_relational(
     commit_before = db.stats.commit_latency
 
     def execute(request: LinkbenchRequest) -> Iterator[Event]:
-        yield engine.process(_linkbench_op(engine, db, request))
+        yield from _linkbench_op(engine, db, request)
         return None
 
     ops, elapsed = _run_clients(engine, execute, workload.next_request,
@@ -176,7 +176,7 @@ def _load_linkbench(engine: Engine, db: RelationalEngine,
                     workload: LinkbenchWorkload) -> None:
     def loader() -> Iterator[Event]:
         for request in workload.load_requests():
-            yield engine.process(_linkbench_op(engine, db, request))
+            yield from _linkbench_op(engine, db, request)
         return None
 
     engine.run(until=engine.process(loader(), name="linkbench-load"))
@@ -186,46 +186,44 @@ def _linkbench_op(engine: Engine, db: RelationalEngine,
                   request: LinkbenchRequest) -> Iterator[Event]:
     op = request.op
     if op is LinkbenchOp.GET_NODE:
-        yield engine.process(db.get("node", request.node_id))
+        yield from db.get("node", request.node_id)
     elif op is LinkbenchOp.GET_LINK_LIST:
-        yield engine.process(db.range_scan(
+        yield from db.range_scan(
             "link", (request.node_id, request.link_type, 0), limit=50,
             end_key=(request.node_id, request.link_type, _LINK_KEY_MAX),
-        ))
+        )
     elif op is LinkbenchOp.COUNT_LINK:
         # O(1) via the transactionally-maintained count table.
-        yield engine.process(db.get(
-            "count", (request.node_id, request.link_type)))
+        yield from db.get("count", (request.node_id, request.link_type))
     elif op is LinkbenchOp.MULTIGET_LINK:
         for other in (request.other_id, request.other_id + 1):
-            yield engine.process(db.get(
-                "link", (request.node_id, request.link_type, other)))
+            yield from db.get("link", (request.node_id, request.link_type, other))
     elif op in (LinkbenchOp.ADD_NODE, LinkbenchOp.UPDATE_NODE):
         txn = db.begin()
-        yield engine.process(db.update(txn, "node", request.node_id,
-                                       {"data": request.payload}))
-        yield engine.process(db.commit(txn))
+        yield from db.update(txn, "node", request.node_id,
+                             {"data": request.payload})
+        yield from db.commit(txn)
     elif op is LinkbenchOp.DELETE_NODE:
         txn = db.begin()
-        yield engine.process(db.delete(txn, "node", request.node_id))
-        yield engine.process(db.commit(txn))
+        yield from db.delete(txn, "node", request.node_id)
+        yield from db.commit(txn)
     elif op in (LinkbenchOp.ADD_LINK, LinkbenchOp.UPDATE_LINK):
         txn = db.begin()
         key = (request.node_id, request.link_type, request.other_id)
-        existed = (yield engine.process(db.get("link", key))) is not None
-        yield engine.process(db.update(txn, "link", key,
-                                       {"data": request.payload}))
+        existed = (yield from db.get("link", key)) is not None
+        yield from db.update(txn, "link", key,
+                             {"data": request.payload})
         if not existed:
-            yield engine.process(_bump_count(engine, db, txn, request, +1))
-        yield engine.process(db.commit(txn))
+            yield from _bump_count(engine, db, txn, request, +1)
+        yield from db.commit(txn)
     elif op is LinkbenchOp.DELETE_LINK:
         txn = db.begin()
         key = (request.node_id, request.link_type, request.other_id)
-        existed = (yield engine.process(db.get("link", key))) is not None
-        yield engine.process(db.delete(txn, "link", key))
+        existed = (yield from db.get("link", key)) is not None
+        yield from db.delete(txn, "link", key)
         if existed:
-            yield engine.process(_bump_count(engine, db, txn, request, -1))
-        yield engine.process(db.commit(txn))
+            yield from _bump_count(engine, db, txn, request, -1)
+        yield from db.commit(txn)
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unhandled LinkBench op {op}")
     return None
@@ -235,8 +233,8 @@ def _bump_count(engine: Engine, db: RelationalEngine, txn,
                 request: LinkbenchRequest, delta: int) -> Iterator[Event]:
     """Adjust the assoc-count row inside the caller's transaction."""
     count_key = (request.node_id, request.link_type)
-    row = yield engine.process(db.get("count", count_key))
+    row = yield from db.get("count", count_key)
     current = row["n"] if row is not None else 0
-    yield engine.process(db.update(txn, "count", count_key,
-                                   {"n": max(0, current + delta)}))
+    yield from db.update(txn, "count", count_key,
+                         {"n": max(0, current + delta)})
     return None

@@ -95,8 +95,8 @@ def run_fig7(iterations: int = 4) -> dict:
     engine, api = platform.engine, platform.api
 
     def setup() -> Iterator:
-        yield engine.process(platform.device.write(0, bytes(PAGE)))
-        entry = yield engine.process(api.ba_pin(0, 0, 0, PAGE))
+        yield from platform.device.write(0, bytes(PAGE))
+        entry = yield from api.ba_pin(0, 0, 0, PAGE)
         return entry
 
     entry = engine.run_process(setup())
@@ -170,15 +170,15 @@ def run_fig8(iterations: int = 2) -> dict:
             for size in BW_SIZES:
                 start = engine.now
                 for _ in range(iterations):
-                    yield engine.process(device.read(0, size))
+                    yield from device.read(0, size)
                 reads[size] = size / ((engine.now - start) / iterations)
                 start = engine.now
                 for _ in range(iterations):
-                    yield engine.process(device.write(0, bytes(size)))
+                    yield from device.write(0, bytes(size))
                 writes[size] = size / ((engine.now - start) / iterations)
                 # Drain the write cache outside the timed region so each
                 # size measures interface bandwidth, not cache backlog.
-                yield engine.process(device.drain())
+                yield from device.drain()
             return reads, writes
 
         reads, writes = engine.run_process(run_block())
@@ -203,8 +203,8 @@ def _fig8_internal(iterations: int) -> tuple[dict[int, float], dict[int, float]]
         total = max(BW_SIZES)
         chunk = 4 * MiB
         for offset in range(0, total, chunk):
-            yield engine.process(device.write(offset // PAGE, bytes(chunk)))
-        yield engine.process(device.drain())
+            yield from device.write(offset // PAGE, bytes(chunk))
+        yield from device.drain()
         return None
 
     engine.run(until=engine.process(populate(), name="fig8-populate"))
@@ -218,10 +218,10 @@ def _fig8_internal(iterations: int) -> tuple[dict[int, float], dict[int, float]]
                 while offset < size:
                     chunk = min(size - offset, buffer_bytes)
                     start = engine.now
-                    yield engine.process(api.ba_pin(0, 0, offset // PAGE, chunk))
+                    yield from api.ba_pin(0, 0, offset // PAGE, chunk)
                     pin_time += engine.now - start
                     start = engine.now
-                    yield engine.process(api.ba_flush(0))
+                    yield from api.ba_flush(0)
                     flush_time += engine.now - start
                     offset += chunk
             pin_bw[size] = size / (pin_time / iterations)
@@ -377,9 +377,9 @@ def _run_compaction_throughput(ops: int, keys: int, value_bytes: int,
             slot = i % keys
             if slot % 16 == 15 and i >= keys:
                 # Periodic deletes keep tombstone dropping on the merge path.
-                yield engine.process(tree.delete(f"key{slot:05d}"))
+                yield from tree.delete(f"key{slot:05d}")
             else:
-                yield engine.process(tree.put(f"key{slot:05d}", payload))
+                yield from tree.put(f"key{slot:05d}", payload)
         return None
 
     engine.run(until=engine.process(drive(), name="compaction-churn"))

@@ -55,17 +55,17 @@ def scenario_ba_datapath() -> dict:
     def drive() -> Iterator:
         # Populate 2 MiB through the block path (destage workers engaged).
         for lpn in range(0, 512, 8):
-            yield engine.process(device.write(lpn, bytes([lpn & 0xFF]) * (8 * PAGE)))
-        yield engine.process(device.drain())
+            yield from device.write(lpn, bytes([lpn & 0xFF]) * (8 * PAGE))
+        yield from device.drain()
         # Pin/dirty/sync/flush entries of assorted sizes, including a
         # never-written range (the unmapped fast path) and a re-pin.
         sweeps = [(0, 1), (8, 4), (16, 16), (64, 64), (300, 32), (4000, 8), (16, 16)]
         for eid, (lba, npages) in enumerate(sweeps):
-            entry = yield engine.process(api.ba_pin(eid, 0, lba, npages * PAGE))
-            yield engine.process(api.mmio_write(entry, 0, bytes(256)))
-            yield engine.process(api.ba_sync(eid))
-            yield engine.process(api.ba_flush(eid))
-        yield engine.process(device.drain())
+            entry = yield from api.ba_pin(eid, 0, lba, npages * PAGE)
+            yield from api.mmio_write(entry, 0, bytes(256))
+            yield from api.ba_sync(eid)
+            yield from api.ba_flush(eid)
+        yield from device.drain()
         return None
 
     engine.run(until=engine.process(drive(), name="golden-ba"))
@@ -133,11 +133,11 @@ def scenario_block_gc() -> dict:
         for round_no in range(6):
             for lpn in range(0, span, 4):
                 payload = bytes([round_no]) * (4 * PAGE)
-                yield engine.process(device.write(lpn, payload))
-            yield engine.process(device.drain())
+                yield from device.write(lpn, payload)
+            yield from device.drain()
         # Read a stripe back so read-path timing lands in the stats too.
         for lpn in range(0, span, 16):
-            yield engine.process(device.read(lpn, 4 * PAGE))
+            yield from device.read(lpn, 4 * PAGE)
         return None
 
     engine.run(until=engine.process(drive(), name="golden-gc"))
@@ -288,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover
     parser.add_argument("names", nargs="*", default=list(SCENARIOS),
                         help="scenarios to run (default: all)")
     args = parser.parse_args(argv)
+    from repro.analysis import sanitizer as simsan
+
+    simsan.enable_from_env()  # REPRO_SANITIZE=1: same bytes, invariants checked
     status = 0
     for name in args.names or list(SCENARIOS):
         text = run_scenario(name)

@@ -202,16 +202,16 @@ def warm_sweep_platform(platform, seed: int = 71, populate_pages: int = 1536,
         for round_no in range(1 + overwrite_rounds):
             for lpn in range(0, populate_pages, 8):
                 payload = bytes([(lpn + round_no) & 0xFF]) * (8 * PAGE)
-                yield engine.process(device.write(lpn, payload))
-            yield engine.process(device.drain())
+                yield from device.write(lpn, payload)
+            yield from device.drain()
         for _round in range(read_rounds):
             for lpn in range(0, populate_pages, 8):
-                yield engine.process(device.read(lpn, 8 * PAGE))
-        entry = yield engine.process(api.ba_pin(0, 0, 0, 32 * PAGE))
-        yield engine.process(api.mmio_write(entry, 0, b"\x5a" * 1024))
-        yield engine.process(api.ba_sync(0))
-        yield engine.process(api.ba_flush(0))
-        yield engine.process(device.drain())
+                yield from device.read(lpn, 8 * PAGE)
+        entry = yield from api.ba_pin(0, 0, 0, 32 * PAGE)
+        yield from api.mmio_write(entry, 0, b"\x5a" * 1024)
+        yield from api.ba_sync(0)
+        yield from api.ba_flush(0)
+        yield from device.drain()
         return None
 
     engine.run(until=engine.process(drive(), name="sweep-warm"))
@@ -232,12 +232,11 @@ def sweep_leg(platform, lba: int = 0, npages: int = 8, entry_id: int = 1,
 
     def drive():
         for _round in range(rounds):
-            entry = yield engine.process(
-                api.ba_pin(entry_id, 0, lba, npages * PAGE))
-            yield engine.process(api.mmio_write(entry, 0, b"\xc3" * write_bytes))
-            yield engine.process(api.ba_sync(entry_id))
-            yield engine.process(api.ba_flush(entry_id))
-        yield engine.process(platform.device.drain())
+            entry = yield from api.ba_pin(entry_id, 0, lba, npages * PAGE)
+            yield from api.mmio_write(entry, 0, b"\xc3" * write_bytes)
+            yield from api.ba_sync(entry_id)
+            yield from api.ba_flush(entry_id)
+        yield from platform.device.drain()
         return None
 
     engine.run(until=engine.process(drive(), name="sweep-leg"))

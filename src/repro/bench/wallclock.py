@@ -120,7 +120,7 @@ def microbench_once(procs: int = 32, iters: int = 400) -> tuple[int, float]:
             res.release(req)
             store.put(k)
             yield store.get()
-            yield engine.process(child())
+            yield from child()
 
     for i in range(procs):
         engine.process(worker(i))

@@ -60,8 +60,8 @@ def client_process(stream: ReplicatedBaWAL, stream_name: str, client: int,
     engine = stream.engine
     for seq in range(records):
         payload = make_payload(stream_name, client, seq, payload_bytes)
-        lsn = yield engine.process(stream.append(payload))
-        yield engine.process(stream.commit(lsn))
+        lsn = yield from stream.append(payload)
+        yield from stream.commit(lsn)
         acked[stream_name].append((engine.now, payload))
     return None
 

@@ -150,22 +150,20 @@ class FailoverManager:
             # A retry after a crash mid-promotion: the stale staged stream
             # holds a partial replay; release its budget and start over.
             if staging in pool.streams:
-                yield self.engine.process(pool.close_stream(staging))
+                yield from pool.close_stream(staging)
             survivor_leg = self._pick_survivor(stream)
             # Recovery reads only device state (NAND + any still-pinned
             # BA-buffer overlay), so the old leg's WAL object can scan even
             # though its host-side processes died with the crash.
-            recovered_pairs = yield self.engine.process(
-                survivor_leg.wal.recover()
-            )
+            recovered_pairs = yield from survivor_leg.wal.recover()
             recovered = [payload for _lsn, payload in recovered_pairs]
             spare_node = self._pick_spare(stream, spare)
-            new_stream = yield self.engine.process(pool.open_stream(
+            new_stream = yield from pool.open_stream(
                 staging,
                 replicas=1 + len(stream.replica_legs),
                 on_nodes=[survivor_leg.node.name, spare_node.name],
                 quorum=stream.quorum,
-            ))
+            )
             if events.enabled:
                 events.emit("cluster.failover.staged", self.engine.now,
                             stream=stream_name,
@@ -176,9 +174,9 @@ class FailoverManager:
             # covering all of it.
             lsn = 0
             for payload in recovered:
-                lsn = yield self.engine.process(new_stream.append(payload))
+                lsn = yield from new_stream.append(payload)
             if recovered:
-                yield self.engine.process(new_stream.commit(lsn))
+                yield from new_stream.commit(lsn)
             # The swap point: from here the promoted stream owns the name.
             new_stream.name = stream_name
             pool.streams[stream_name] = new_stream
@@ -192,7 +190,7 @@ class FailoverManager:
             # entries); the downed node's budget is unreachable anyway.
             for leg in stream.legs():
                 if leg.node.up:
-                    yield self.engine.process(pool.release_leg(leg))
+                    yield from pool.release_leg(leg)
         if tracing.enabled:
             tracing.count("cluster.failovers")
         return FailoverResult(

@@ -152,9 +152,7 @@ class Interconnect:
     def send_control(self, src: str, dst: str) -> Iterator[Event]:
         """Process: one fixed-size control message (commit request / ack)."""
         self.stats.control_messages += 1
-        yield self.engine.process(
-            self.transfer(src, dst, self.params.control_bytes)
-        )
+        yield from self.transfer(src, dst, self.params.control_bytes)
         return None
 
     def stats_dict(self) -> dict:

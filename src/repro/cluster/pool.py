@@ -203,7 +203,7 @@ class DevicePool:
             if not node.up:
                 raise ClusterError(f"cannot place {name!r} on downed node "
                                    f"{node_name!r}")
-            leg = yield self.engine.process(self._start_leg(node))
+            leg = yield from self._start_leg(node)
             legs.append(leg)
         stream = ReplicatedBaWAL(self.engine, self.net, name,
                                  legs[0], legs[1:], quorum=quorum)
@@ -234,20 +234,16 @@ class DevicePool:
             )
             # A fresh stream must never resurrect a prior tenant's records:
             # discard the whole area before the first pin.
-            yield self.engine.process(
-                node.platform.api.trim(start_lpn, self.area_pages)
-            )
+            yield from node.platform.api.trim(start_lpn, self.area_pages)
             try:
-                yield self.engine.process(wal.start())
+                yield from wal.start()
             except MappingTableFullError:
                 # Lost the slots to a pin outside the pool's bookkeeping
                 # (exactly what the typed error exists to distinguish).
                 # Unwind any half that did get pinned, then fall back.
                 for entry_id in entry_ids:
                     if entry_id in node.platform.device.mapping_table:
-                        yield self.engine.process(
-                            node.platform.api.ba_flush(entry_id)
-                        )
+                        yield from node.platform.api.ba_flush(entry_id)
                 node.release_pair(pair)
             else:
                 return StreamLeg(node=node, wal=wal, kind="ba",
@@ -279,9 +275,7 @@ class DevicePool:
         if leg.kind == "ba" and leg.pair is not None:
             for entry_id in leg.entry_ids:
                 if entry_id in leg.node.platform.device.mapping_table:
-                    yield self.engine.process(
-                        leg.node.platform.api.ba_flush(entry_id)
-                    )
+                    yield from leg.node.platform.api.ba_flush(entry_id)
             leg.node.release_pair(leg.pair)
             leg.pair = None
         return None
@@ -290,7 +284,7 @@ class DevicePool:
         """Process: drop a stream and release every leg's budget."""
         stream = self.streams.pop(name)
         for leg in stream.legs():
-            yield self.engine.process(self.release_leg(leg))
+            yield from self.release_leg(leg)
         return None
 
     # -- warm-state snapshots -----------------------------------------------

@@ -60,44 +60,38 @@ class _ReplicaLeg:
             item = yield self.queue.get()
             if item[0] == "append":
                 payload = item[1]
-                yield engine.process(self.net.transfer(
+                yield from self.net.transfer(
                     self.src_name, self.leg.node.name,
                     RECORD_HEADER_BYTES + len(payload),
-                ))
-                self.local_lsn = yield engine.process(
-                    self.leg.wal.append(payload)
                 )
+                self.local_lsn = yield from self.leg.wal.append(payload)
             elif item[0] == "append_batch":
                 # One interconnect message and one replica-side append
                 # pass cover the whole batch (group commit's replication
                 # half).  Apply order still matches primary LSN order:
                 # batches are enqueued atomically after the primary batch.
                 payloads = item[1]
-                yield engine.process(self.net.transfer(
+                yield from self.net.transfer(
                     self.src_name, self.leg.node.name,
                     sum(RECORD_HEADER_BYTES + len(p) for p in payloads),
-                ))
-                lsns = yield engine.process(
-                    self.leg.wal.append_batch(payloads)
                 )
+                lsns = yield from self.leg.wal.append_batch(payloads)
                 if lsns:
                     self.local_lsn = lsns[-1]
             else:  # ("commit", ack_event)
                 ack = item[1]
-                yield engine.process(self.net.send_control(
-                    self.src_name, self.leg.node.name
-                ))
+                yield from self.net.send_control(
+                    self.src_name, self.leg.node.name)
                 try:
                     # Commit the replica's own tail: its LSNs need not
                     # match the primary's (block-path legs diverge).
-                    yield engine.process(self.leg.wal.commit(self.local_lsn))
+                    yield from self.leg.wal.commit(self.local_lsn)
                 except Exception as exc:  # noqa: BLE001 - fault reaches the quorum
                     if not ack.triggered:
                         ack.fail(exc)
                 else:
-                    yield engine.process(self.net.send_control(
-                        self.leg.node.name, self.src_name
-                    ))
+                    yield from self.net.send_control(
+                        self.leg.node.name, self.src_name)
                     if not ack.triggered:
                         ack.succeed()
 
@@ -179,7 +173,7 @@ class ReplicatedBaWAL(WriteAheadLog):
         """
         if tracing.enabled:
             _t0 = self.engine.now
-        lsn = yield self.engine.process(self.primary.wal.append(payload))
+        lsn = yield from self.primary.wal.append(payload)
         for replica in self._replicas:
             replica.queue.put(("append", payload))
         if tracing.enabled:
@@ -209,8 +203,7 @@ class ReplicatedBaWAL(WriteAheadLog):
         if tracing.enabled:
             _t0 = self.engine.now
         try:
-            lsns = yield self.engine.process(
-                self.primary.wal.append_batch(payloads))
+            lsns = yield from self.primary.wal.append_batch(payloads)
         except PartialAppendError as exc:
             appended = payloads[:len(exc.lsns)]
             if appended:
@@ -250,7 +243,7 @@ class ReplicatedBaWAL(WriteAheadLog):
             ack = self.engine.event()
             replica.queue.put(("commit", ack))
             acks.append(ack)
-        yield self.engine.process(self._await_quorum(acks))
+        yield from self._await_quorum(acks)
         self._quorum_durable = max(self._quorum_durable, lsn)
         if events.enabled:
             events.emit("cluster.commit.acked", self.engine.now,
@@ -264,7 +257,7 @@ class ReplicatedBaWAL(WriteAheadLog):
 
     def _primary_commit(self, lsn: int, ack: Event) -> Iterator[Event]:
         try:
-            yield self.engine.process(self.primary.wal.commit(lsn))
+            yield from self.primary.wal.commit(lsn)
         except Exception as exc:  # noqa: BLE001 - fault reaches the quorum
             if not ack.triggered:
                 ack.fail(exc)
@@ -312,7 +305,5 @@ class ReplicatedBaWAL(WriteAheadLog):
     def recover(self, start_lsn: int = 0) -> Iterator[Event]:
         """Process: recover from the *primary* leg (failover recovers a
         surviving replica leg instead; see ``FailoverManager``)."""
-        records = yield self.engine.process(
-            self.primary.wal.recover(start_lsn)
-        )
+        records = yield from self.primary.wal.recover(start_lsn)
         return records

@@ -46,9 +46,7 @@ class TwoBApiClient:
         """Process: BA_PIN(EID, offset, LBA, length) — load + pin + map."""
         with tracing.span("core.api.ba_pin", self.engine):
             yield self.engine.timeout(self.params.ioctl_latency)
-            entry = yield self.engine.process(
-                self.device.ba_manager.pin(entry_id, offset, lba, length)
-            )
+            entry = yield from self.device.ba_manager.pin(entry_id, offset, lba, length)
         self._lines_since_sync.setdefault(entry_id, 0)
         return entry
 
@@ -65,12 +63,10 @@ class TwoBApiClient:
         with tracing.span("core.api.ba_flush", self.engine):
             info = self.device.ba_manager.get_entry_info(entry_id)
             if self.cpu.wc.dirty_lines_in_range(self.region, info.offset, info.length):
-                lines = yield self.engine.process(
-                    self.cpu.wc_flush(self.region, info.offset, info.length)
-                )
-                yield self.engine.process(self.cpu.write_verify_read(lines))
+                lines = yield from self.cpu.wc_flush(self.region, info.offset, info.length)
+                yield from self.cpu.write_verify_read(lines)
             yield self.engine.timeout(self.params.ioctl_latency)
-            entry = yield self.engine.process(self.device.ba_manager.flush(entry_id))
+            entry = yield from self.device.ba_manager.flush(entry_id)
         self._lines_since_sync.pop(entry_id, None)
         return entry
 
@@ -90,9 +86,7 @@ class TwoBApiClient:
         with tracing.span("core.api.ba_read_dma", self.engine):
             yield self.engine.timeout(self.params.ioctl_latency)
             entry = self.device.ba_manager.get_entry_info(entry_id)
-            copied = yield self.engine.process(
-                self.device.read_dma.copy(entry, dst, dst_offset, length)
-            )
+            copied = yield from self.device.read_dma.copy(entry, dst, dst_offset, length)
             yield self.engine.timeout(self.params.interrupt_latency)
         return copied
 
@@ -116,15 +110,13 @@ class TwoBApiClient:
         """
         if tracing.enabled:
             _t0 = self.engine.now
-        entry = yield self.engine.process(self.ba_get_entry_info(entry_id))
+        entry = yield from self.ba_get_entry_info(entry_id)
         if simsan.enabled:
             simsan.sync_begin(entry_id, self.region, entry.offset, entry.length)
         try:
-            yield self.engine.process(
-                self.cpu.wc_flush(self.region, entry.offset, entry.length)
-            )
+            yield from self.cpu.wc_flush(self.region, entry.offset, entry.length)
             lines = self._lines_since_sync.get(entry_id, 0)
-            yield self.engine.process(self.cpu.write_verify_read(lines))
+            yield from self.cpu.write_verify_read(lines)
         finally:
             if simsan.enabled:
                 simsan.sync_end(entry_id)
@@ -146,9 +138,7 @@ class TwoBApiClient:
                 f"write [{rel_offset}, +{len(data)}) outside entry "
                 f"{entry.entry_id} of {entry.length} bytes"
             )
-        lines = yield self.engine.process(
-            self.cpu.wc_store(self.region, entry.offset + rel_offset, data)
-        )
+        lines = yield from self.cpu.wc_store(self.region, entry.offset + rel_offset, data)
         self._lines_since_sync[entry.entry_id] = (
             self._lines_since_sync.get(entry.entry_id, 0) + lines
         )
@@ -163,7 +153,5 @@ class TwoBApiClient:
                 f"read [{rel_offset}, +{nbytes}) outside entry "
                 f"{entry.entry_id} of {entry.length} bytes"
             )
-        data = yield self.engine.process(
-            self.cpu.mmio_read(self.region, entry.offset + rel_offset, nbytes)
-        )
+        data = yield from self.cpu.mmio_read(self.region, entry.offset + rel_offset, nbytes)
         return data

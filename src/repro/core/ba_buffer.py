@@ -171,7 +171,7 @@ class BaBufferManager:
                 # supersede it.
                 device.supersede_page(lpn)
                 if lpn in device._destaging:
-                    yield engine.process(device.wait_destage(lpn))
+                    yield from device.wait_destage(lpn)
                 data = self.dram.read(entry.offset + index * page_size, page_size)
                 fallback = device.ftl.write_submit(lpn, data, batch, on_done=written)
                 if fallback is None:

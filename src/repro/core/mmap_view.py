@@ -56,17 +56,16 @@ class MmapView:
     def store(self, virtual_address: int, data: bytes) -> Iterator[Event]:
         """Process: memcpy into the mapping (WC-buffered, not yet durable)."""
         rel = self._translate(virtual_address, len(data))
-        yield self.api.engine.process(self.api.mmio_write(self.entry, rel, data))
+        yield from self.api.mmio_write(self.entry, rel, data)
         return None
 
     def load(self, virtual_address: int, nbytes: int) -> Iterator[Event]:
         """Process: memcpy out of the mapping (uncacheable, split reads)."""
         rel = self._translate(virtual_address, nbytes)
-        data = yield self.api.engine.process(
-            self.api.mmio_read(self.entry, rel, nbytes))
+        data = yield from self.api.mmio_read(self.entry, rel, nbytes)
         return data
 
     def msync(self) -> Iterator[Event]:
         """Process: make prior stores durable (BA_SYNC under the hood)."""
-        yield self.api.engine.process(self.api.ba_sync(self.entry.entry_id))
+        yield from self.api.ba_sync(self.entry.entry_id)
         return None

@@ -122,8 +122,8 @@ class DeviceTableStorage:
     def write_table(self, file_id: int, blob: bytes) -> Iterator[Event]:
         npages = -(-len(blob) // self.page_size)
         lpn = self._allocate(npages)
-        yield self.engine.process(self.device.write(lpn, blob))
-        yield self.engine.process(self.device.fsync())
+        yield from self.device.write(lpn, blob)
+        yield from self.device.fsync()
         self._extents[file_id] = (lpn, npages)
         return None
 
@@ -152,7 +152,7 @@ class DeviceTableStorage:
         procs = [self.engine.process(self.device.write(lpn, blob))
                  for _file_id, lpn, _npages, blob in extents]
         yield self.engine.all_of(procs)
-        yield self.engine.process(self.device.fsync())
+        yield from self.device.fsync()
         for file_id, lpn, npages, _blob in extents:
             self._extents[file_id] = (lpn, npages)
         return None
@@ -161,9 +161,7 @@ class DeviceTableStorage:
         if file_id not in self._extents:
             raise StorageError(f"no table file {file_id}")
         lpn, npages = self._extents[file_id]
-        blob = yield self.engine.process(
-            self.device.read(lpn, npages * self.page_size)
-        )
+        blob = yield from self.device.read(lpn, npages * self.page_size)
         return blob
 
     def read_tables(self, file_ids: list[int]) -> Iterator[Event]:
@@ -205,14 +203,12 @@ class DeviceTableStorage:
         if len(blob) > capacity:
             raise StorageError(f"manifest of {len(blob)} bytes exceeds {capacity}")
         framed = len(blob).to_bytes(4, "little") + blob
-        yield self.engine.process(self.device.write(self.base_lpn, framed))
-        yield self.engine.process(self.device.fsync())
+        yield from self.device.write(self.base_lpn, framed)
+        yield from self.device.fsync()
         return None
 
     def read_manifest(self) -> Iterator[Event]:
-        raw = yield self.engine.process(
-            self.device.read(self.base_lpn, self.MANIFEST_PAGES * self.page_size)
-        )
+        raw = yield from self.device.read(self.base_lpn, self.MANIFEST_PAGES * self.page_size)
         length = int.from_bytes(raw[:4], "little")
         if length == 0:
             return None

@@ -87,23 +87,24 @@ class LSMTree:
 
     def put(self, key: str, value: bytes) -> Iterator[Event]:
         """Process: durable insert/update."""
-        yield self.engine.process(self._write(key, value))
+        yield from self._write(key, value)
         return None
 
     def delete(self, key: str) -> Iterator[Event]:
         """Process: durable delete (tombstone)."""
-        yield self.engine.process(self._write(key, None))
+        yield from self._write(key, None)
         return None
 
     def _write(self, key: str, value: Optional[bytes]) -> Iterator[Event]:
         start = self.engine.now
         yield self.engine.timeout(self.WRITE_CPU)
-        lsn = yield self.engine.process(self.wal.append(encode_kv(key, value)))
+        lsn = yield from self.wal.append(encode_kv(key, value))
         commit_start = self.engine.now
-        yield self.engine.process(self.wal.commit(lsn))
+        yield from self.wal.commit(lsn)
         self.stats.commit_latency += self.engine.now - commit_start
         self._active.insert(key, value)
         if self._active.approximate_bytes >= self.memtable_bytes and not self._rotating:
+            # spawn: delegating moves lsm-dual sim_set_p99_us
             yield self.engine.process(self._rotate())
         self.stats.record("PUT" if value is not None else "DELETE",
                           self.engine.now - start, is_write=True)
@@ -132,17 +133,17 @@ class LSMTree:
         assert self._immutable is not None
         entries = list(self._immutable.items())
         table = SSTable(entries)
-        yield self.engine.process(self.storage.write_table(table.file_id, table.encode()))
+        yield from self.storage.write_table(table.file_id, table.encode())
         self._l0.append(table)
         self._wal_start = self._immutable_end_lsn
-        yield self.engine.process(self.storage.write_manifest(self._manifest()))
+        yield from self.storage.write_manifest(self._manifest())
         self._immutable = None
         self.flush_count += 1
         done, self._flush_done = self._flush_done, None
         if done is not None:
             done.succeed()
         if len(self._l0) >= self.l0_compaction_trigger:
-            yield self.engine.process(self._compact())
+            yield from self._compact()
         return None
 
     def _compact(self) -> Iterator[Event]:
@@ -177,12 +178,12 @@ class LSMTree:
             # through the NAND program batch) behind a single flush
             # barrier, instead of a write+fsync round-trip per table.
             blobs = [(table.file_id, table.encode()) for table in outputs]
-            yield self.engine.process(self.storage.write_tables(blobs))
+            yield from self.storage.write_tables(blobs)
             self.compaction_bytes += sum(len(blob) for _fid, blob in blobs)
             survivors = [table for table in self._l1 if table not in selected]
             self._l0 = []
             self._l1 = sorted(survivors + outputs, key=lambda t: t.min_key)
-            yield self.engine.process(self.storage.write_manifest(self._manifest()))
+            yield from self.storage.write_manifest(self._manifest())
             for table in inputs:
                 self.storage.delete_table(table.file_id)
             self.compaction_count += 1
@@ -281,7 +282,7 @@ class LSMTree:
 
     def recover(self) -> Iterator[Event]:
         """Process: rebuild from manifest + SSTs + WAL replay."""
-        manifest = yield self.engine.process(self.storage.read_manifest())
+        manifest = yield from self.storage.read_manifest()
         self._active = SkipList(self._rng)
         self._immutable = None
         self._l0 = []
@@ -294,13 +295,12 @@ class LSMTree:
             # One batched fetch: every table read is in flight at once,
             # so recovery I/O overlaps across dies instead of paying one
             # device round-trip per table.
-            blobs = yield self.engine.process(
-                self.storage.read_tables(l0_ids + l1_ids))
+            blobs = yield from self.storage.read_tables(l0_ids + l1_ids)
             for file_id, blob in zip(l0_ids, blobs):
                 self._l0.append(SSTable.decode(blob, file_id=file_id))
             for file_id, blob in zip(l1_ids, blobs[len(l0_ids):]):
                 self._l1.append(SSTable.decode(blob, file_id=file_id))
-        records = yield self.engine.process(self.wal.recover(self._wal_start))
+        records = yield from self.wal.recover(self._wal_start)
         replayed = 0
         for lsn, payload in records:
             if lsn < self._wal_start:

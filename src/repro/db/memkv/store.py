@@ -40,22 +40,22 @@ class MemKV:
 
     def set(self, key: str, value: bytes) -> Iterator[Event]:
         """Process: SET — durable in the AOF before acknowledging."""
-        yield self.engine.process(self._write_command(Command.SET, key, value))
+        yield from self._write_command(Command.SET, key, value)
         return None
 
     def delete(self, key: str) -> Iterator[Event]:
         """Process: DEL."""
-        yield self.engine.process(self._write_command(Command.DEL, key))
+        yield from self._write_command(Command.DEL, key)
         return None
 
     def append(self, key: str, value: bytes) -> Iterator[Event]:
         """Process: APPEND — concatenates onto the existing value."""
-        yield self.engine.process(self._write_command(Command.APPEND, key, value))
+        yield from self._write_command(Command.APPEND, key, value)
         return None
 
     def incr(self, key: str) -> Iterator[Event]:
         """Process: INCR — integer increment (missing keys start at 0)."""
-        yield self.engine.process(self._write_command(Command.INCR, key))
+        yield from self._write_command(Command.INCR, key)
         return int(self._data[key])
 
     def get(self, key: str) -> Iterator[Event]:
@@ -81,9 +81,9 @@ class MemKV:
         try:
             yield self.engine.timeout(self.COMMAND_CPU)
             record = encode_command(command, key, value)
-            lsn = yield self.engine.process(self.aof.append(record))
+            lsn = yield from self.aof.append(record)
             commit_start = self.engine.now
-            yield self.engine.process(self.aof.commit(lsn))
+            yield from self.aof.commit(lsn)
             self.stats.commit_latency += self.engine.now - commit_start
             self._apply(command, key, value)
         finally:
@@ -108,7 +108,7 @@ class MemKV:
 
     def recover(self, start_lsn: int = 0) -> Iterator[Event]:
         """Process: rebuild the dataset by replaying the AOF."""
-        records = yield self.engine.process(self.aof.recover(start_lsn))
+        records = yield from self.aof.recover(start_lsn)
         self._data.clear()
         for _lsn, payload in records:
             command, key, value = decode_command(payload)

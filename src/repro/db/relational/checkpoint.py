@@ -64,13 +64,13 @@ class CheckpointStore:
         framed = self._frame(blob, self.checkpoints_taken, wal_lsn)
         slot = self._next_slot
         self._next_slot = 1 - self._next_slot
-        yield self.engine.process(self.device.write(self._slot_lpn(slot), framed))
-        yield self.engine.process(self.device.fsync())
+        yield from self.device.write(self._slot_lpn(slot), framed)
+        yield from self.device.fsync()
         return slot
 
     def _read_slot(self, slot: int) -> Iterator[Event]:
-        raw = yield self.engine.process(self.device.read(
-            self._slot_lpn(slot), self.slot_pages * self.page_size))
+        raw = yield from self.device.read(
+            self._slot_lpn(slot), self.slot_pages * self.page_size)
         header_len = int.from_bytes(raw[:4], "little")
         if header_len == 0 or header_len > self.page_size:
             return None
@@ -90,7 +90,7 @@ class CheckpointStore:
         or None if no checkpoint exists."""
         best: Optional[tuple[int, int, bytes]] = None
         for slot in (0, 1):
-            candidate = yield self.engine.process(self._read_slot(slot))
+            candidate = yield from self._read_slot(slot)
             if candidate is not None and (best is None or candidate[0] > best[0]):
                 best = candidate
         if best is None:
@@ -106,7 +106,7 @@ def checkpoint_and_truncate(engine, db: RelationalEngine,
     recycled, and recovery starts there.
     """
     wal_lsn = db.wal.durable_lsn
-    yield engine.process(store.save(db, wal_lsn))
+    yield from store.save(db, wal_lsn)
     return wal_lsn
 
 
@@ -114,10 +114,10 @@ def recover_from_checkpoint(engine, db: RelationalEngine,
                             store: CheckpointStore) -> Iterator[Event]:
     """Process: load the newest checkpoint (if any) into ``db`` and replay
     the WAL tail behind it.  Returns ``(checkpoint_lsn, replayed_ops)``."""
-    loaded = yield engine.process(store.load_latest())
+    loaded = yield from store.load_latest()
     start_lsn = 0
     if loaded is not None:
         start_lsn, blob = loaded
         db.load_checkpoint(blob)
-    replayed = yield engine.process(db.recover(start_lsn))
+    replayed = yield from db.recover(start_lsn)
     return start_lsn, replayed

@@ -138,18 +138,18 @@ class RelationalEngine:
     def insert(self, txn: Transaction, table: str, key: Any,
                row: dict) -> Iterator[Event]:
         """Process: insert or replace a row."""
-        yield self.engine.process(self._write_op(txn, table, key, row, "put"))
+        yield from self._write_op(txn, table, key, row, "put")
         return None
 
     def update(self, txn: Transaction, table: str, key: Any,
                row: dict) -> Iterator[Event]:
         """Process: update a row (inserts if missing, UPSERT semantics)."""
-        yield self.engine.process(self._write_op(txn, table, key, row, "put"))
+        yield from self._write_op(txn, table, key, row, "put")
         return None
 
     def delete(self, txn: Transaction, table: str, key: Any) -> Iterator[Event]:
         """Process: delete a row (no-op if missing)."""
-        yield self.engine.process(self._write_op(txn, table, key, None, "del"))
+        yield from self._write_op(txn, table, key, None, "del")
         return None
 
     def _write_op(self, txn: Transaction, table: str, key: Any,
@@ -157,13 +157,13 @@ class RelationalEngine:
         txn.require_open()
         target = self._table(table)
         yield self.engine.timeout(self.OP_CPU)
-        yield self.engine.process(self._lock(txn, table, key))
+        yield from self._lock(txn, table, key)
         before = target.index.get(key)
         txn.undo.append((table, key, before))
         if (table, key) not in self._uncommitted:
             self._uncommitted[(table, key)] = (txn.txn_id, before)
         record = pack_obj({"t": op, "x": txn.txn_id, "tb": table, "k": key, "r": row})
-        yield self.engine.process(self.wal.append(record))
+        yield from self.wal.append(record)
         if op == "put":
             target.index.insert(key, dict(row))
         else:
@@ -211,9 +211,9 @@ class RelationalEngine:
         txn.require_open()
         start = self.engine.now
         record = pack_obj({"t": "commit", "x": txn.txn_id})
-        lsn = yield self.engine.process(self.wal.append(record))
+        lsn = yield from self.wal.append(record)
         commit_start = self.engine.now
-        yield self.engine.process(self.wal.commit(lsn))
+        yield from self.wal.commit(lsn)
         self.stats.commit_latency += self.engine.now - commit_start
         txn.finished = True
         self._release_locks(txn)
@@ -231,7 +231,7 @@ class RelationalEngine:
             else:
                 index.insert(key, before)
         record = pack_obj({"t": "abort", "x": txn.txn_id})
-        yield self.engine.process(self.wal.append(record))
+        yield from self.wal.append(record)
         txn.finished = True
         self._release_locks(txn)
         self.stats.aborts += 1
@@ -259,7 +259,7 @@ class RelationalEngine:
 
     def recover(self, start_lsn: int = 0) -> Iterator[Event]:
         """Process: redo replay of committed transactions from the WAL."""
-        records = yield self.engine.process(self.wal.recover(start_lsn))
+        records = yield from self.wal.recover(start_lsn)
         pending: dict[int, list[dict]] = {}
         committed: list[tuple[int, list[dict]]] = []
         for lsn, payload in records:

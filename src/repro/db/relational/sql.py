@@ -170,7 +170,7 @@ class SqlSession:
             "BEGIN", "COMMIT", "ROLLBACK",
         )
         handler = getattr(self, f"_exec_{verb.lower()}")
-        result = yield self.db.engine.process(handler(parser))
+        result = yield from handler(parser)
         self.statements_executed += 1
         return result
 
@@ -189,7 +189,7 @@ class SqlSession:
         if self._txn is None:
             raise SqlError("COMMIT outside a transaction")
         txn, self._txn = self._txn, None
-        yield self.db.engine.process(self.db.commit(txn))
+        yield from self.db.commit(txn)
         return None
 
     def _exec_rollback(self, parser: _Parser) -> Iterator[Event]:
@@ -197,21 +197,21 @@ class SqlSession:
         if self._txn is None:
             raise SqlError("ROLLBACK outside a transaction")
         txn, self._txn = self._txn, None
-        yield self.db.engine.process(self.db.abort(txn))
+        yield from self.db.abort(txn)
         return None
 
     def _autocommit(self, work) -> Iterator[Event]:
         """Run a write inside the session txn, or auto-commit one."""
         if self._txn is not None:
-            result = yield self.db.engine.process(work(self._txn))
+            result = yield from work(self._txn)
             return result
         txn = self.db.begin()
         try:
-            result = yield self.db.engine.process(work(txn))
+            result = yield from work(txn)
         except BaseException:
-            yield self.db.engine.process(self.db.abort(txn))
+            yield from self.db.abort(txn)
             raise
-        yield self.db.engine.process(self.db.commit(txn))
+        yield from self.db.commit(txn)
         return result
 
     # -- DDL / DML ----------------------------------------------------------------
@@ -251,7 +251,7 @@ class SqlSession:
         def work(txn):
             return self.db.insert(txn, table, key, row)
 
-        result = yield self.db.engine.process(self._autocommit(work))
+        result = yield from self._autocommit(work)
         return 1 if result is None else result
 
     def _parse_where(self, parser: _Parser):
@@ -289,13 +289,12 @@ class SqlSession:
             limit = parser.literal()
         parser.finish()
         if where[0] == "point":
-            row = yield self.db.engine.process(
-                self.db.get(table, where[1], txn=self._txn))
+            row = yield from self.db.get(table, where[1], txn=self._txn)
             rows = [] if row is None else [(where[1], row)]
         else:
-            rows = yield self.db.engine.process(self.db.range_scan(
+            rows = yield from self.db.range_scan(
                 table, where[1], limit=limit, end_key=where[2] + 1
-                if isinstance(where[2], int) else where[2], txn=self._txn))
+                if isinstance(where[2], int) else where[2], txn=self._txn)
         result = []
         for key, row in rows[:limit]:
             full = {PRIMARY_KEY: key, **row}
@@ -327,8 +326,7 @@ class SqlSession:
         if PRIMARY_KEY in updates:
             raise SqlError("cannot update the primary key")
         key = where[1]
-        existing = yield self.db.engine.process(
-            self.db.get(table, key, txn=self._txn))
+        existing = yield from self.db.get(table, key, txn=self._txn)
         if existing is None:
             return 0
         existing.update(updates)
@@ -336,7 +334,7 @@ class SqlSession:
         def work(txn):
             return self.db.update(txn, table, key, existing)
 
-        yield self.db.engine.process(self._autocommit(work))
+        yield from self._autocommit(work)
         return 1
 
     def _exec_delete(self, parser: _Parser) -> Iterator[Event]:
@@ -347,13 +345,12 @@ class SqlSession:
         if where[0] != "point":
             raise SqlError("DELETE supports WHERE id = <value> only")
         key = where[1]
-        existing = yield self.db.engine.process(
-            self.db.get(table, key, txn=self._txn))
+        existing = yield from self.db.get(table, key, txn=self._txn)
         if existing is None:
             return 0
 
         def work(txn):
             return self.db.delete(txn, table, key)
 
-        yield self.db.engine.process(self._autocommit(work))
+        yield from self._autocommit(work)
         return 1

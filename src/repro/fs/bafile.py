@@ -47,7 +47,5 @@ def pin_file_region(
             f"pin of {npages} pages crosses an extent boundary after "
             f"{contiguous_pages} pages; preallocate the file contiguously"
         )
-    entry = yield api.engine.process(
-        api.ba_pin(entry_id, buffer_offset, lpn, length)
-    )
+    entry = yield from api.ba_pin(entry_id, buffer_offset, lpn, length)
     return entry

@@ -91,13 +91,13 @@ class ExtentFileSystem:
         self._inodes = {}
         self._next_lpn = self._data_start
         self._free = []
-        yield self.engine.process(self._write_metadata())
+        yield from self._write_metadata()
         self._mounted = True
         return None
 
     def mount(self) -> Iterator[Event]:
         """Process: load the superblock and inode table from the device."""
-        raw = yield self.engine.process(self.device.read(0, self.page_size))
+        raw = yield from self.device.read(0, self.page_size)
         length = int.from_bytes(raw[:4], "little")
         if length == 0:
             raise FileSystemError("no filesystem: device not formatted")
@@ -107,9 +107,7 @@ class ExtentFileSystem:
         table_bytes = superblock["table_bytes"]
         slot = superblock.get("slot", 0)
         slot_lpn = 1 + slot * self.INODE_TABLE_PAGES
-        raw = yield self.engine.process(
-            self.device.read(slot_lpn, self.INODE_TABLE_PAGES * self.page_size)
-        )
+        raw = yield from self.device.read(slot_lpn, self.INODE_TABLE_PAGES * self.page_size)
         if zlib.crc32(raw[:table_bytes]) != superblock.get("table_crc"):
             raise FileSystemError("inode table corrupt (CRC mismatch)")
         table = unpack_obj(raw[:table_bytes]) if table_bytes else {"inodes": []}
@@ -147,11 +145,10 @@ class ExtentFileSystem:
             framed = len(superblock).to_bytes(4, "little") + superblock
             if len(framed) > self.page_size:
                 raise FileSystemError("superblock too large")
-            yield self.engine.process(
-                self.device.write(1 + slot * self.INODE_TABLE_PAGES, table))
-            yield self.engine.process(self.device.flush())
-            yield self.engine.process(self.device.write(0, framed))
-            yield self.engine.process(self.device.flush())
+            yield from self.device.write(1 + slot * self.INODE_TABLE_PAGES, table)
+            yield from self.device.flush()
+            yield from self.device.write(0, framed)
+            yield from self.device.flush()
             self._active_slot = slot
         finally:
             self._meta_lock.release(lock)
@@ -171,7 +168,7 @@ class ExtentFileSystem:
         if name in self._inodes:
             raise FileSystemError(f"file {name!r} already exists")
         self._inodes[name] = _Inode(name=name, owner=owner)
-        yield self.engine.process(self._write_metadata())
+        yield from self._write_metadata()
         return File(self, self._inodes[name])
 
     def open(self, name: str) -> "File":
@@ -190,7 +187,7 @@ class ExtentFileSystem:
         for lpn, npages in inode.extents:
             self.device.trim(lpn, npages)
             self._free.append((lpn, npages))
-        yield self.engine.process(self._write_metadata())
+        yield from self._write_metadata()
         return None
 
     def listdir(self) -> list[str]:
@@ -274,7 +271,7 @@ class File:
         self._inode.extents.extend(extents)
         if not keep_size:
             self._inode.size = self._inode.allocated_pages * self.fs.page_size
-        yield self.fs.engine.process(self.fs._write_metadata())
+        yield from self.fs._write_metadata()
         return extents
 
     # -- I/O ---------------------------------------------------------------------------
@@ -304,14 +301,12 @@ class File:
                 # Read-modify-write the partial run.
                 run_span = within + len(chunk)
                 span_pages = -(-run_span // self.fs.page_size)
-                old = yield self.fs.engine.process(
-                    self.fs.device.read(lpn, span_pages * self.fs.page_size)
-                )
+                old = yield from self.fs.device.read(lpn, span_pages * self.fs.page_size)
                 merged = bytearray(old)
                 merged[within:within + len(chunk)] = chunk
-                yield self.fs.engine.process(self.fs.device.write(lpn, bytes(merged)))
+                yield from self.fs.device.write(lpn, bytes(merged))
             else:
-                yield self.fs.engine.process(self.fs.device.write(lpn, chunk))
+                yield from self.fs.device.write(lpn, chunk)
             position += len(chunk)
             remaining = remaining[len(chunk):]
         self._inode.size = max(self._inode.size, end)
@@ -330,9 +325,7 @@ class File:
             within = position % self.fs.page_size
             run_bytes = min(remaining + within, run_pages * self.fs.page_size)
             span_pages = -(-run_bytes // self.fs.page_size)
-            raw = yield self.fs.engine.process(
-                self.fs.device.read(lpn, span_pages * self.fs.page_size)
-            )
+            raw = yield from self.fs.device.read(lpn, span_pages * self.fs.page_size)
             take = min(remaining, run_bytes - within)
             parts.append(raw[within:within + take])
             position += take
@@ -341,8 +334,8 @@ class File:
 
     def fsync(self) -> Iterator[Event]:
         """Process: make file data and metadata durable."""
-        yield self.fs.engine.process(self.fs._write_metadata())
-        yield self.fs.engine.process(self.fs.device.fsync())
+        yield from self.fs._write_metadata()
+        yield from self.fs.device.fsync()
         return None
 
     def truncate(self, nbytes: int = 0) -> Iterator[Event]:
@@ -366,5 +359,5 @@ class File:
             seen += npages
         self._inode.extents = kept
         self._inode.size = nbytes
-        yield self.fs.engine.process(self.fs._write_metadata())
+        yield from self.fs._write_metadata()
         return None

@@ -266,9 +266,9 @@ class PageMapFTL:
                 self._kick_background_gc()
             if free < self._gc_low_watermark:
                 self.stats.foreground_gc_stalls += 1
-                yield self.engine.process(self._collect_garbage())
+                yield from self._collect_garbage()
             ppn = self._allocate_page()
-            yield self.engine.process(self.flash.program_page(ppn, data))
+            yield from self.flash.program_page(ppn, data)
             previous = self.map.bind(lpn, ppn)
             self._mark_valid(ppn)
             if previous is not None:
@@ -290,7 +290,7 @@ class PageMapFTL:
                 ppn = self.map.lookup(lpn)
                 if ppn is None:
                     return bytes(self.page_size)
-                data = yield self.engine.process(self.flash.read_page(ppn))
+                data = yield from self.flash.read_page(ppn)
                 if self.map.lookup(lpn) == ppn:
                     return data
         raise FtlCapacityError(f"read of logical page {lpn} kept racing with GC")
@@ -399,7 +399,7 @@ class PageMapFTL:
                 self._kick_background_gc()
             if free < self._gc_low_watermark:
                 self.stats.foreground_gc_stalls += 1
-                yield self.engine.process(self._collect_garbage())
+                yield from self._collect_garbage()
             ppn = self._allocate_page()
             batch = self._fallback_batch
             if batch is None:
@@ -453,7 +453,7 @@ class PageMapFTL:
             if retries < retry_threshold:
                 continue
             data = self.flash.peek(ppn)  # rescue copy (pre-UECC snapshot)
-            yield self.engine.process(self.write(lpn, data))
+            yield from self.write(lpn, data)
             relocated += 1
         self.stats.pages_scrubbed += relocated
         return relocated
@@ -502,7 +502,7 @@ class PageMapFTL:
                     victim = self._pick_victim()
                     if victim is None:
                         break
-                    yield self.engine.process(self._relocate_block(victim[1]))
+                    yield from self._relocate_block(victim[1])
                     self.stats.background_gc_runs += 1
                 finally:
                     self._gc_lock.release(lock)
@@ -519,7 +519,7 @@ class PageMapFTL:
                         raise FtlCapacityError("GC found no reclaimable blocks")
                     break
                 _valid_count, key = victim
-                yield self.engine.process(self._relocate_block(key))
+                yield from self._relocate_block(key)
                 self.stats.gc_runs += 1
         finally:
             self._gc_lock.release(lock_req)
@@ -533,9 +533,9 @@ class PageMapFTL:
             lpn = self.map.reverse_lookup(old_ppn)
             if lpn is None:
                 continue  # invalidated while GC was running
-            data = yield self.engine.process(self.flash.read_page(old_ppn))
+            data = yield from self.flash.read_page(old_ppn)
             new_ppn = self._allocate_page()
-            yield self.engine.process(self.flash.program_page(new_ppn, data))
+            yield from self.flash.program_page(new_ppn, data)
             # Re-check: the host may have overwritten this LPN mid-relocation.
             if self.map.lookup(lpn) == old_ppn:
                 self.map.bind(lpn, new_ppn)
@@ -543,7 +543,7 @@ class PageMapFTL:
                 self._invalidate(old_ppn)
             else:
                 self._invalidate(new_ppn)
-        yield self.engine.process(self.flash.erase_block(channel, die, block))
+        yield from self.flash.erase_block(channel, die, block)
         self._valid.pop(key, None)
         owner = self._dies[channel * geometry.dies_per_channel + die]
         owner.free_blocks.append(block)

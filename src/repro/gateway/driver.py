@@ -155,7 +155,7 @@ class GatewayLoad:
         """
         engine = self.engine
         ops = self.ops_for(client_id, commands)[start_seq:]
-        conn = yield engine.process(self.server.accept())
+        conn = yield from self.server.accept()
         sent_at: deque[tuple[float, Command, bytes]] = deque()
         engine.process(self._sender(conn, ops, sent_at),
                        name=f"gw-client-send-{client_id}")

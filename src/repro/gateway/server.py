@@ -458,6 +458,7 @@ class _CommitCoalescer:
                 if tracing.enabled:
                     _t0 = engine.now
                 # ONE quorum barrier covers every taken registration.
+                # spawn: delegating moves the gateway_group_commit golden
                 yield engine.process(shard.stream.commit(target))
                 if tracing.enabled:
                     tracing.observe("gateway.wal.quorum", engine.now - _t0)
@@ -533,11 +534,11 @@ class GatewayServer:
         if self._started:
             raise GatewayError("gateway already started")
         for shard in self.shards:
-            shard.stream = yield self.engine.process(self.pool.open_stream(
+            shard.stream = yield from self.pool.open_stream(
                 shard.stream_name,
                 replicas=self.config.replicas,
                 quorum=self.config.quorum,
-            ))
+            )
             self._spawn_shard_pipeline(shard)
         self._started = True
         return None
@@ -568,8 +569,7 @@ class GatewayServer:
         Workers stay parked on their queues; they die with the server."""
         for shard in self.shards:
             if shard.stream_name in self.pool.streams:
-                yield self.engine.process(
-                    self.pool.close_stream(shard.stream_name))
+                yield from self.pool.close_stream(shard.stream_name)
         self._started = False
         return None
 
@@ -763,8 +763,7 @@ class GatewayServer:
                     payload = encode_value(shard.data.get(key))
                     done.succeed(encode_reply(Reply.VALUE, payload))
                     continue
-                body = yield engine.process(
-                    self._execute_write(shard, command, key, value))
+                body = yield from self._execute_write(shard, command, key, value)
                 done.succeed(body)
                 continue
             admit = coalescer.admit()
@@ -778,6 +777,7 @@ class GatewayServer:
             room = coalescer.room()
             while len(queue) and len(batch) < room:
                 batch.append(queue.get()._value)
+            # spawn: delegating moves gw-get sim_capacity_ops_per_s (1e-5)
             yield engine.process(self._execute_batch(shard, batch))
 
     def _execute_batch(self, shard: _Shard, batch: list) -> Iterator[Event]:
@@ -837,8 +837,7 @@ class GatewayServer:
             records.append(record)
         lsns: list[int] = []
         if records:
-            lsns = yield engine.process(
-                self._append_with_degrade(shard, records))
+            lsns = yield from self._append_with_degrade(shard, records)
             shard.applied_lsn = max(shard.applied_lsn, lsns[-1])
         coalescer = shard.coalescer
         horizon = shard.applied_lsn
@@ -880,11 +879,9 @@ class GatewayServer:
                     if tracing.enabled:
                         _t0 = engine.now
                     if len(remaining) == 1:
-                        got = [(yield engine.process(
-                            stream.append(remaining[0])))]
+                        got = [(yield from stream.append(remaining[0]))]
                     else:
-                        got = yield engine.process(
-                            stream.append_batch(remaining))
+                        got = yield from stream.append_batch(remaining)
                     if tracing.enabled:
                         tracing.observe("gateway.wal.append",
                                         engine.now - _t0)
@@ -908,7 +905,7 @@ class GatewayServer:
                 if shard.degrading is not None:
                     yield shard.degrading  # a peer lane is already on it
                 else:
-                    yield engine.process(self._quiesce_and_degrade(shard))
+                    yield from self._quiesce_and_degrade(shard)
             # else: a peer's swap finished while our append was failing;
             # its replay already carried our appended prefix across.
             lsns.extend([shard.stream.durable_lsn] * appended)
@@ -928,8 +925,8 @@ class GatewayServer:
                 shard.writer_drain = engine.event()
                 yield shard.writer_drain
             if shard.coalescer is not None:
-                yield engine.process(shard.coalescer.quiesced())
-            yield engine.process(self._degrade_shard(shard))
+                yield from shard.coalescer.quiesced()
+            yield from self._degrade_shard(shard)
             shard.applied_lsn = shard.stream.durable_lsn
         finally:
             done, shard.degrading = shard.degrading, None
@@ -970,11 +967,11 @@ class GatewayServer:
             try:
                 if tracing.enabled:
                     _t0 = engine.now
-                lsn = yield engine.process(stream.append(record))
+                lsn = yield from stream.append(record)
                 if tracing.enabled:
                     tracing.observe("gateway.wal.append", engine.now - _t0)
                     _t1 = engine.now
-                yield engine.process(stream.commit(lsn))
+                yield from stream.commit(lsn)
                 if tracing.enabled:
                     tracing.observe("gateway.wal.quorum", engine.now - _t1)
             except MappingTableFullError as exc:
@@ -991,7 +988,7 @@ class GatewayServer:
             if attempt:
                 raise failure
             if shard.stream is stream and shard.degrading is None:
-                yield engine.process(self._quiesce_and_degrade(shard))
+                yield from self._quiesce_and_degrade(shard)
             elif shard.degrading is not None:
                 yield shard.degrading
         new_value = self._apply(shard, command, key, value)
@@ -1031,21 +1028,21 @@ class GatewayServer:
         if tracing.enabled:
             tracing.count("gateway.shard.degraded")
         with tracing.span("gateway.shard.degrade", engine):
-            recovered_pairs = yield engine.process(old.primary.wal.recover())
+            recovered_pairs = yield from old.primary.wal.recover()
             recovered = [payload for _lsn, payload in recovered_pairs]
             nodes = [leg.node.name for leg in old.legs() if leg.node.up]
             staging = f"{shard.stream_name}@degrade"
             if staging in pool.streams:
-                yield engine.process(pool.close_stream(staging))
-            new_stream = yield engine.process(pool.open_stream(
+                yield from pool.close_stream(staging)
+            new_stream = yield from pool.open_stream(
                 staging, replicas=len(nodes), on_nodes=nodes,
-                quorum=old.quorum))
+                quorum=old.quorum)
             lsn = 0
             for payload in recovered:
-                lsn = yield engine.process(new_stream.append(payload))
+                lsn = yield from new_stream.append(payload)
             if recovered:
-                yield engine.process(new_stream.commit(lsn))
-            yield engine.process(pool.close_stream(shard.stream_name))
+                yield from new_stream.commit(lsn)
+            yield from pool.close_stream(shard.stream_name)
             new_stream.name = shard.stream_name
             pool.streams[shard.stream_name] = new_stream
             del pool.streams[staging]

@@ -84,8 +84,8 @@ class HostCPU:
         complex but are *not yet guaranteed durable*; pair with
         :meth:`write_verify_read` for the persistent variant.
         """
-        yield self.engine.process(self.wc_store(region, offset, data))
-        yield self.engine.process(self.wc_flush(region, offset, len(data)))
+        yield from self.wc_store(region, offset, data)
+        yield from self.wc_flush(region, offset, len(data))
         return self._lines_for(offset, len(data))
 
     def write_verify_read(self, lines: int = 0) -> Iterator[Event]:
@@ -99,7 +99,7 @@ class HostCPU:
             _t0 = self.engine.now
         if simsan.enabled:
             simsan.on_write_verify_read(self)
-        yield self.engine.process(self.link.non_posted_read(0))
+        yield from self.link.non_posted_read(0)
         yield self.engine.timeout(self.params.wvr_cost(lines))
         if tracing.enabled:
             tracing.observe("host.cpu.write_verify_read", self.engine.now - _t0)
@@ -108,8 +108,8 @@ class HostCPU:
     def persistent_mmio_write(self, region: ByteRegion, offset: int,
                               data: bytes) -> Iterator[Event]:
         """Process: MMIO write plus write-verify read — durable on return."""
-        lines = yield self.engine.process(self.mmio_write(region, offset, data))
-        yield self.engine.process(self.write_verify_read(lines))
+        lines = yield from self.mmio_write(region, offset, data)
+        yield from self.write_verify_read(lines)
         return lines
 
     # -- MMIO read path -----------------------------------------------------------
@@ -123,8 +123,8 @@ class HostCPU:
         if tracing.enabled:
             _t0 = self.engine.now
         if self.wc.dirty_lines(region):
-            yield self.engine.process(self.wc_flush(region, offset, nbytes))
-        yield self.engine.process(self.link.non_posted_read(0))
+            yield from self.wc_flush(region, offset, nbytes)
+        yield from self.link.non_posted_read(0)
         if nbytes:
             yield self.engine.timeout(self.link.mmio_read_latency(nbytes))
         if tracing.enabled:

@@ -312,14 +312,13 @@ class CampaignContext:
                                          spec.payload_bytes)
                             for i in range(count)]
                 try:
-                    lsns = yield engine.process(
-                        stream.append_batch(payloads))
+                    lsns = yield from stream.append_batch(payloads)
                 except PartialAppendError as exc:
                     # Only the durable prefix may ever be acked.
                     lsns = list(exc.lsns)
                     payloads = payloads[:len(lsns)]
                 try:
-                    yield engine.process(stream.commit_batch(lsns))
+                    yield from stream.commit_batch(lsns)
                 except QuorumLossError:
                     self.quorum_losses += 1
                     return None
@@ -330,9 +329,9 @@ class CampaignContext:
                 continue
             payload = make_payload(stream_name, client, seq,
                                    spec.payload_bytes)
-            lsn = yield engine.process(stream.append(payload))
+            lsn = yield from stream.append(payload)
             try:
-                yield engine.process(stream.commit(lsn))
+                yield from stream.commit(lsn)
             except QuorumLossError:
                 self.quorum_losses += 1
                 return None

@@ -209,7 +209,7 @@ class GcStorm(Fault):
             for round_no in range(self.rewrites):
                 for lpn in range(base, base + self.band_pages, 4):
                     payload = bytes([round_no & 0xFF]) * (4 * PAGE)
-                    yield engine.process(device.write(lpn, payload))
+                    yield from device.write(lpn, payload)
             _emit("nemesis.fault.healed", ctx, fault=self.kind, victim=victim)
             return None
 

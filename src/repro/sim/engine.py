@@ -179,7 +179,9 @@ class Process(Event):
 
     The process's return value becomes the event value, and an uncaught
     exception inside the process fails the event (propagating to any waiter,
-    or to :meth:`Engine.run` if nobody waits).
+    or to :meth:`Engine.run` if nobody waits).  ``KeyboardInterrupt`` and
+    ``SystemExit`` are not failures of the model: they leave
+    :meth:`Engine.run`/:meth:`Engine.step` at once, clock where it was.
     """
 
     __slots__ = ("_generator", "_send", "_throw", "_waiting_on", "name")
@@ -226,6 +228,11 @@ class Process(Event):
             # heap round-trip would have given them.
             self._succeed_processed(stop.value)
             return
+        except (KeyboardInterrupt, SystemExit):
+            # Not a model failure: the user (or the interpreter) wants out
+            # now, not after whoever awaits this process has had a chance
+            # to swallow it or the run has drained.
+            raise
         except BaseException as exc:  # noqa: BLE001 - failure propagates via the event
             self.fail(exc)
             return
@@ -245,6 +252,8 @@ class Process(Event):
                 self._generator.throw(exc)
             except StopIteration as stop:
                 self.succeed(stop.value)
+            except (KeyboardInterrupt, SystemExit):
+                raise
             except BaseException as inner:  # noqa: BLE001
                 self.fail(inner)
             return

@@ -118,7 +118,7 @@ class Resource:
         req = self.request()
         yield req
         try:
-            result = yield self.engine.process(work)
+            result = yield from work
         finally:
             self.release(req)
         return result

@@ -217,7 +217,7 @@ class BlockSSD:
     def fsync(self) -> Iterator[Event]:
         """Process: what a host fsync() costs — FLUSH plus filesystem overhead."""
         yield self.engine.timeout(self.profile.fs_sync_overhead)
-        yield self.engine.process(self.flush())
+        yield from self.flush()
         return None
 
     def drain(self) -> Iterator[Event]:

@@ -105,8 +105,8 @@ class NvmeQueuePair:
             yield self.engine.timeout(self.SQ_ENTRY_LATENCY + self.DOORBELL_LATENCY)
             self.stats.submitted += 1
             self.stats.doorbell_writes += 1
-            result = yield self.engine.process(self._execute(command))
-            yield self.engine.process(self._complete())
+            result = yield from self._execute(command)
+            yield from self._complete()
         finally:
             self._slots.release(slot)
         self.stats.completed += 1
@@ -117,14 +117,12 @@ class NvmeQueuePair:
 
     def _execute(self, command: NvmeCommand) -> Iterator[Event]:
         if command.opcode is NvmeOpcode.READ:
-            data = yield self.engine.process(
-                self.device.read(command.lpn, command.nbytes)
-            )
+            data = yield from self.device.read(command.lpn, command.nbytes)
             return data
         if command.opcode is NvmeOpcode.WRITE:
-            yield self.engine.process(self.device.write(command.lpn, command.data))
+            yield from self.device.write(command.lpn, command.data)
             return None
-        yield self.engine.process(self.device.flush())
+        yield from self.device.flush()
         return None
 
     def _complete(self) -> Iterator[Event]:
@@ -142,19 +140,15 @@ class NvmeQueuePair:
 
     def read(self, lpn: int, nbytes: int) -> Iterator[Event]:
         """Process: submit one READ through the queue pair."""
-        data = yield self.engine.process(
-            self.submit(NvmeCommand(NvmeOpcode.READ, lpn, nbytes))
-        )
+        data = yield from self.submit(NvmeCommand(NvmeOpcode.READ, lpn, nbytes))
         return data
 
     def write(self, lpn: int, data: bytes) -> Iterator[Event]:
         """Process: submit one WRITE through the queue pair."""
-        yield self.engine.process(
-            self.submit(NvmeCommand(NvmeOpcode.WRITE, lpn, data=data))
-        )
+        yield from self.submit(NvmeCommand(NvmeOpcode.WRITE, lpn, data=data))
         return None
 
     def flush(self) -> Iterator[Event]:
         """Process: submit a FLUSH through the queue pair."""
-        yield self.engine.process(self.submit(NvmeCommand(NvmeOpcode.FLUSH)))
+        yield from self.submit(NvmeCommand(NvmeOpcode.FLUSH))
         return None

@@ -126,9 +126,9 @@ class BaWAL(WriteAheadLog):
         """Process: pin the halves to their first log segments."""
         if self._started:
             raise RuntimeError("BaWAL already started")
-        yield self.engine.process(self._pin_half(self._halves[0]))
+        yield from self._pin_half(self._halves[0])
         if self.double_buffer:
-            yield self.engine.process(self._pin_half(self._halves[1]))
+            yield from self._pin_half(self._halves[1])
         self._started = True
         return None
 
@@ -144,10 +144,9 @@ class BaWAL(WriteAheadLog):
             # Recycling a wrapped segment: discard its stale generation so
             # the pin takes the firmware's no-data fast path (XLOG-style
             # segment recycling).
-            yield self.engine.process(self.api.trim(lpn, self.segment_pages))
-        half.entry = yield self.engine.process(
-            self.api.ba_pin(half.entry_id, half.buffer_offset, lpn, self.segment_bytes)
-        )
+            yield from self.api.trim(lpn, self.segment_pages)
+        half.entry = yield from self.api.ba_pin(
+            half.entry_id, half.buffer_offset, lpn, self.segment_bytes)
         half.pinning = None
         return None
 
@@ -178,13 +177,11 @@ class BaWAL(WriteAheadLog):
             half = self._halves[self._active]
             used = self._tail - half.stream_base
             if used + record_len > self.segment_bytes:
-                yield self.engine.process(self._switch_halves())
+                yield from self._switch_halves()
                 half = self._halves[self._active]
             record = encode_record(self._tail, payload)
             offset_in_half = self._tail - half.stream_base
-            yield self.engine.process(
-                self.api.mmio_write(half.entry, offset_in_half, record)
-            )
+            yield from self.api.mmio_write(half.entry, offset_in_half, record)
             self._tail += len(record)
         finally:
             self._insert_lock.release(lock)
@@ -234,8 +231,8 @@ class BaWAL(WriteAheadLog):
                 used = self._tail - half.stream_base
                 if used + record_len > self.segment_bytes:
                     if staged:
-                        yield self.engine.process(self.api.mmio_write(
-                            half.entry, staged_offset, bytes(staged)))
+                        yield from self.api.mmio_write(
+                            half.entry, staged_offset, bytes(staged))
                         lsns.extend(staged_lsns)
                         self.stats.appends += len(staged_lsns)
                         self.stats.bytes_appended += staged_bytes
@@ -243,7 +240,7 @@ class BaWAL(WriteAheadLog):
                         staged_lsns = []
                         staged_bytes = 0
                     try:
-                        yield self.engine.process(self._switch_halves())
+                        yield from self._switch_halves()
                     except Exception as exc:
                         raise PartialAppendError(lsns, exc) from exc
                     half = self._halves[self._active]
@@ -256,8 +253,8 @@ class BaWAL(WriteAheadLog):
                 staged_bytes += len(payload)
             if staged:
                 half = self._halves[self._active]
-                yield self.engine.process(self.api.mmio_write(
-                    half.entry, staged_offset, bytes(staged)))
+                yield from self.api.mmio_write(
+                    half.entry, staged_offset, bytes(staged))
                 lsns.extend(staged_lsns)
                 self.stats.appends += len(staged_lsns)
                 self.stats.bytes_appended += staged_bytes
@@ -283,9 +280,7 @@ class BaWAL(WriteAheadLog):
                 if lsn <= self._synced:
                     return None
                 target = self._tail
-                yield self.engine.process(
-                    self.api.ba_sync(self._halves[self._active].entry_id)
-                )
+                yield from self.api.ba_sync(self._halves[self._active].entry_id)
                 self._synced = max(self._synced, target)
             finally:
                 self._insert_lock.release(lock)
@@ -299,7 +294,7 @@ class BaWAL(WriteAheadLog):
         is still running — the double-buffering stall)."""
         old = self._halves[self._active]
         # Everything in the sealed segment becomes durable before flushing.
-        yield self.engine.process(self.api.ba_sync(old.entry_id))
+        yield from self.api.ba_sync(old.entry_id)
         self._synced = max(self._synced, self._tail)
         # Skip the unusable tail: records never span segments.
         self._tail = old.stream_base + self.segment_bytes
@@ -333,9 +328,9 @@ class BaWAL(WriteAheadLog):
         return None
 
     def _recycle_half(self, half: _Half, segment: int) -> Iterator[Event]:
-        yield self.engine.process(self.api.ba_flush(half.entry_id))
+        yield from self.api.ba_flush(half.entry_id)
         self.stats.device_writes += 1
-        yield self.engine.process(self._pin_half(half, segment=segment))
+        yield from self._pin_half(half, segment=segment)
         ready, half.ready = half.ready, None
         if ready is not None:
             ready.succeed()
@@ -400,14 +395,11 @@ class BaWAL(WriteAheadLog):
                 else:
                     # Still mapped to the sealed segment: the flush never
                     # finished.  Redo it, then the pin.
-                    yield self.engine.process(
-                        self.api.ba_flush(half.entry_id))
-                    yield self.engine.process(
-                        self._pin_half(half, segment=segment))
+                    yield from self.api.ba_flush(half.entry_id)
+                    yield from self._pin_half(half, segment=segment)
             else:
                 # Flushed (unmapped) but never repinned.
-                yield self.engine.process(
-                    self._pin_half(half, segment=segment))
+                yield from self._pin_half(half, segment=segment)
         half.pinning = None
         half.ready = None
         return None
@@ -437,9 +429,7 @@ class BaWAL(WriteAheadLog):
                 image = self.device.ba_dram.read(overlay.offset, self.segment_bytes)
                 yield self.engine.timeout(self.api.params.entry_info_latency)
             else:
-                image = yield self.engine.process(
-                    self.device.read(lpn, self.segment_bytes)
-                )
+                image = yield from self.device.read(lpn, self.segment_bytes)
             collected.extend(self._scan_anchored(image))
         collected.sort(key=lambda item: item[0])
         return self._stitch(collected, start_lsn)

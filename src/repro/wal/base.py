@@ -87,8 +87,8 @@ class WriteAheadLog(abc.ABC):
 
     def append_and_commit(self, payload: bytes) -> Iterator[Event]:
         """Process: the common ``log(); commit()`` pair; returns end LSN."""
-        lsn = yield self.engine.process(self.append(payload))
-        yield self.engine.process(self.commit(lsn))
+        lsn = yield from self.append(payload)
+        yield from self.commit(lsn)
         return lsn
 
     def append_batch(self, payloads: list[bytes]) -> Iterator[Event]:
@@ -104,7 +104,7 @@ class WriteAheadLog(abc.ABC):
         lsns: list[int] = []
         for payload in payloads:
             try:
-                lsn = yield self.engine.process(self.append(payload))
+                lsn = yield from self.append(payload)
             except PartialAppendError as exc:
                 raise PartialAppendError(lsns + exc.lsns, exc.cause) from exc
             except Exception as exc:
@@ -118,5 +118,5 @@ class WriteAheadLog(abc.ABC):
         stream durable at ``max(lsns)`` makes it durable at each of them.
         """
         if lsns:
-            yield self.engine.process(self.commit(max(lsns)))
+            yield from self.commit(max(lsns))
         return None

@@ -94,7 +94,7 @@ class BlockWAL(WriteAheadLog):
                 )
             self._copy_into_pages(self._tail, record)
             self._tail += len(record)
-            yield self.engine.process(self.cpu.dram_copy(len(record)))
+            yield from self.cpu.dram_copy(len(record))
         finally:
             self._insert_lock.release(lock)
         self.stats.appends += 1
@@ -134,7 +134,7 @@ class BlockWAL(WriteAheadLog):
                 lsns.append(self._tail)
                 self.stats.appends += 1
                 self.stats.bytes_appended += len(payload)
-            yield self.engine.process(self.cpu.dram_copy(total))
+            yield from self.cpu.dram_copy(total)
         finally:
             self._insert_lock.release(lock)
         if self.mode is CommitMode.ASYNCHRONOUS:
@@ -156,16 +156,14 @@ class BlockWAL(WriteAheadLog):
             yield lock
             try:
                 if lsn > self._durable:
-                    yield self.engine.process(self._flush_batch())
+                    yield from self._flush_batch()
                 else:
                     head_page = max(self._durable - 1, 0) // self.page_size
                     page = self._pages.get(head_page, bytes(self.page_size))
-                    yield self.engine.process(
-                        self.device.write(self._page_lpn(head_page), bytes(page))
-                    )
+                    yield from self.device.write(self._page_lpn(head_page), bytes(page))
                     self.stats.device_writes += 1
                     self.stats.page_rewrites += 1
-                    yield self.engine.process(self.device.fsync())
+                    yield from self.device.fsync()
             finally:
                 self._inline_flush_lock.release(lock)
             if tracing.enabled:
@@ -213,9 +211,7 @@ class BlockWAL(WriteAheadLog):
         stopped = False
         while not stopped and page < start_lsn // self.page_size + self.area_pages:
             npages = min(chunk_pages, self.area_pages - page % self.area_pages)
-            data = yield self.engine.process(
-                self.device.read(self._page_lpn(page), npages * self.page_size)
-            )
+            data = yield from self.device.read(self._page_lpn(page), npages * self.page_size)
             buffer.extend(data)
             page += npages
             base = start_lsn - (start_lsn % self.page_size)
@@ -269,7 +265,7 @@ class BlockWAL(WriteAheadLog):
             yield self._writer_signal.get()
             self._writer_kicked = False
             while self._tail > self._durable:
-                yield self.engine.process(self._flush_batch())
+                yield from self._flush_batch()
 
     def _flush_batch(self) -> Iterator[Event]:
         target = self._tail
@@ -288,12 +284,10 @@ class BlockWAL(WriteAheadLog):
                 run_pages.append(
                     self._pages.get(page + len(run_pages), bytes(self.page_size))
                 )
-            yield self.engine.process(
-                self.device.write(lpn, b"".join(bytes(p) for p in run_pages))
-            )
+            yield from self.device.write(lpn, b"".join(bytes(p) for p in run_pages))
             self.stats.device_writes += 1
             page += len(run_pages)
-        yield self.engine.process(self.device.fsync())
+        yield from self.device.fsync()
         self._durable = target
         # Fully-durable pages are on the device; free the host copies.
         head_page = self._durable // self.page_size

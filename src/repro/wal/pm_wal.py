@@ -83,7 +83,7 @@ class PmWAL(WriteAheadLog):
                 self._space_waiters.append(waiter)
                 self._kick_flusher()
                 yield waiter
-            yield self.engine.process(self._pm_copy(self._tail, record))
+            yield from self._pm_copy(self._tail, record)
             self._tail += len(record)
         finally:
             self._insert_lock.release(lock)
@@ -118,9 +118,7 @@ class PmWAL(WriteAheadLog):
                 stream_page = expected // self.page_size
                 lpn = self.start_lpn + stream_page % self.area_pages
                 npages = min(32, self.area_pages - stream_page % self.area_pages)
-                raw = yield self.engine.process(
-                    self.device.read(lpn, npages * self.page_size)
-                )
+                raw = yield from self.device.read(lpn, npages * self.page_size)
                 source = raw[expected % self.page_size:]
                 chunk_end = (stream_page + npages) * self.page_size
                 if chunk_end > drained:
@@ -155,9 +153,7 @@ class PmWAL(WriteAheadLog):
         while position < len(record):
             slot = self._pm_slot(lsn + position)
             chunk = min(len(record) - position, self.pm.size - slot)
-            yield self.engine.process(
-                self.cpu.pm_write(self.pm, slot, record[position:position + chunk])
-            )
+            yield from self.cpu.pm_write(self.pm, slot, record[position:position + chunk])
             position += chunk
         return None
 
@@ -191,9 +187,9 @@ class PmWAL(WriteAheadLog):
                           self.pm_pages)
                 data = self._ring_read(first * self.page_size, run * self.page_size)
                 lpn = self.start_lpn + first % self.area_pages
-                yield self.engine.process(self.device.write(lpn, data))
+                yield from self.device.write(lpn, data)
                 self.stats.device_writes += 1
-                yield self.engine.process(self.device.fsync())
+                yield from self.device.fsync()
                 self._drained = (first + run) * self.page_size
                 waiters, self._space_waiters = self._space_waiters, []
                 for waiter in waiters:

@@ -35,7 +35,7 @@ def latency_sweep(
             start = engine.now
             for iteration in range(iterations):
                 op_start = engine.now
-                yield engine.process(make_op(size, iteration))
+                yield from make_op(size, iteration)
                 if histogram is not None:
                     histogram.record(engine.now - op_start)
             results[size] = (engine.now - start) / iterations

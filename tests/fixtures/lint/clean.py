@@ -10,7 +10,7 @@ import time
 def well_behaved(engine, rng, dies):
     t0 = engine.now
     for die in sorted(dies):
-        yield engine.process(touch(engine, die))
+        yield from touch(engine, die)
     delay = rng.stream("jitter").expovariate(1e6)
     yield engine.timeout(delay)
     wall = time.perf_counter()  # reprolint: disable=DET001

@@ -131,6 +131,68 @@ class TestSimRules:
         assert lint.lint_source(nested) == []
 
 
+class TestSpawnAndJoin:
+    """SIM106: a process spawned only so its one holder can join it."""
+
+    def test_fixture_pair(self):
+        bad = lint.lint_paths([FIXTURES / "bad_spawn_join.py"])
+        assert {v.rule for v in bad} == {"SIM106"}
+        assert [v.line for v in bad] == [5, 6, 11, 18, 19, 22]
+        assert lint.lint_paths([FIXTURES / "ok_spawn_join.py"]) == []
+
+    @pytest.mark.parametrize("receiver", [
+        "engine", "self.engine", "self.fs.engine", "api.engine",
+    ])
+    def test_any_engine_receiver_flagged(self, receiver):
+        source = f"def p(self):\n    x = yield {receiver}.process(self.f(1))\n"
+        assert {v.rule for v in lint.lint_source(source)} == {"SIM106"}
+
+    def test_delegation_and_concurrency_are_clean(self):
+        source = (
+            "def p(engine, f):\n"
+            "    x = yield from f(1)\n"
+            "    leg = engine.process(f(2))\n"
+            "    yield engine.all_of([leg, engine.process(f(3))])\n"
+            "    yield leg\n"
+        )
+        assert lint.lint_source(source) == []
+
+    @pytest.mark.parametrize("comment,accepted", [
+        ("# spawn: moves the gateway_group_commit golden", True),
+        ("#spawn:moves lsm-dual sim_set_p99_us", True),
+        ("# spawn:", False),
+        ("# spawn:   ", False),
+        ("# spawn: TODO", False),
+        ("# spawn: fixme: find out", False),
+        ("# spawn: XXX", False),
+        ("# keeps the golden", False),
+    ])
+    def test_reason_required_same_or_preceding_line(self, comment, accepted):
+        same_line = f"def p(engine, f):\n    yield engine.process(f())  {comment}\n"
+        line_above = f"def p(engine, f):\n    {comment}\n    yield engine.process(f())\n"
+        for source in (same_line, line_above):
+            assert (lint.lint_source(source) == []) is accepted, source
+
+    def test_reason_does_not_reach_two_lines_down(self):
+        source = (
+            "def p(engine, f):\n"
+            "    # spawn: moves a golden\n"
+            "    yield engine.process(f())\n"
+            "    yield engine.process(f())\n"
+        )
+        assert [v.line for v in lint.lint_source(source)] == [4]
+
+    def test_disable_pragma_is_not_a_reason_but_still_suppresses(self):
+        source = ("def p(engine, f):\n"
+                  "    yield engine.process(f())  # reprolint: disable=SIM106\n")
+        assert lint.lint_source(source) == []
+
+    def test_every_kept_site_in_src_names_what_it_moves(self):
+        """The convention is the reason comment, not the blanket pragma."""
+        for path in lint.iter_python_files([SRC]):
+            assert "disable=SIM106" not in path.read_text(), path
+
+
 class TestObsRules:
     def test_obs_rules_on_fixture(self):
         assert rules_in(FIXTURES / "core" / "api.py") == {

@@ -297,3 +297,115 @@ class TestPurge:
             return engine.now
 
         assert engine.run_process(fresh()) == 2.0
+
+
+class TestInterruptsLeaveTheKernel:
+    """Ctrl-C and ``sys.exit`` are not model failures: they must leave
+    ``run()``/``step()`` at the instant they are raised, not be parked on
+    the process event for a waiter to swallow or the run's end to find."""
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_raised_promptly_with_the_clock_where_it_was(self, interrupt):
+        engine = Engine()
+
+        def interrupted():
+            yield engine.timeout(1.0)
+            raise interrupt()
+
+        def sleeper():
+            yield engine.timeout(10.0)
+
+        engine.process(interrupted())
+        engine.process(sleeper())
+        with pytest.raises(interrupt):
+            engine.run()
+        assert engine.now == 1.0  # not 10.0: the run did not drain first
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_a_blanket_except_in_the_waiter_cannot_eat_it(self, interrupt):
+        engine = Engine()
+        swallowed = []
+
+        def child():
+            yield engine.timeout(1.0)
+            raise interrupt()
+
+        def parent():
+            try:
+                yield engine.process(child())
+            except (Exception, KeyboardInterrupt, SystemExit) as exc:
+                swallowed.append(exc)  # what a blanket handler would do
+            yield engine.timeout(5.0)
+
+        with pytest.raises(interrupt):
+            engine.run_process(parent())
+        assert swallowed == [] and engine.now == 1.0
+
+    def test_propagates_from_step_and_run_until_event(self):
+        engine = Engine()
+
+        def interrupted():
+            raise KeyboardInterrupt
+            yield  # pragma: no cover - makes this a generator
+
+        engine.process(interrupted())
+        with pytest.raises(KeyboardInterrupt):
+            engine.step()
+        target = engine.timeout(3.0)
+        engine.process(interrupted())
+        with pytest.raises(KeyboardInterrupt):
+            engine.run(until=target)
+        assert engine.now == 0.0
+
+    def test_raised_while_rejecting_a_non_event_yield(self):
+        engine = Engine()
+
+        def proc():
+            try:
+                yield "not an event"
+            except SimulationError:
+                raise SystemExit(3)
+
+        engine.process(proc())
+        with pytest.raises(SystemExit):
+            engine.run()
+
+    def test_ordinary_exceptions_still_fail_the_event(self):
+        engine = Engine()
+        seen = []
+
+        def child():
+            yield engine.timeout(1.0)
+            raise ValueError("model bug")
+
+        def parent():
+            try:
+                yield engine.process(child())
+            except ValueError as exc:
+                seen.append(str(exc))
+            yield engine.timeout(1.0)
+            return engine.now
+
+        assert engine.run_process(parent()) == 2.0
+        assert seen == ["model bug"]
+        # ...and unobserved ones still surface at the end of the run.
+        engine.process(child())
+        engine.process(parent())
+        with pytest.raises(ValueError, match="model bug"):
+            engine.run()
+        assert engine.now == 4.0
+
+    def test_a_delegated_callee_interrupt_leaves_at_once_too(self):
+        engine = Engine()
+
+        def child():
+            yield engine.timeout(1.0)
+            raise KeyboardInterrupt
+
+        def parent():
+            yield from child()
+            yield engine.timeout(5.0)
+
+        with pytest.raises(KeyboardInterrupt):
+            engine.run_process(parent())
+        assert engine.now == 1.0
