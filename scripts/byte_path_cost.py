@@ -1,0 +1,173 @@
+#!/usr/bin/env python3
+"""What does one logged record cost the simulator on the byte path?
+
+    python scripts/byte_path_cost.py [--records 1600] [--repeats 5] [--smoke]
+
+Stores records of one size back to back through a bare ``Engine`` +
+``PcieLink`` + ``WriteCombiningBuffer`` (no platform, no WAL, no gateway)
+the way ``BaWAL`` does: ``wc.store`` the record, ``wc.flush`` its range,
+then run the kernel dry (the burst wake-up and its ``settle``).  Per
+record size, unaligned (back to back from offset 0, so the start walks
+every alignment the size allows) and aligned (every record starts a
+line), it prints
+
+* wall µs per record of ``store`` / ``flush`` / ``wake+settle``
+  (``perf_counter`` brackets; best of ``--repeats`` passes), and
+* three exact counts per record, taken on a separate pass so the
+  wrappers that count them are not inside the timed region: entries
+  handed to ``posted_burst``, ``region.write`` deposits, and posted TLPs.
+
+Read-only use of ``src/``: everything is observed from outside, so the
+same script runs on any commit (docs/performance.md, "Runs, not lines",
+has the before/after).  ``--smoke`` is the small fixed-size pass that
+``scripts/check.sh`` and CI run: it checks the landed bytes and the TLP
+counts and exits non-zero on a mismatch.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from time import perf_counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from repro.host.memory import ByteRegion  # noqa: E402
+from repro.host.wc import WriteCombiningBuffer  # noqa: E402
+from repro.pcie.link import PcieLink, PcieParams  # noqa: E402
+from repro.sim import Engine  # noqa: E402
+
+SIZES = (100, 1060, 2048, 2100)
+WC_LINES = 10  # HostParams.wc_buffer_lines default
+LINE = PcieParams().wc_line_bytes
+
+
+class BytePath:
+    """One WC buffer in front of one link and one BAR-target region."""
+
+    def __init__(self, size: int, aligned: bool, records: int) -> None:
+        self.engine = Engine()
+        self.link = PcieLink(self.engine)
+        self.wc = WriteCombiningBuffer(self.link, WC_LINES)
+        line = self.wc.line_size
+        self.size = size
+        self.stride = -(-size // line) * line if aligned else size
+        self.records = records
+        self.region = ByteRegion("bar1", self.stride * records + line)
+        self.payloads = [bytes([index % 251 + 1]) * size for index in range(16)]
+
+    def expected_tlps(self) -> int:
+        """Lines the records touch, each counted once per record."""
+        line = self.wc.line_size
+        return sum((index * self.stride + self.size - 1) // line
+                   - index * self.stride // line + 1
+                   for index in range(self.records))
+
+    def timed(self) -> tuple[float, float, float]:
+        """Seconds spent in store, flush and wake+settle over all records."""
+        store, flush, run = self.wc.store, self.wc.flush, self.engine.run
+        region, size, payloads = self.region, self.size, self.payloads
+        in_store = in_flush = in_settle = 0.0
+        offset = 0
+        for index in range(self.records):
+            data = payloads[index % 16]
+            start = perf_counter()
+            store(region, offset, data)
+            stored = perf_counter()
+            flush(region, offset, size)
+            flushed = perf_counter()
+            run()
+            in_settle += perf_counter() - flushed
+            in_flush += flushed - stored
+            in_store += stored - start
+            offset += self.stride
+        return in_store, in_flush, in_settle
+
+    def counted(self) -> tuple[int, int, int]:
+        """Burst entries, ``region.write`` deposits and TLPs over all records."""
+        counts = {"entries": 0, "deposits": 0}
+        posted_burst, write = self.link.posted_burst, self.region.write
+
+        def counting_burst(tlps):
+            counts["entries"] += len(tlps)
+            return posted_burst(tlps)
+
+        def counting_write(offset, data):
+            counts["deposits"] += 1
+            write(offset, data)
+
+        self.link.posted_burst = counting_burst
+        self.region.write = counting_write
+        self.timed()
+        return (counts["entries"], counts["deposits"],
+                self.link.posted_writes_issued)
+
+    def landed_image_ok(self) -> bool:
+        image = self.region.snapshot()
+        return all(
+            image[index * self.stride:index * self.stride + self.size]
+            == self.payloads[index % 16]
+            for index in range(self.records))
+
+
+def measure(size: int, aligned: bool, records: int, repeats: int) -> dict:
+    best = None
+    for _ in range(repeats):
+        times = BytePath(size, aligned, records).timed()
+        if best is None or sum(times) < sum(best):
+            best = times
+    path = BytePath(size, aligned, records)
+    entries, deposits, tlps = path.counted()
+    return {
+        "store_us": best[0] / records * 1e6,
+        "flush_us": best[1] / records * 1e6,
+        "settle_us": best[2] / records * 1e6,
+        "entries": entries / records,
+        "deposits": deposits / records,
+        "tlps": tlps / records,
+        "ok": tlps == path.expected_tlps() and path.landed_image_ok(),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description="Wall-clock and bookkeeping cost of one record on the "
+                    "byte path, per record size.")
+    parser.add_argument("--records", type=int, default=1600,
+                        help="records per pass (default 1600; a multiple of "
+                             "16 covers every alignment equally)")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="timed passes per row, best kept (default 5)")
+    parser.add_argument("--smoke", action="store_true",
+                        help="small fixed pass; checks bytes and TLP counts")
+    args = parser.parse_args()
+    if args.records < 1 or args.repeats < 1:
+        parser.error("--records and --repeats must be >= 1")
+    records, repeats = (64, 1) if args.smoke else (args.records, args.repeats)
+    print(f"{records} records per pass, best of {repeats}, "
+          f"{WC_LINES}-line WC buffer; per record:")
+    print(f"{'size':>6} {'':9} {'store':>8} {'flush':>8} {'settle':>8} "
+          f"{'total':>8}   {'entries':>8} {'deposits':>8} {'TLPs':>7}")
+    failed = 0
+    for size in SIZES:
+        # Back to back, a whole number of lines is aligned already.
+        for aligned in (False, True) if size % LINE else (True,):
+            row = measure(size, aligned, records, repeats)
+            total = row["store_us"] + row["flush_us"] + row["settle_us"]
+            print(f"{size:>6} {'aligned' if aligned else 'unaligned':9} "
+                  f"{row['store_us']:>6.2f}us {row['flush_us']:>6.2f}us "
+                  f"{row['settle_us']:>6.2f}us {total:>6.2f}us   "
+                  f"{row['entries']:>8.2f} {row['deposits']:>8.2f} "
+                  f"{row['tlps']:>7.2f}{'' if row['ok'] else '  MISMATCH'}")
+            failed += not row["ok"]
+    if failed:
+        print(f"{failed} row(s): landed bytes or TLP count differ from the "
+              "records stored", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

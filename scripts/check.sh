@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The full local gate: domain lint -> whole-program scan -> generic
-# lint -> typing -> goldens -> e2e benchmark smoke -> tests.
+# lint -> typing -> goldens -> e2e benchmark smoke -> byte-path cost
+# smoke -> tests.
 #
 #   scripts/check.sh          # everything (tier-1 includes the soak tests)
 #   scripts/check.sh --fast   # deselect the soak tests
@@ -60,6 +61,11 @@ step "golden fixtures under the runtime sanitizer" \
 # use of benchmarks/e2e; its output dir is git-ignored.
 step "e2e benchmark smoke (benchmarks/e2e/run.py --smoke)" \
     python3 benchmarks/e2e/run.py --smoke
+
+# The byte path's own cost meter, at smoke size (< 1 s): checks the
+# landed bytes and TLP counts so the script cannot rot.
+step "byte-path cost smoke (scripts/byte_path_cost.py --smoke)" \
+    python3 scripts/byte_path_cost.py --smoke
 
 if [ "$fast" = 1 ]; then
     step "tier-1 tests (fast: no soak)" python -m pytest -x -q -m "not soak" tests/

@@ -68,7 +68,7 @@ class ByteRegion:
             self._settle_inbound()
         if self._data is None:
             return bytes(nbytes)
-        return bytes(self._data[offset:offset + nbytes])
+        return bytes(memoryview(self._data)[offset:offset + nbytes])
 
     def snapshot(self) -> bytes:
         if self._inbound is not None:

@@ -7,46 +7,68 @@ only when a line is evicted (buffer overflow) or explicitly flushed with
 the CPU — a power failure loses them.  This class models that staging
 functionally: un-flushed spans really are absent from device memory, and
 ``power_loss()`` really discards them.
+
+The buffer is a FIFO of lines, but what it keeps is *extents*: lines that
+are consecutive in the region and adjacent in staging order share one
+record, so a streamed record is staged, evicted, flushed and posted as a
+few runs rather than line by line.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Union
+import sys
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from repro.host.memory import ByteRegion
 from repro.pcie.link import PcieLink, PostedTlp
 
 
-@dataclass
-class _Line:
-    """Staged contents of one WC line: data plus a dirty-byte mask."""
+class _Extent:
+    """Staged lines ``first .. first+count-1`` of ``region``, oldest first.
 
-    data: bytearray
-    mask: bytearray
+    With ``mask is None`` these are whole lines held as one ``bytes``.
+    Otherwise it is one partially written line: ``data`` and the
+    dirty-byte ``mask`` are line-sized bytearrays.
+    """
 
-    def spans(self) -> list[tuple[int, bytes]]:
-        """Contiguous dirty spans as ``(offset_in_line, bytes)`` pairs.
+    __slots__ = ("region", "first", "count", "data", "mask")
 
-        Scans the mask with C-level ``find`` instead of per-byte Python
-        iteration; a fully dirty line (the common case for streaming
-        MMIO writes) short-circuits to a single span.
-        """
+    def __init__(self, region: ByteRegion, first: int, count: int,
+                 data: Union[bytes, bytearray],
+                 mask: Optional[bytearray] = None) -> None:
+        self.region = region
+        self.first = first
+        self.count = count
+        self.data = data
+        self.mask = mask
+
+    def cut(self, lines: int, line_size: int) -> "_Extent":
+        """Split the oldest ``lines`` whole lines off as their own extent."""
+        nbytes = lines * line_size
+        head = _Extent(self.region, self.first, lines, self.data[:nbytes])
+        self.first += lines
+        self.count -= lines
+        self.data = self.data[nbytes:]
+        return head
+
+    def post(self, burst: list[PostedTlp], line_size: int) -> None:
+        """Append the TLPs carrying this extent to ``burst``: one run entry
+        of line-sized TLPs, or one TLP per contiguous dirty span."""
+        base = self.first * line_size
         mask = self.mask
-        if 0 not in mask:
-            return [(0, bytes(self.data))]
-        result: list[tuple[int, bytes]] = []
+        if mask is None or 0 not in mask:
+            burst.append((line_size, self.region, base, bytes(self.data)))
+            return
         data = self.data
         start = mask.find(1)
         while start != -1:
             end = mask.find(0, start + 1)
             if end == -1:
-                result.append((start, bytes(data[start:])))
-                break
-            result.append((start, bytes(data[start:end])))
-            start = mask.find(1, end + 1)
-        return result
+                end = line_size
+            burst.append((end - start, self.region, base + start,
+                          bytes(data[start:end])))
+            start = mask.find(1, end)
 
 
 @dataclass
@@ -55,7 +77,6 @@ class WcStats:
     lines_evicted: int = 0
     lines_flushed: int = 0
     lines_lost_to_power_failure: int = 0
-    spans: dict = field(default_factory=dict)
 
 
 class WriteCombiningBuffer:
@@ -67,14 +88,14 @@ class WriteCombiningBuffer:
         self.link = link
         self.line_size = link.params.wc_line_bytes
         self.max_lines = max_lines
-        # key: (region, line_index) -> staged line, in staging (FIFO) order.
-        # A line stored whole is kept as its immutable ``bytes``; only a
-        # partially written line needs the masked :class:`_Line` form.
-        self._lines: OrderedDict[tuple[ByteRegion, int], Union[bytes, _Line]] = OrderedDict()
+        # Staged lines in staging (FIFO) order, grouped into extents; a
+        # line keeps its place when it is stored to again.
+        self._extents: list[_Extent] = []
+        self._staged = 0  # lines held, over all extents
         self.stats = WcStats()
 
     def __len__(self) -> int:
-        return len(self._lines)
+        return self._staged
 
     # -- staging --------------------------------------------------------------
 
@@ -94,7 +115,6 @@ class WriteCombiningBuffer:
             data = bytes(data)
         line_size = self.line_size
         max_lines = self.max_lines
-        lines = self._lines
         burst: list[PostedTlp] = []
         touched = 0
         staged = 0
@@ -104,47 +124,53 @@ class WriteCombiningBuffer:
         while position < end:
             line_index, within = divmod(offset + position, line_size)
             run = (end - position) // line_size
-            if within == 0 and run > 1 and self._is_fresh(region, line_index, run):
+            if within == 0 and run > 1 and self._find(region, line_index, run) is None:
                 # A run of whole lines none of which is staged: what the
                 # per-line walk below would do, in closed form.  It evicts
-                # max(0, staged + run - max_lines) lines, oldest first,
-                # and once the pool holds only this run those are the
-                # run's own head — which goes to the link as one entry.
-                evict = max(0, len(lines) + run - max_lines)
-                head = max(0, evict - len(lines))
-                for _ in range(evict - head):
-                    self._post_line(burst, *lines.popitem(last=False))
+                # max(0, held + run - max_lines) lines, oldest first, and
+                # once the pool holds only this run those are the run's
+                # own head — which goes to the link as one entry; the
+                # kept tail is staged as one slice.
+                held = self._staged
+                evict = max(0, held + run - max_lines)
+                head = max(0, evict - held)
+                self._evict(evict - head, burst)
                 cut = position + head * line_size
                 if head:
                     burst.append((line_size, region, line_index * line_size,
                                   data[position:cut]))
-                for index in range(line_index + head, line_index + run):
-                    lines[(region, index)] = data[cut:cut + line_size]
-                    cut += line_size
+                position += run * line_size
+                self._stage_whole(region, line_index + head, run - head,
+                                  data[cut:position])
                 staged += run
                 evicted += evict
                 touched += run
-                position = cut
                 continue
             chunk = min(end - position, line_size - within)
-            key = (region, line_index)
             piece = data[position:position + chunk]
-            line = lines.get(key)
-            if line is None:
-                while len(lines) >= max_lines:
-                    self._post_line(burst, *lines.popitem(last=False))
+            extent = self._find(region, line_index, 1)
+            if extent is None:
+                if self._staged >= max_lines:
+                    self._evict(1, burst)
                     evicted += 1
                 staged += 1
-            if chunk == line_size:
-                # A whole line; (re)assignment keeps the key's FIFO position.
-                lines[key] = piece
+                if chunk < line_size:
+                    extent = _Extent(region, line_index, 1,
+                                     bytearray(line_size), bytearray(line_size))
+                    self._extents.append(extent)
+                    self._staged += 1
+            if extent is None:
+                self._stage_whole(region, line_index, 1, piece)
+            elif extent.mask is None:
+                # Every byte of a whole line is dirty already: a store into
+                # it, partial or whole, only replaces bytes of the run.
+                at = (line_index - extent.first) * line_size + within
+                extent.data = extent.data[:at] + piece + extent.data[at + chunk:]
+            elif chunk == line_size:
+                extent.data, extent.mask = piece, None
             else:
-                if line is None:
-                    line = lines[key] = _Line(bytearray(line_size), bytearray(line_size))
-                elif type(line) is bytes:
-                    line = lines[key] = _Line(bytearray(line), bytearray(b"\x01" * line_size))
-                line.data[within:within + chunk] = piece
-                line.mask[within:within + chunk] = b"\x01" * chunk
+                extent.data[within:within + chunk] = piece
+                extent.mask[within:within + chunk] = b"\x01" * chunk
             touched += 1
             position += chunk
         self.stats.lines_staged += staged
@@ -153,54 +179,87 @@ class WriteCombiningBuffer:
             self.link.posted_burst(burst)
         return touched, evicted
 
-    def _is_fresh(self, region: ByteRegion, first: int, count: int) -> bool:
-        """True when none of ``count`` lines from ``first`` is staged."""
-        last = first + count - 1
-        for staged_region, index in self._lines:
-            if staged_region is region and first <= index <= last:
-                return False
-        return True
+    def _find(self, region: ByteRegion, first: int, count: int) -> Optional[_Extent]:
+        """The oldest extent holding any of ``count`` lines from ``first``."""
+        end = first + count
+        for extent in self._extents:
+            if (extent.region is region and extent.first < end
+                    and first < extent.first + extent.count):
+                return extent
+        return None
 
-    def _post_line(self, burst: list[PostedTlp], key: tuple[ByteRegion, int],
-                   line: Union[bytes, _Line]) -> None:
-        """Append the TLPs carrying ``line`` (one per dirty span) to ``burst``."""
-        region, line_index = key
-        base = line_index * self.line_size
-        if type(line) is bytes:
-            burst.append((len(line), region, base, line))
-        else:
-            for within, payload in line.spans():
-                burst.append((len(payload), region, base + within, payload))
+    def _stage_whole(self, region: ByteRegion, first: int, count: int,
+                     data: bytes) -> None:
+        """Stage ``count`` fresh whole lines at the young end of the FIFO."""
+        self._staged += count
+        extents = self._extents
+        if extents:
+            tail = extents[-1]
+            if (tail.mask is None and tail.region is region
+                    and tail.first + tail.count == first):
+                tail.data += data
+                tail.count += count
+                return
+        extents.append(_Extent(region, first, count, data))
+
+    def _evict(self, lines: int, burst: list[PostedTlp]) -> None:
+        """Pop the ``lines`` oldest lines onto ``burst``, a run per extent."""
+        extents = self._extents
+        line_size = self.line_size
+        self._staged -= lines
+        while lines:
+            extent = extents[0]
+            if extent.count <= lines:
+                del extents[0]
+            else:
+                extent = extent.cut(lines, line_size)
+            lines -= extent.count
+            extent.post(burst, line_size)
 
     # -- flushing ---------------------------------------------------------------
 
     def flush(self, region: ByteRegion | None = None,
               offset: int = 0, nbytes: int | None = None) -> int:
-        """clflush semantics: post all (or matching) staged lines; returns count."""
-        if region is None:
-            selected = list(self._lines)
+        """clflush semantics: post all (or matching) staged lines; returns count.
+
+        A range that ends inside an extent splits it; what is not flushed
+        keeps its place in the FIFO.
+        """
+        line_size = self.line_size
+        if region is None or nbytes is None:
+            first, last = 0, sys.maxsize
         else:
-            if nbytes is None:
-                selected = [key for key in self._lines if key[0] is region]
-            else:
-                first = offset // self.line_size
-                last = (offset + max(nbytes, 1) - 1) // self.line_size
-                selected = [
-                    key for key in self._lines
-                    if key[0] is region and first <= key[1] <= last
-                ]
+            first = offset // line_size
+            last = (offset + max(nbytes, 1) - 1) // line_size
         burst: list[PostedTlp] = []
-        for key in selected:
-            self._post_line(burst, key, self._lines.pop(key))
+        kept: list[_Extent] = []
+        flushed = 0
+        for extent in self._extents:
+            if region is not None and (extent.region is not region
+                                       or extent.first > last
+                                       or extent.first + extent.count <= first):
+                kept.append(extent)
+                continue
+            if extent.first < first:
+                kept.append(extent.cut(first - extent.first, line_size))
+            if extent.first + extent.count - 1 > last:
+                selected = extent.cut(last + 1 - extent.first, line_size)
+                kept.append(extent)
+                extent = selected
+            flushed += extent.count
+            extent.post(burst, line_size)
+        self._extents = kept
+        self._staged -= flushed
         if burst:
             self.link.posted_burst(burst)
-        self.stats.lines_flushed += len(selected)
-        return len(selected)
+        self.stats.lines_flushed += flushed
+        return flushed
 
     def dirty_lines(self, region: ByteRegion | None = None) -> int:
         if region is None:
-            return len(self._lines)
-        return sum(1 for key in self._lines if key[0] is region)
+            return self._staged
+        return sum(extent.count for extent in self._extents
+                   if extent.region is region)
 
     def dirty_lines_in_range(self, region: ByteRegion, offset: int,
                              nbytes: int) -> int:
@@ -211,15 +270,17 @@ class WriteCombiningBuffer:
         first = offset // self.line_size
         last = (offset + nbytes - 1) // self.line_size
         return sum(
-            1 for key in self._lines
-            if key[0] is region and first <= key[1] <= last
+            max(0, min(extent.first + extent.count - 1, last)
+                - max(extent.first, first) + 1)
+            for extent in self._extents if extent.region is region
         )
 
     # -- failure -------------------------------------------------------------------
 
     def power_loss(self) -> int:
         """Drop every staged line (the data never reached the device)."""
-        lost = len(self._lines)
-        self._lines.clear()
+        lost = self._staged
+        self._extents.clear()
+        self._staged = 0
         self.stats.lines_lost_to_power_failure += lost
         return lost

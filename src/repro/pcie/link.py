@@ -59,6 +59,77 @@ class PcieParams:
             raise ValueError("bandwidth must be positive")
         if self.read_split_bytes < 1 or self.wc_line_bytes < 1:
             raise ValueError("split sizes must be >= 1")
+        # posted_burst wakes the kernel at a burst's last landing, which is
+        # its latest only while the wire never runs backwards.
+        if self.tlp_overhead < 0 or self.propagation < 0:
+            raise ValueError("link delays must be >= 0")
+
+
+class PostedRun:
+    """One burst entry on the wire: equal TLPs issued back to back.
+
+    The TLPs carry consecutive equal pieces of ``payload`` to
+    ``region[offset:]``; without a region the run is one TLP whose payload
+    is a callable.  :meth:`PcieLink.posted_burst` works out the landing
+    keys of the first and the last TLP only; the run is a sequence of
+    every TLP's key, obtained on first use by replaying the additions the
+    burst made when it serialized the run.
+    """
+
+    __slots__ = ("region", "offset", "payload", "count", "first", "last",
+                 "_replay", "_keys")
+
+    def __init__(self, region: Optional["ByteRegion"], offset: int, payload,
+                 count: int, first: float, last: float,
+                 replay: tuple[float, float, float, float, int]) -> None:
+        self.region = region
+        self.offset = offset
+        self.payload = payload
+        self.count = count
+        self.first = first
+        self.last = last
+        # (issue time, wire-free time after the first TLP, occupancy of
+        # one TLP, propagation, TLPs issued)
+        self._replay = replay
+        self._keys: Optional[list[float]] = None
+
+    def flights(self) -> Iterator[float]:
+        """Issue-to-landing delay of every TLP the run was issued with."""
+        issued, free_at, occupancy, propagation, count = self._replay
+        for _ in range(count):
+            yield free_at + propagation - issued
+            free_at += occupancy
+
+    def keys(self) -> list[float]:
+        """Landing key of each TLP still in flight, in issue order.
+
+        A key is what the heap was handed for the TLP's landing event:
+        issue time plus flight, not the landing time itself.
+        """
+        if self._keys is None:
+            issued = self._replay[0]
+            self._keys = [issued + flight for flight in self.flights()]
+        return self._keys
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self.keys())
+
+    def take_landed(self, now: float) -> bytes:
+        """Split off the payload of the TLPs landed by ``now`` (some, not
+        all); the rest stays in flight."""
+        keys = self.keys()
+        landed = bisect_right(keys, now)
+        cut = landed * (len(self.payload) // self.count)
+        payload = self.payload[:cut]
+        self.payload = self.payload[cut:]
+        self.offset += cut
+        self.count -= landed
+        self._keys = keys[landed:]
+        self.first = self._keys[0]
+        return payload
 
 
 class PcieLink:
@@ -72,11 +143,11 @@ class PcieLink:
         self.posted_writes_issued = 0
         self.read_tlps_issued = 0
         self.posted_writes_lost = 0
-        # Posted TLPs still on the wire, in issue order, one record per
-        # burst entry: (region, offset, payload, landing time of each TLP).
-        # A TLP is part of device memory from its landing time on because
-        # settle() runs before anything can observe the target region.
-        self._inflight: deque[tuple] = deque()
+        # Posted TLPs still on the wire, in issue order, one run per burst
+        # entry.  A TLP is part of device memory from its landing time on
+        # because settle() runs before anything can observe the target
+        # region.
+        self._inflight: deque[PostedRun] = deque()
         self._settling = False
         engine.on_purge(self._drop_unlanded)
 
@@ -99,7 +170,8 @@ class PcieLink:
 
         Each TLP serializes on the wire behind the previous one and lands
         at its own time; the whole burst costs the kernel one wake-up, at
-        the last landing.
+        the last landing.  A malformed entry raises with nothing of the
+        burst issued.
         """
         engine = self.engine
         now = engine.now
@@ -107,11 +179,12 @@ class PcieLink:
         overhead = params.tlp_overhead
         bandwidth = params.bandwidth_bytes_per_sec
         propagation = params.propagation
-        inflight = self._inflight
         free_at = self._down_free_at
-        landing = self._last_posted_landing
         issued = total_bytes = 0
-        wake = unchecked = None
+        wake = landing = None
+        runs: list[PostedRun] = []      # every entry, in issue order
+        queued: list[PostedRun] = []    # those with something to deposit
+        fresh: list["ByteRegion"] = []  # regions not yet marked as this link's
         for nbytes, region, offset, payload in tlps:
             if region is None:
                 count = 1
@@ -120,48 +193,63 @@ class PcieLink:
                     raise ValueError(
                         f"payload of {len(payload)} bytes is not a run of "
                         f"{nbytes}-byte TLPs")
-                count = len(payload) // nbytes
                 if region._inbound is not self:
                     if region._inbound is not None:
                         raise ValueError(
                             f"region {region.name!r} already takes posted "
                             "writes from another link")
-                    region._inbound = self
+                    fresh.append(region)
+                count = len(payload) // nbytes
+            # The wire arithmetic, per TLP: start when the wire is free,
+            # hold it for the occupancy, land one propagation later.  Only
+            # the wire-free time is carried through a run; flights() is
+            # the same additions with the landing taken at every step.
             occupancy = overhead + nbytes / bandwidth
-            whens = []
-            for _ in range(count):
-                start = free_at if free_at > now else now
-                free_at = start + occupancy
+            head = free_at = (free_at if free_at > now else now) + occupancy
+            landing = free_at + propagation
+            first = last = now + (landing - now)
+            if count > 1:
+                for _ in range(count - 1):
+                    free_at += occupancy
                 landing = free_at + propagation
-                delay = landing - now
-                if tracing.enabled:
-                    tracing.observe("pcie.link.posted_write_flight", delay)
-                if payload is not None:
-                    # kernel.past-event stays a per-TLP check; the
-                    # wake-up's own _schedule() checks the last one.
-                    if simsan.enabled and unchecked is not None:
-                        simsan.check_schedule(engine, unchecked)
-                    unchecked = delay
-                    # The latest landing: the last one, unless rounding
-                    # put two keys out of order.
-                    if wake is None or delay > wake:
-                        wake = delay
-                    whens.append(now + delay)
+                last = now + (landing - now)
             issued += count
             total_bytes += count * nbytes
+            run = PostedRun(region, offset, payload, count, first, last,
+                            (now, head, occupancy, propagation, count))
+            runs.append(run)
             if payload is not None:
-                inflight.append((region, offset, payload, whens))
+                queued.append(run)
+                wake = landing
+        if not runs:
+            return self._last_posted_landing
+        # Nothing above touched the link; nothing below can raise.
         self._down_free_at = free_at
         self._last_posted_landing = max(self._last_posted_landing, landing)
         self.posted_writes_issued += issued
+        for region in fresh:
+            region._inbound = self
         if tracing.enabled:
+            for run in runs:
+                for flight in run.flights():
+                    tracing.observe("pcie.link.posted_write_flight", flight)
             tracing.count("pcie.link.posted_writes", issued)
             tracing.count("pcie.link.posted_bytes", total_bytes)
-        if wake is not None:
+        if queued:
+            self._inflight.extend(queued)
+            if simsan.enabled:
+                # kernel.past-event stays a per-TLP check; the wake-up's
+                # own _schedule() checks the last one.
+                flights = [flight for run in queued for flight in run.flights()]
+                for flight in flights[:-1]:
+                    simsan.check_schedule(engine, flight)
+            # One wake-up, at the burst's latest landing — its last one:
+            # every step from wire-free time to key adds a constant, and
+            # a rounded addition is monotone.
             event = Event(engine)
             event._triggered = True
             event.callbacks.append(self._wake)
-            engine._schedule(event, delay=wake)
+            engine._schedule(event, delay=wake - now)
         return landing
 
     def _wake(self, _event: Event) -> None:
@@ -183,18 +271,17 @@ class PcieLink:
         self._settling = True
         try:
             while inflight:
-                region, offset, payload, whens = inflight[0]
-                if whens[0] > now:
+                run = inflight[0]
+                if run.first > now:
                     break
-                if whens[-1] <= now:
+                region, offset = run.region, run.offset
+                if run.last <= now:
                     inflight.popleft()
+                    payload = run.payload
                 else:
-                    # The landed head of a run; the rest stays in flight.
-                    landed = bisect_right(whens, now)
-                    cut = landed * (len(payload) // len(whens))
-                    inflight[0] = (region, offset + cut, payload[cut:],
-                                   whens[landed:])
-                    payload = payload[:cut]
+                    # Now falls inside the run: only here are its per-TLP
+                    # keys needed.
+                    payload = run.take_landed(now)
                 if region is None:
                     payload()
                 else:
@@ -206,12 +293,12 @@ class PcieLink:
         """True when a landed TLP is still queued outside a settle()."""
         inflight = self._inflight
         return (not self._settling and bool(inflight)
-                and inflight[0][3][0] <= self.engine.now)
+                and inflight[0].first <= self.engine.now)
 
     @property
     def in_flight(self) -> int:
         """Posted TLPs issued but not yet deposited."""
-        return sum(len(record[3]) for record in self._inflight)
+        return sum(run.count for run in self._inflight)
 
     def _drop_unlanded(self) -> None:
         """Deposit what has landed, lose the rest (power loss, kernel purge)."""

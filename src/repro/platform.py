@@ -122,7 +122,6 @@ class Platform:
                 "lines_evicted": wc_stats.lines_evicted,
                 "lines_flushed": wc_stats.lines_flushed,
                 "lines_lost_to_power_failure": wc_stats.lines_lost_to_power_failure,
-                "spans": dict(wc_stats.spans),
             },
             api_lines=dict(self.api._lines_since_sync),
             outages=self.power.outages,
@@ -177,7 +176,6 @@ class Platform:
         wc_stats.lines_flushed = snap.wc_stats["lines_flushed"]
         wc_stats.lines_lost_to_power_failure = (
             snap.wc_stats["lines_lost_to_power_failure"])
-        wc_stats.spans = dict(snap.wc_stats["spans"])
         self.api._lines_since_sync = dict(snap.api_lines)
         self.power.outages = snap.outages
         for device, state in zip(self.power._devices, snap.devices):

@@ -1,8 +1,10 @@
 """Kernel events per operation, pinned as a ceiling.
 
-The wall-clock cost of the simulator is its kernel events (ROADMAP
-item 2), and on a fixed small scenario the kernel sequence delta of one
-operation repeats exactly.  A ``yield engine.process(callee())`` that
+Kernel events are one part of the simulator's wall-clock cost, not a
+proxy for it any more (docs/performance.md, "Events are no longer the
+wall-clock proxy"), but they are the part that is exact: on a fixed
+small scenario the kernel sequence delta of one operation repeats
+exactly.  A ``yield engine.process(callee())`` that
 creeps back onto the commit path costs two events per layer crossing —
 this file makes that fail tier-1 instead of waiting for the benchmark.
 
