@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full local gate: domain lint -> whole-program scan -> generic
-# lint -> typing -> goldens -> e2e benchmark smoke -> byte-path cost
-# smoke -> tests.
+# lint -> typing -> goldens -> e2e benchmark smoke -> byte-path and LSM
+# cost smokes -> tests.
 #
 #   scripts/check.sh          # everything (tier-1 includes the soak tests)
 #   scripts/check.sh --fast   # deselect the soak tests
@@ -66,6 +66,13 @@ step "e2e benchmark smoke (benchmarks/e2e/run.py --smoke)" \
 # landed bytes and TLP counts so the script cannot rot.
 step "byte-path cost smoke (scripts/byte_path_cost.py --smoke)" \
     python3 scripts/byte_path_cost.py --smoke
+
+# The LSM engine's bloom-filter work (< 1 s): a merge that probes
+# filters, a lookup that digests twice or probes a second L1 run, or a
+# filter built for a table no GET reached breaks a ceiling and exits
+# non-zero.
+step "LSM cost smoke (scripts/lsm_cost.py --smoke)" \
+    python3 scripts/lsm_cost.py --smoke
 
 if [ "$fast" = 1 ]; then
     step "tier-1 tests (fast: no soak)" python -m pytest -x -q -m "not soak" tests/

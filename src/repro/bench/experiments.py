@@ -393,7 +393,6 @@ def _run_compaction_throughput(ops: int, keys: int, value_bytes: int,
         "compaction_seconds": round(seconds, 9),
         "mb_per_sec": round(tree.compaction_bytes / seconds / 1e6, 3)
                       if seconds else 0.0,
-        "filter_skips": tree.compaction_filter_skips,
         "l0_tables": len(tree._l0),
         "l1_tables": len(tree._l1),
         "simulated_seconds": round(engine.now, 9),

@@ -536,7 +536,7 @@ def format_report(payload: dict) -> str:
         lines.append(
             f"compaction : {compaction['mb_per_sec']:>9.1f} MB/s simulated  "
             f"({compaction['compactions']} compactions, "
-            f"{compaction['filter_skips']} filter skips)")
+            f"{compaction['flushes']} flushes)")
     for gate in payload["results"].get("leg_gates", ()):
         if gate["leg"] == "compaction":
             unit = " MB/s"

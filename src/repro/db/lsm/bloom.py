@@ -21,31 +21,34 @@ class BloomFilter:
             raise ValueError(f"bits_per_key must be >= 1, got {bits_per_key}")
         key_list = list(keys)
         self.count = len(key_list)
-        self.bits = max(64, self.count * bits_per_key)
+        bits = self.bits = max(64, self.count * bits_per_key)
         # Optimal number of hashes: (m/n) ln 2, clamped to [1, 30].
-        self.hashes = max(1, min(30, round(bits_per_key * math.log(2))))
-        self._bitmap = bytearray(-(-self.bits // 8))
+        hashes = self.hashes = max(1, min(30, round(bits_per_key * math.log(2))))
+        bitmap = self._bitmap = bytearray(-(-bits // 8))
+        hash_key = self.hash_key
+        # Additive double hashing: position i is (h1 + i*h2) mod bits,
+        # reached by stepping (h2 mod bits) from (h1 mod bits) with one
+        # conditional subtract — no wide multiply or modulo per position.
         for key in key_list:
-            for position in self._positions(key):
-                self._bitmap[position // 8] |= 1 << (position % 8)
+            h1, h2 = hash_key(key)
+            position = h1 % bits
+            step = h2 % bits
+            for _ in range(hashes):
+                bitmap[position >> 3] |= 1 << (position & 7)
+                position += step
+                if position >= bits:
+                    position -= bits
 
     @staticmethod
     def hash_key(key: str) -> tuple[int, int]:
         """The two base hashes for ``key``, independent of filter geometry.
 
-        Probing many filters with one key (the compaction merge, the L0
-        scan in a point lookup) hashes once and reuses the pair via
-        :meth:`might_contain_hashed` — the digest is the expensive part,
-        the per-filter position math is cheap.
+        Probing many filters with one key (the L0 scan in a point lookup)
+        hashes once and reuses the pair via :meth:`might_contain_hashed`.
         """
         digest = hashlib.blake2b(key.encode(), digest_size=16).digest()
         return (int.from_bytes(digest[:8], "little"),
                 int.from_bytes(digest[8:], "little") | 1)
-
-    def _positions(self, key: str) -> Iterable[int]:
-        h1, h2 = self.hash_key(key)
-        for i in range(self.hashes):
-            yield (h1 + i * h2) % self.bits
 
     def might_contain(self, key: str) -> bool:
         """False means definitely absent; True means probably present."""
@@ -56,10 +59,14 @@ class BloomFilter:
         """Membership test from a precomputed :meth:`hash_key` pair."""
         bits = self.bits
         bitmap = self._bitmap
-        for i in range(self.hashes):
-            position = (h1 + i * h2) % bits
+        position = h1 % bits
+        step = h2 % bits
+        for _ in range(self.hashes):
             if not bitmap[position >> 3] & (1 << (position & 7)):
                 return False
+            position += step
+            if position >= bits:
+                position -= bits
         return True
 
     @property
@@ -80,6 +87,10 @@ class BloomFilter:
         instance.bits = int.from_bytes(data[:8], "little")
         instance.hashes = int.from_bytes(data[8:10], "little")
         instance.count = int.from_bytes(data[10:16], "little")
+        if instance.bits < 1 or not 1 <= instance.hashes <= 30:
+            raise ValueError(
+                f"bloom filter geometry out of range: bits={instance.bits}, "
+                f"hashes={instance.hashes}")
         expected = -(-instance.bits // 8)
         if len(data) != 16 + expected:
             raise ValueError("bloom filter size mismatch")

@@ -155,50 +155,14 @@ class SSTable:
 
 
 def merge_tables(tables: list[SSTable], drop_tombstones: bool,
-                 file_id: Optional[int] = None,
-                 stats: Optional[dict] = None) -> Optional[SSTable]:
-    """K-way merge, newest table first (index 0 wins on duplicate keys).
-
-    The merge is bloom-filter guided: an entry surfacing from an older
-    run first probes the *newer* runs' filters — a miss in every one
-    proves no newer version shadows it, so the entry is emitted without
-    any membership check against the merged set (in an on-disk LSM this
-    is the probe that would cost index I/O; RocksDB's compaction reads
-    filters for exactly this reason).  Hashing happens once per key and
-    is reused across every filter via :meth:`BloomFilter.hash_key`.
-
-    ``stats`` (optional dict) receives ``filter_skips`` — entries proven
-    unshadowed purely by filters — and ``filter_probes``.
+                 file_id: Optional[int] = None) -> Optional[SSTable]:
+    """Merge runs given newest first: the newest version of each key wins.
 
     Returns None when everything merged away (all tombstones dropped).
     """
     merged: dict[str, Optional[bytes]] = {}
-    filters: list = []  # filters of the (newer) tables already merged
-    skips = 0
-    probes = 0
-    hash_key = BloomFilter.hash_key
-    last = len(tables) - 1
-    for index, table in enumerate(tables):  # newest first
-        if not filters:
-            merged.update(zip(table._keys, table._values))
-        else:
-            for key, value in zip(table._keys, table._values):
-                h1, h2 = hash_key(key)
-                probes += 1
-                for newer in filters:
-                    if newer.might_contain_hashed(h1, h2):
-                        # A newer run may hold this key: exact check.
-                        if key not in merged:
-                            merged[key] = value
-                        break
-                else:
-                    skips += 1
-                    merged[key] = value
-        if index < last:  # the oldest run's filter is never probed
-            filters.append(table.filter)
-    if stats is not None:
-        stats["filter_skips"] = stats.get("filter_skips", 0) + skips
-        stats["filter_probes"] = stats.get("filter_probes", 0) + probes
+    for table in reversed(tables):  # oldest first; newer overwrite
+        merged.update(zip(table._keys, table._values))
     if drop_tombstones:
         merged = {k: v for k, v in merged.items() if v is not None}
     if not merged:

@@ -13,6 +13,8 @@ WAL replay from the truncation point.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from repro.db.common import EngineStats
@@ -25,6 +27,8 @@ from repro.sim.units import USEC
 from repro.wal.base import WriteAheadLog
 
 _KV_HEADER = struct.Struct("<BH")
+_MISS = object()  # memtable.get default: a stored None is a tombstone
+_min_key = attrgetter("min_key")
 
 
 def encode_kv(key: str, value: Optional[bytes]) -> bytes:
@@ -79,7 +83,6 @@ class LSMTree:
         self.compaction_count = 0
         self.write_stalls = 0
         self.filter_skips = 0
-        self.compaction_filter_skips = 0
         self.compaction_bytes = 0
         self.compaction_seconds = 0.0
 
@@ -168,10 +171,7 @@ class LSMTree:
             selected = [table for table in self._l1
                         if table.min_key <= hi and lo <= table.max_key]
             inputs = list(reversed(l0_inputs)) + selected  # newest first
-            merge_stats: dict = {}
-            merged = merge_tables(inputs, drop_tombstones=True,
-                                  stats=merge_stats)
-            self.compaction_filter_skips += merge_stats.get("filter_skips", 0)
+            merged = merge_tables(inputs, drop_tombstones=True)
             outputs = self._split_run(merged) if merged is not None else []
             # One batched write for the whole output run: the storage
             # layer issues every table concurrently (die-parallel destage
@@ -181,8 +181,10 @@ class LSMTree:
             yield from self.storage.write_tables(blobs)
             self.compaction_bytes += sum(len(blob) for _fid, blob in blobs)
             survivors = [table for table in self._l1 if table not in selected]
-            self._l0 = []
-            self._l1 = sorted(survivors + outputs, key=lambda t: t.min_key)
+            # A flush that finished during the write above appended to L0:
+            # remove exactly the inputs, never the newcomers.
+            self._l0 = [table for table in self._l0 if table not in l0_inputs]
+            self._l1 = sorted(survivors + outputs, key=_min_key)
             yield from self.storage.write_manifest(self._manifest())
             for table in inputs:
                 self.storage.delete_table(table.file_id)
@@ -226,12 +228,11 @@ class LSMTree:
         return value if found else None
 
     def _lookup(self, key: str) -> tuple[bool, Optional[bytes]]:
-        sentinel = object()
         for memtable in (self._active, self._immutable):
             if memtable is None:
                 continue
-            value = memtable.get(key, sentinel)
-            if value is not sentinel:
+            value = memtable.get(key, _MISS)
+            if value is not _MISS:
                 return True, value
         # Hash the key once for every filter probe below (a point lookup
         # can touch all of L0 plus one L1 run; the blake2b digest is the
@@ -246,17 +247,18 @@ class LSMTree:
             found, value = table.get(key)
             if found:
                 return True, value
-        for table in self._l1:
-            if table.min_key <= key <= table.max_key:
-                if key_hash is None:
-                    key_hash = BloomFilter.hash_key(key)
-                if not table.filter.might_contain_hashed(*key_hash):
-                    self.filter_skips += 1
-                    continue
-                found, value = table.get(key)
-                if found:
-                    return True, value
-        return False, None
+        # L1 is sorted and non-overlapping: only the last run that starts
+        # at or before the key can hold it.
+        index = bisect_right(self._l1, key, key=_min_key)
+        table = self._l1[index - 1] if index else None
+        if table is None or key > table.max_key:
+            return False, None
+        if key_hash is None:
+            key_hash = BloomFilter.hash_key(key)
+        if not table.filter.might_contain_hashed(*key_hash):
+            self.filter_skips += 1
+            return False, None
+        return table.get(key)
 
     def scan(self, start_key: str, limit: int) -> Iterator[Event]:
         """Process: ordered scan of up to ``limit`` live entries."""

@@ -1,8 +1,10 @@
 """Shared test fixtures: assembled platforms (engine + host + devices)."""
 
 from repro.core import BaParams
+from repro.db.lsm import DeviceTableStorage, LSMTree
 from repro.platform import Platform as _LibraryPlatform
 from repro.ssd import ULL_SSD
+from repro.wal import BaWAL
 
 
 class Platform(_LibraryPlatform):
@@ -18,3 +20,15 @@ class Platform(_LibraryPlatform):
 def small_ba_params(buffer_kib=64, max_entries=8):
     """A small BA-buffer so segment-recycling paths trigger quickly."""
     return BaParams(buffer_bytes=buffer_kib * 1024, max_entries=max_entries)
+
+
+def dual_path_lsm(platform, rng, start_wal=True, area_pages=4096, **tree_kwargs):
+    """An ``LSMTree`` on the platform's one 2B-SSD: WAL on the byte path,
+    SSTables on the block path right after the log area.  ``start_wal=False``
+    is the reopen after a power loss: ``tree.recover()`` brings the log up."""
+    engine = platform.engine
+    wal = BaWAL(engine, platform.api, area_pages=area_pages)
+    if start_wal:
+        engine.run_process(wal.start())
+    storage = DeviceTableStorage(engine, platform.device, base_lpn=area_pages)
+    return LSMTree(engine, wal, storage, rng=rng, **tree_kwargs)

@@ -1,16 +1,19 @@
-"""Die-parallel LSM compaction: bloom-guided merge, batched SST I/O,
+"""Die-parallel LSM compaction: the merge, batched SST I/O,
 sanitizer-clean compaction, and the shared stalled-write fallback batch.
 
 The merge tests pin ``merge_tables`` against a naive newest-wins
-reference; the storage tests check the single-fsync barrier contract of
-``write_tables``; the FTL tests drive twin engines (batched submit vs
-per-page ``write``) through a foreground-GC stall storm and require
-exact simulated-time equality.
+reference and against the bloom-filter-guided merge it replaced (kept
+here as an oracle); the storage tests check the single-fsync barrier
+contract of ``write_tables``; the FTL tests drive twin engines (batched
+submit vs per-page ``write``) through a foreground-GC stall storm and
+require exact simulated-time equality.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import sanitizer as simsan
 from repro.db.lsm import DeviceTableStorage, LSMTree, MemoryTableStorage, SSTable
@@ -39,6 +42,37 @@ def reference_merge(tables, drop_tombstones):
     return merged
 
 
+def oracle_filter_guided_merge(tables, drop_tombstones):
+    """The bloom-guided ``merge_tables`` body this tree ran before the
+    dict merge: an entry from an older run probes the newer runs' filters
+    and only checks the merged set on a filter hit."""
+    merged = {}
+    filters = []  # filters of the (newer) tables already merged
+    hash_key = BloomFilter.hash_key
+    last = len(tables) - 1
+    for index, table in enumerate(tables):  # newest first
+        if not filters:
+            merged.update(zip(table._keys, table._values))
+        else:
+            for key, value in zip(table._keys, table._values):
+                h1, h2 = hash_key(key)
+                for newer in filters:
+                    if newer.might_contain_hashed(h1, h2):
+                        # A newer run may hold this key: exact check.
+                        if key not in merged:
+                            merged[key] = value
+                        break
+                else:
+                    merged[key] = value
+        if index < last:  # the oldest run's filter is never probed
+            filters.append(table.filter)
+    if drop_tombstones:
+        merged = {k: v for k, v in merged.items() if v is not None}
+    if not merged:
+        return None
+    return SSTable.from_sorted(sorted(merged.items()))
+
+
 def random_stack(seed, ntables=5, keyspace=60, per_table=25):
     rng = random.Random(seed)
     tables = []
@@ -54,6 +88,9 @@ def random_stack(seed, ntables=5, keyspace=60, per_table=25):
 
 
 class TestBloomGuidedMerge:
+    """``merge_tables`` against the newest-wins reference and against the
+    bloom-guided merge it replaced."""
+
     @pytest.mark.parametrize("drop", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_reference_merge(self, seed, drop):
@@ -65,34 +102,27 @@ class TestBloomGuidedMerge:
         else:
             assert dict(merged.items()) == expected
 
-    def test_stats_account_probes_and_skips(self):
-        # Two disjoint key ranges: every older entry misses the newer
-        # run's filter (modulo bloom false positives), so nearly all of
-        # the older table's entries are filter skips.
-        new = SSTable([(f"a{i:03d}", b"n") for i in range(40)])
-        old = SSTable([(f"z{i:03d}", b"o") for i in range(40)])
-        stats = {}
-        merged = merge_tables([new, old], drop_tombstones=False, stats=stats)
-        assert stats["filter_probes"] == 40  # only older-run entries probe
-        assert 0 < stats["filter_skips"] <= stats["filter_probes"]
-        assert len(merged.items()) == 80
-
-    def test_fully_shadowed_old_run_yields_no_skips_in_result(self):
-        new = SSTable([(f"k{i:03d}", b"new") for i in range(30)])
-        old = SSTable([(f"k{i:03d}", b"old") for i in range(30)])
-        stats = {}
-        merged = merge_tables([new, old], drop_tombstones=False, stats=stats)
-        assert stats["filter_skips"] == 0  # every key hits the newer filter
-        assert all(value == b"new" for _k, value in merged.items())
-
-    def test_stats_accumulate_across_calls(self):
-        new = SSTable([("a", b"1")])
-        old = SSTable([("b", b"2")])
-        stats = {}
-        merge_tables([new, old], drop_tombstones=False, stats=stats)
-        first = stats["filter_probes"]
-        merge_tables([new, old], drop_tombstones=False, stats=stats)
-        assert stats["filter_probes"] == 2 * first
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(  # 1-8 tables, newest first; None is a tombstone
+        st.dictionaries(st.integers(min_value=0, max_value=40),
+                        st.one_of(st.none(), st.binary(max_size=6)),
+                        min_size=1, max_size=25),
+        min_size=1, max_size=8),
+        st.booleans(), st.booleans())
+    def test_matches_both_oracles(self, stack, disjoint, drop):
+        # ``disjoint`` gives every table its own key prefix (nothing
+        # shadows anything); otherwise keys are shared across tables.
+        tables = [
+            SSTable(sorted((f"{index if disjoint else 0}k{key:03d}", value)
+                           for key, value in entries.items()))
+            for index, entries in enumerate(stack)]
+        merged = merge_tables(tables, drop_tombstones=drop)
+        expected = sorted(reference_merge(tables, drop).items())
+        oracle = oracle_filter_guided_merge(tables, drop)
+        if not expected:  # everything merged away
+            assert merged is None and oracle is None
+        else:
+            assert merged.items() == expected == oracle.items()
 
     def test_hashed_probe_matches_unhashed(self):
         keys = [f"key{i}" for i in range(50)]
@@ -220,7 +250,7 @@ class TestCompactionCorrectness:
             platform, tree = make_device_lsm()
             self.drive(platform, tree)
             return (platform.engine.now, tree.compaction_count,
-                    tree.compaction_seconds, tree.compaction_filter_skips)
+                    tree.compaction_seconds)
 
         assert run() == run()
 
