@@ -29,11 +29,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from _meter import best_of, wrapped  # noqa: E402  (scripts/_meter.py)
 from repro.host.memory import ByteRegion  # noqa: E402
 from repro.host.wc import WriteCombiningBuffer  # noqa: E402
 from repro.pcie.link import PcieLink, PcieParams  # noqa: E402
@@ -87,20 +89,12 @@ class BytePath:
 
     def counted(self) -> tuple[int, int, int]:
         """Burst entries, ``region.write`` deposits and TLPs over all records."""
-        counts = {"entries": 0, "deposits": 0}
-        posted_burst, write = self.link.posted_burst, self.region.write
-
-        def counting_burst(tlps):
-            counts["entries"] += len(tlps)
-            return posted_burst(tlps)
-
-        def counting_write(offset, data):
-            counts["deposits"] += 1
-            write(offset, data)
-
-        self.link.posted_burst = counting_burst
-        self.region.write = counting_write
-        self.timed()
+        counts = Counter()
+        with (wrapped(self.link, "posted_burst",
+                      lambda tlps: counts.update(entries=len(tlps))),
+              wrapped(self.region, "write",
+                      lambda _offset, _data: counts.update(deposits=1))):
+            self.timed()
         return (counts["entries"], counts["deposits"],
                 self.link.posted_writes_issued)
 
@@ -113,11 +107,8 @@ class BytePath:
 
 
 def measure(size: int, aligned: bool, records: int, repeats: int) -> dict:
-    best = None
-    for _ in range(repeats):
-        times = BytePath(size, aligned, records).timed()
-        if best is None or sum(times) < sum(best):
-            best = times
+    best = best_of(repeats, lambda: BytePath(size, aligned, records).timed(),
+                   key=sum)
     path = BytePath(size, aligned, records)
     entries, deposits, tlps = path.counted()
     return {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full local gate: domain lint -> whole-program scan -> generic
-# lint -> typing -> goldens -> e2e benchmark smoke -> byte-path and LSM
-# cost smokes -> tests.
+# lint -> typing -> goldens -> e2e benchmark smoke -> byte-path, LSM and
+# gateway cost smokes -> tests.
 #
 #   scripts/check.sh          # everything (tier-1 includes the soak tests)
 #   scripts/check.sh --fast   # deselect the soak tests
@@ -73,6 +73,12 @@ step "byte-path cost smoke (scripts/byte_path_cost.py --smoke)" \
 # non-zero.
 step "LSM cost smoke (scripts/lsm_cost.py --smoke)" \
     python3 scripts/lsm_cost.py --smoke
+
+# The gateway wire path's copies and allocations per GET (< 1 s): a
+# decoder that re-buffers whole frames, an Enum.__call__ in the codec or
+# an Event built per lane pass breaks a ceiling and exits non-zero.
+step "gateway cost smoke (scripts/gateway_cost.py --smoke)" \
+    python3 scripts/gateway_cost.py --smoke
 
 if [ "$fast" = 1 ]; then
     step "tier-1 tests (fast: no soak)" python -m pytest -x -q -m "not soak" tests/

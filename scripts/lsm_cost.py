@@ -49,6 +49,7 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from _meter import best_of, exit_status, wrapped  # noqa: E402  (scripts/_meter.py)
 from repro.db.lsm import DeviceTableStorage, LSMTree, SSTable  # noqa: E402
 from repro.db.lsm.bloom import BloomFilter  # noqa: E402
 from repro.db.lsm.sst import merge_tables  # noqa: E402
@@ -93,32 +94,18 @@ def lsm_dual_tables(rng: random.Random, l0_tables: int = L0_TABLES):
 def counted():
     """Count ``BloomFilter`` digests, probes and builds made inside."""
     counts = {"digests": 0, "probes": 0, "built": 0, "probed": set()}
-    hash_key = BloomFilter.hash_key
-    probe = BloomFilter.might_contain_hashed
-    init = BloomFilter.__init__
 
-    def counting_hash_key(key):
-        counts["digests"] += 1
-        return hash_key(key)
+    def bump(name):
+        counts[name] += 1
 
-    def counting_probe(self, h1, h2):
+    def probe(self, _h1, _h2):
         counts["probes"] += 1
         counts["probed"].add(self)
-        return probe(self, h1, h2)
 
-    def counting_init(self, *args, **kwargs):
-        counts["built"] += 1
-        init(self, *args, **kwargs)
-
-    BloomFilter.hash_key = staticmethod(counting_hash_key)
-    BloomFilter.might_contain_hashed = counting_probe
-    BloomFilter.__init__ = counting_init
-    try:
+    with (wrapped(BloomFilter, "hash_key", lambda _key: bump("digests")),
+          wrapped(BloomFilter, "might_contain_hashed", probe),
+          wrapped(BloomFilter, "__init__", lambda *_a, **_k: bump("built"))):
         yield counts
-    finally:
-        BloomFilter.hash_key = staticmethod(hash_key)
-        BloomFilter.might_contain_hashed = probe
-        BloomFilter.__init__ = init
 
 
 def device_tree(memtable_bytes: int):
@@ -148,10 +135,6 @@ def lookup_tree():
 
 
 # -- timings -----------------------------------------------------------------------
-
-
-def best_of(repeats: int, timed) -> float:
-    return min(timed() for _ in range(repeats))
 
 
 def time_merge() -> float:
@@ -282,9 +265,7 @@ def main() -> int:
         broken.append("a filter was built for a table no lookup probed")
     if not ycsb["compactions"]:
         broken.append("the YCSB-A run never compacted")
-    for reason in broken:
-        print(f"BROKEN: {reason}", file=sys.stderr)
-    return 1 if broken else 0
+    return exit_status(broken)
 
 
 if __name__ == "__main__":

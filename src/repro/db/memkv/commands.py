@@ -23,7 +23,7 @@ import struct
 from typing import Optional
 
 _HEADER = struct.Struct("<BH")
-_REPLY_HEADER = struct.Struct("<B")
+COMMAND_HEADER_BYTES = _HEADER.size
 
 
 class Command(enum.Enum):
@@ -48,11 +48,19 @@ class Reply(enum.Enum):
     ERR = 3
 
 
+# The codec runs per served command: plain dict lookups, not
+# ``Enum.__call__`` / ``.value`` (a DynamicClassAttribute) / ``struct``.
+_COMMAND_OF = {command.value: command for command in Command}
+_OPCODE_OF = {command: command.value for command in Command}
+_REPLY_OF = {reply.value: reply for reply in Reply}
+_STATUS_OF = {reply: bytes([reply.value]) for reply in Reply}
+
+
 def encode_command(command: Command, key: str, value: bytes = b"") -> bytes:
     key_bytes = key.encode()
     if len(key_bytes) > 0xFFFF:
         raise ValueError(f"key too long: {len(key_bytes)} bytes")
-    return _HEADER.pack(command.value, len(key_bytes)) + key_bytes + value
+    return _HEADER.pack(_OPCODE_OF[command], len(key_bytes)) + key_bytes + value
 
 
 def decode_command(data: bytes) -> tuple[Command, str, bytes]:
@@ -62,28 +70,27 @@ def decode_command(data: bytes) -> tuple[Command, str, bytes]:
     key_end = _HEADER.size + key_len
     if key_end > len(data):
         raise ValueError("truncated AOF key")
-    try:
-        command = Command(op)
-    except ValueError:
-        raise ValueError(f"unknown command opcode {op}") from None
-    key = data[_HEADER.size:key_end].decode()
-    return command, key, bytes(data[key_end:])
+    command = _COMMAND_OF.get(op)
+    if command is None:
+        raise ValueError(f"unknown command opcode {op}")
+    value = data[key_end:]
+    return (command, data[_HEADER.size:key_end].decode(),
+            value if type(value) is bytes else bytes(value))
 
 
 def encode_reply(reply: Reply, payload: bytes = b"") -> bytes:
     """One reply body: ``[status u8][payload]`` (framing is the caller's)."""
-    return _REPLY_HEADER.pack(reply.value) + payload
+    return _STATUS_OF[reply] + payload
 
 
 def decode_reply(data: bytes) -> tuple[Reply, bytes]:
-    if len(data) < _REPLY_HEADER.size:
+    if len(data) < 1:
         raise ValueError("truncated reply")
-    (status,) = _REPLY_HEADER.unpack_from(data)
-    try:
-        reply = Reply(status)
-    except ValueError:
-        raise ValueError(f"unknown reply status {status}") from None
-    return reply, bytes(data[_REPLY_HEADER.size:])
+    reply = _REPLY_OF.get(data[0])
+    if reply is None:
+        raise ValueError(f"unknown reply status {data[0]}")
+    payload = data[1:]
+    return reply, payload if type(payload) is bytes else bytes(payload)
 
 
 def encode_value(value: Optional[bytes]) -> bytes:
@@ -103,4 +110,5 @@ def decode_value(payload: bytes) -> Optional[bytes]:
         return None
     if payload[0] != 1:
         raise ValueError(f"unknown VALUE presence flag {payload[0]}")
-    return bytes(payload[1:])
+    value = payload[1:]
+    return value if type(value) is bytes else bytes(value)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import struct
 
 from repro.db.memkv.commands import (
+    COMMAND_HEADER_BYTES,
     Command,
     Reply,
     decode_command,
@@ -35,6 +36,8 @@ from repro.db.memkv.commands import (
 )
 
 _LENGTH = struct.Struct("<I")
+_PREFIX_BYTES = _LENGTH.size
+_unpack_length = _LENGTH.unpack_from
 
 #: Hard ceiling on one frame body.  Large enough for any sane payload,
 #: small enough that a hostile length prefix cannot balloon a buffer.
@@ -47,7 +50,15 @@ MAX_KEY_BYTES = 1024
 
 
 class ProtocolError(ValueError):
-    """A malformed, truncated, or oversized frame; the connection dies."""
+    """A malformed, truncated, or oversized frame; the connection dies.
+
+    ``frames``: the whole frames :meth:`FrameDecoder.feed` cut from the
+    same chunk ahead of a bad length prefix — served first, so what
+    executes never depends on how the stream was fragmented."""
+
+    def __init__(self, message: str, frames: tuple = ()) -> None:
+        super().__init__(message)
+        self.frames = frames
 
 
 def encode_frame(body: bytes) -> bytes:
@@ -77,9 +88,10 @@ def decode_request(body: bytes) -> tuple[Command, str, bytes]:
         command, key, value = decode_command(body)
     except (ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"malformed request frame: {exc}") from None
-    if len(key.encode()) > MAX_KEY_BYTES:
+    key_bytes = len(body) - COMMAND_HEADER_BYTES - len(value)
+    if key_bytes > MAX_KEY_BYTES:
         raise ProtocolError(
-            f"key of {len(key.encode())} bytes exceeds the "
+            f"key of {key_bytes} bytes exceeds the "
             f"{MAX_KEY_BYTES}-byte limit")
     return command, key, value
 
@@ -103,7 +115,7 @@ class FrameDecoder:
 
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
         self.max_frame_bytes = max_frame_bytes
-        self._buffer = bytearray()
+        self._buffer = b""
         self.frames_decoded = 0
         self.bytes_fed = 0
 
@@ -112,22 +124,28 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> list[bytes]:
         self.bytes_fed += len(data)
-        self._buffer.extend(data)
+        if self._buffer:
+            data = self._buffer + data  # complete the buffered partial frame
+        elif type(data) is not bytes:
+            data = bytes(data)
         frames: list[bytes] = []
-        while True:
-            if len(self._buffer) < _LENGTH.size:
-                break
-            (length,) = _LENGTH.unpack_from(self._buffer)
-            if length > self.max_frame_bytes:
+        off = 0
+        size = len(data)
+        limit = self.max_frame_bytes
+        while size - off >= _PREFIX_BYTES:
+            (length,) = _unpack_length(data, off)
+            if length > limit:
+                self.frames_decoded += len(frames)
                 raise ProtocolError(
                     f"frame length prefix {length} exceeds the "
-                    f"{self.max_frame_bytes}-byte limit")
-            end = _LENGTH.size + length
-            if len(self._buffer) < end:
+                    f"{limit}-byte limit", tuple(frames))
+            end = off + _PREFIX_BYTES + length
+            if end > size:
                 break
-            frames.append(bytes(self._buffer[_LENGTH.size:end]))
-            del self._buffer[:end]
-            self.frames_decoded += 1
+            frames.append(data[off + _PREFIX_BYTES:end])
+            off = end
+        self.frames_decoded += len(frames)
+        self._buffer = data[off:]  # only a trailing partial frame is kept
         return frames
 
     def at_frame_boundary(self) -> bool:

@@ -101,12 +101,23 @@ class SimPipe:
         frame — the reply-side half of group commit."""
         if self.closed:
             raise GatewayError("send on a closed pipe")
-        if isinstance(data, (list, tuple)):
-            data = b"".join(data)
+        if type(data) is not bytes:
+            data = (b"".join(data) if isinstance(data, (list, tuple))
+                    else bytes(data))
         event = Event(self.engine)
         if self._senders:
             self.stalls += 1
             self._senders.append([data, 0, event])
+            return event
+        receiver = self._receiver
+        if (receiver is not None and not self._buffer
+                and 0 < len(data) <= min(self.capacity, receiver[0])):
+            # Hand-off: the parked receiver would take exactly these
+            # bytes straight back out of the buffer — skip the round trip.
+            self._receiver = None
+            event._triggered = True
+            event._processed = True
+            receiver[1]._succeed_processed(data)
             return event
         admitted = min(len(data), self.capacity - len(self._buffer))
         self._buffer += data[:admitted]
@@ -233,13 +244,6 @@ class BoundedQueue:
                 item, put_event = self._putters.popleft()
                 self._items.append(item)
                 put_event._succeed_processed()
-        elif self._putters:
-            # Only reachable with capacity-0 semantics; kept for safety.
-            item, put_event = self._putters.popleft()
-            put_event._succeed_processed()
-            event._value = item
-            event._triggered = True
-            event._processed = True
         else:
             self._getters.append(event)
         return event
@@ -398,7 +402,7 @@ class _CommitCoalescer:
         self.worker = self.engine.process(
             self._committer(), name=f"gw-commit-{shard.index}")
 
-    def _has_room(self) -> bool:
+    def has_room(self) -> bool:
         return (len(self.pending) + self.inflight < self.max_commands
                 and self.pending_bytes + self.inflight_bytes < self.max_bytes)
 
@@ -407,15 +411,11 @@ class _CommitCoalescer:
         return max(1, self.max_commands - len(self.pending) - self.inflight)
 
     def admit(self) -> Event:
-        """Flow control: an event that fires once there is room to
-        register.  Already processed when the window has space."""
+        """Flow control, for a lane that found ``has_room()`` false: an
+        event that fires once there is room to register."""
+        self.stalls += 1
         event = Event(self.engine)
-        if self._has_room():
-            event._triggered = True
-            event._processed = True
-        else:
-            self.stalls += 1
-            self._admit_waiters.append(event)
+        self._admit_waiters.append(event)
         return event
 
     def register(self, lsn: int, nbytes: int, ack: Event,
@@ -474,7 +474,7 @@ class _CommitCoalescer:
                 self._release()
 
     def _release(self) -> None:
-        while self._admit_waiters and self._has_room():
+        while self._admit_waiters and self.has_room():
             self._admit_waiters.popleft()._succeed_processed()
         if not self.pending and not self.inflight:
             while self._idle_waiters:
@@ -626,13 +626,14 @@ class GatewayServer:
             chunk = yield conn.c2s.recv(self.RECV_CHUNK_BYTES)
             if not chunk:
                 break  # EOF: client hung up
+            framing_error = None
             try:
                 frames = decoder.feed(chunk)
             except ProtocolError as exc:
                 # Framing is unrecoverable: the byte stream can no longer
-                # be trusted.  Reply ERR in order, then hang up.
-                yield from self._enqueue_error(conn, exc)
-                return None
+                # be trusted.  Serve the whole frames ahead of the bad
+                # prefix, reply ERR in order, then hang up.
+                frames, framing_error = exc.frames, exc
             for body in frames:
                 if tracing.enabled:
                     _t0 = engine.now
@@ -670,6 +671,9 @@ class GatewayServer:
                                     shard=shard.index,
                                     queue_depth=len(shard.queues[lane]))
                 yield put
+            if framing_error is not None:
+                yield from self._enqueue_error(conn, framing_error)
+                return None
         conn.closed = True
         conn.replies.put(None)
         return None
@@ -719,7 +723,9 @@ class GatewayServer:
                 slots.append(head_slot)
             if tracing.enabled:
                 _t0 = engine.now
-            send = conn.s2c.send([encode_frame(body) for body in bodies])
+            send = conn.s2c.send(
+                encode_frame(body) if len(bodies) == 1
+                else [encode_frame(body) for body in bodies])
             if tracing.enabled and not send._processed:
                 tracing.count("gateway.socket.stalls")
             yield send
@@ -766,11 +772,10 @@ class GatewayServer:
                 body = yield from self._execute_write(shard, command, key, value)
                 done.succeed(body)
                 continue
-            admit = coalescer.admit()
-            if not admit._processed:
+            if not coalescer.has_room():
                 if tracing.enabled:
                     tracing.count("gateway.coalescer.stalls")
-                yield admit
+                yield coalescer.admit()
             batch = [(yield queue.get())]
             # Drain what is already queued, bounded by the coalescer's
             # admission window — never waiting for more work to arrive.

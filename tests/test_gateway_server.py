@@ -1,7 +1,11 @@
 """Gateway serving tests: correctness, pipelining, backpressure bounds,
 degradation under byte-path pressure, and crash durability."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterCrashHarness, DevicePool, FailoverManager
 from repro.core import MappingTableFullError
@@ -21,6 +25,7 @@ from repro.gateway import (
 from repro.gateway.protocol import FrameDecoder
 from repro.nemesis.analyzer import StreamingAnalyzer
 from repro.sim import Engine
+from repro.sim.engine import Event
 
 
 # -- flow-control primitives --------------------------------------------------
@@ -304,3 +309,224 @@ def test_power_loss_mid_pipeline_loses_no_acked_command():
     checked = [entry for entry in summary.values() if entry["checked"]]
     assert checked and all(entry["missing"] == 0 for entry in checked)
     assert sum(entry["acked"] for entry in checked) > acked_before
+
+
+# -- the served prefix never depends on how the socket fragments --------------
+
+
+def _serve_chunks(chunks, gap):
+    """One connection on a default 3-node server: write ``chunks`` ``gap``
+    simulated seconds apart, read to EOF; replies, shard data, stats."""
+    pool = _pool()
+    engine = pool.engine
+    server = GatewayServer(pool, GatewayConfig())
+    engine.run_process(server.start())
+    replies = []
+
+    def client():
+        conn = yield engine.process(server.accept())
+        for chunk in chunks:
+            conn.c2s.send(chunk)
+            yield engine.timeout(gap)
+        decoder = FrameDecoder()
+        while True:
+            data = yield conn.s2c.recv(4096)
+            if not data:
+                return None
+            replies.extend(decode_reply_frame(body)
+                           for body in decoder.feed(data))
+
+    engine.run(until=engine.process(client()))
+    engine.run()
+    return (replies, [dict(shard.data) for shard in server.shards],
+            server.stats())
+
+
+def test_hostile_prefix_serves_the_same_commands_for_any_chunking():
+    sets = (encode_request(Command.SET, "alpha", b"1")
+            + encode_request(Command.SET, "beta", b"2"))
+    hostile = (1 << 30).to_bytes(4, "little")
+    two_writes = _serve_chunks([sets, hostile], gap=1e-3)
+    one_write = _serve_chunks([sets + hostile], gap=1e-3)
+    assert one_write == two_writes
+    replies, data, stats = one_write
+    assert [reply for reply, _payload in replies] == [
+        Reply.OK, Reply.OK, Reply.ERR]
+    assert sum(map(len, data)) == 2  # both keys stored
+    assert stats["requests"] == 2 and stats["errors"] == 1
+    assert stats["open_conns"] == 0  # and the connection is gone
+
+
+# -- oracle: the SimPipe before the hand-off fast path, verbatim --------------
+#
+# Kept here, not in ``src/``, as the twin the replacement must match on a
+# second engine: same chunks delivered, same stalls, same ``_processed`` on
+# every returned event, and the same kernel sequence number at quiescence —
+# a hand-off that moved one wake-up would move a golden.
+
+
+class OracleSimPipe:
+    def __init__(self, engine, capacity):
+        if capacity < 1:
+            raise ValueError(f"pipe capacity must be >= 1, got {capacity}")
+        self.engine = engine
+        self.capacity = capacity
+        self.closed = False
+        self.stalls = 0
+        self._buffer = bytearray()
+        self._senders = deque()
+        self._receiver = None
+
+    def send(self, data):
+        if self.closed:
+            raise GatewayError("send on a closed pipe")
+        if isinstance(data, (list, tuple)):
+            data = b"".join(data)
+        event = Event(self.engine)
+        if self._senders:
+            self.stalls += 1
+            self._senders.append([data, 0, event])
+            return event
+        admitted = min(len(data), self.capacity - len(self._buffer))
+        self._buffer += data[:admitted]
+        if admitted == len(data):
+            event._triggered = True
+            event._processed = True
+        else:
+            self.stalls += 1
+            self._senders.append([data, admitted, event])
+        self._wake_receiver()
+        return event
+
+    def recv(self, max_bytes):
+        event = Event(self.engine)
+        if self._buffer:
+            chunk = bytes(self._buffer[:max_bytes])
+            del self._buffer[:max_bytes]
+            self._admit_senders()
+            event._value = chunk
+            event._triggered = True
+            event._processed = True
+        elif self.closed:
+            event._value = b""
+            event._triggered = True
+            event._processed = True
+        else:
+            if self._receiver is not None:
+                raise GatewayError("pipe already has a parked receiver")
+            self._receiver = (max_bytes, event)
+        return event
+
+    def drain(self):
+        out = bytearray()
+        while self._buffer:
+            out += self._buffer
+            self._buffer.clear()
+            self._admit_senders()
+        return bytes(out)
+
+    def close(self):
+        if self.closed:
+            return
+        self.closed = True
+        if self._receiver is not None and not self._buffer:
+            _max_bytes, event = self._receiver
+            self._receiver = None
+            event._succeed_processed(b"")
+
+    def _admit_senders(self):
+        while self._senders:
+            free = self.capacity - len(self._buffer)
+            if free <= 0:
+                return
+            entry = self._senders[0]
+            data, offset, event = entry
+            take = min(len(data) - offset, free)
+            self._buffer += data[offset:offset + take]
+            entry[1] = offset + take
+            if entry[1] == len(data):
+                self._senders.popleft()
+                event._succeed_processed()
+
+    def _wake_receiver(self):
+        if self._receiver is None or not self._buffer:
+            return
+        max_bytes, event = self._receiver
+        self._receiver = None
+        chunk = bytes(self._buffer[:max_bytes])
+        del self._buffer[:max_bytes]
+        self._admit_senders()
+        event._succeed_processed(chunk)
+
+
+class _PipeRun:
+    """One pipe on its own engine, driven op by op; a process waits on
+    every event returned unprocessed, so each wake-up costs its kernel
+    sequence numbers and lands in ``log`` in kernel order."""
+
+    def __init__(self, pipe_class, capacity):
+        self.engine = Engine()
+        self.pipe = pipe_class(self.engine, capacity)
+        self.log = []
+        self.ops = 0
+
+    def _wait(self, label, event):
+        value = yield event
+        self.log.append((label, type(value).__name__, value))
+
+    def _returned(self, event):
+        """What the caller of ``send``/``recv`` sees in the event."""
+        if not event._processed:
+            self.engine.process(self._wait(self.ops, event))
+        return event._processed, event._value
+
+    def apply(self, op, arg):
+        self.ops += 1
+        pipe = self.pipe
+        try:
+            if op == "send":
+                seen = self._returned(pipe.send(arg))
+            elif op == "recv":
+                seen = self._returned(pipe.recv(arg))
+            elif op == "drain":
+                # Contract: never drained under a parked receiver.
+                seen = pipe.drain() if pipe._receiver is None else None
+            elif op == "close":
+                seen = pipe.close()
+            else:
+                seen = self.engine.run()
+        except GatewayError as exc:
+            seen = str(exc)
+        return (seen, pipe.stalls, len(pipe._buffer), len(pipe._senders),
+                pipe._receiver is None, pipe.closed)
+
+
+PIPE_CAPACITY = 8
+_SIZES = st.sampled_from([0, 1, 3, 4, 5, 7, 8, 9, 12, 20])
+_PAYLOADS = st.builds(lambda size, fill: bytes([fill]) * size,
+                      _SIZES, st.integers(1, 255))
+_PIPE_OPS = st.one_of(
+    st.tuples(st.just("send"), _PAYLOADS),
+    st.tuples(st.just("send"), st.builds(bytearray, _PAYLOADS)),
+    st.tuples(st.just("send"), st.lists(_PAYLOADS, max_size=3)),
+    st.tuples(st.just("recv"), st.sampled_from([1, 4, 7, 8, 9, 64])),
+    st.tuples(st.just("recv"), st.sampled_from([1, 4, 7, 8, 9, 64])),
+    st.tuples(st.just("drain"), st.none()),
+    st.tuples(st.just("run"), st.none()),
+    st.tuples(st.just("close"), st.none()),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(_PIPE_OPS, max_size=30))
+def test_simpipe_matches_the_oracle_twin(ops):
+    pipe, twin = _PipeRun(SimPipe, PIPE_CAPACITY), _PipeRun(OracleSimPipe,
+                                                            PIPE_CAPACITY)
+    for op, arg in ops:
+        assert pipe.apply(op, arg) == twin.apply(op, arg), (op, arg)
+    pipe.engine.run()
+    twin.engine.run()
+    assert pipe.log == twin.log
+    assert all(kind in ("bytes", "NoneType") for _op, kind, _value in pipe.log)
+    assert (pipe.engine.capture_state()["sequence"]
+            == twin.engine.capture_state()["sequence"])
