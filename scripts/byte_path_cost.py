@@ -17,11 +17,18 @@ line), it prints
   wrappers that count them are not inside the timed region: entries
   handed to ``posted_burst``, ``region.write`` deposits, and posted TLPs.
 
+A second table puts what is *above* the byte path next to it: one record
+of the same size on the wire (20-byte header + payload) through a bare
+``Platform`` as ``BaWAL.append_batch([payload])`` + ``commit`` — wall µs
+and kernel events per record, the unaligned WC + link row beside them.
+
 Read-only use of ``src/``: everything is observed from outside, so the
-same script runs on any commit (docs/performance.md, "Runs, not lines",
-has the before/after).  ``--smoke`` is the small fixed-size pass that
-``scripts/check.sh`` and CI run: it checks the landed bytes and the TLP
-counts and exits non-zero on a mismatch.
+same script runs on any commit (docs/performance.md, "Ranges, not lines",
+has the before/after).  Entries and deposits have ceilings: one of each
+per record, two when the record overflows the WC buffer (the store's
+evictions, then the flush).  The script exits non-zero when one is broken
+or when landed bytes or TLP counts are wrong; ``--smoke`` is the small
+fixed-size pass that ``scripts/check.sh`` and CI run.
 """
 
 from __future__ import annotations
@@ -35,13 +42,17 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from _meter import best_of, wrapped  # noqa: E402  (scripts/_meter.py)
+from _meter import best_of, exit_status, wrapped  # noqa: E402  (scripts/_meter.py)
 from repro.host.memory import ByteRegion  # noqa: E402
 from repro.host.wc import WriteCombiningBuffer  # noqa: E402
 from repro.pcie.link import PcieLink, PcieParams  # noqa: E402
+from repro.platform import Platform  # noqa: E402
 from repro.sim import Engine  # noqa: E402
+from repro.wal.ba_wal import BaWAL  # noqa: E402
+from repro.wal.record import RECORD_HEADER_BYTES  # noqa: E402
 
 SIZES = (100, 1060, 2048, 2100)
+WAL_SIZES = (100, 2100)  # logged record sizes of the second table
 WC_LINES = 10  # HostParams.wc_buffer_lines default
 LINE = PcieParams().wc_line_bytes
 
@@ -106,6 +117,35 @@ class BytePath:
             for index in range(self.records))
 
 
+def run_ceiling(size: int) -> int:
+    """Burst entries (and deposits) one record may cost: the flush posts
+    its extent, and a record of more lines than the buffer holds has had
+    its head evicted by the store first."""
+    return 1 if (size - 2) // LINE + 2 <= WC_LINES else 2
+
+
+def wal_commit(size: int, records: int) -> tuple[float, float, bool]:
+    """Seconds and kernel events per record over ``records`` calls of
+    ``append_batch([payload])`` + ``commit`` on a fresh platform, and
+    whether all of it ended up durable."""
+    platform = Platform(seed=1)
+    engine = platform.engine
+    wal = BaWAL(engine, platform.api)
+    engine.run_process(wal.start())
+    engine.run()
+    payload = bytes(size - RECORD_HEADER_BYTES)
+    sequence = engine.capture_state()["sequence"]
+    start = perf_counter()
+    for _ in range(records):
+        lsns = engine.run_process(wal.append_batch([payload]))
+        engine.run_process(wal.commit(lsns[-1]))
+    engine.run()
+    elapsed = perf_counter() - start
+    events = engine.capture_state()["sequence"] - sequence
+    return (elapsed / records, events / records,
+            wal.durable_lsn == wal.tail_lsn == records * size)
+
+
 def measure(size: int, aligned: bool, records: int, repeats: int) -> dict:
     best = best_of(repeats, lambda: BytePath(size, aligned, records).timed(),
                    key=sum)
@@ -142,6 +182,8 @@ def main() -> int:
     print(f"{'size':>6} {'':9} {'store':>8} {'flush':>8} {'settle':>8} "
           f"{'total':>8}   {'entries':>8} {'deposits':>8} {'TLPs':>7}")
     failed = 0
+    broken = []
+    byte_path_us = {}  # unaligned (or line-multiple) row totals, by size
     for size in SIZES:
         # Back to back, a whole number of lines is aligned already.
         for aligned in (False, True) if size % LINE else (True,):
@@ -153,11 +195,28 @@ def main() -> int:
                   f"{row['entries']:>8.2f} {row['deposits']:>8.2f} "
                   f"{row['tlps']:>7.2f}{'' if row['ok'] else '  MISMATCH'}")
             failed += not row["ok"]
+            byte_path_us.setdefault(size, total)
+            if max(row["entries"], row["deposits"]) > run_ceiling(size):
+                broken.append(
+                    f"{size} B {'aligned' if aligned else 'unaligned'}: "
+                    f"{row['entries']:.2f} burst entries and "
+                    f"{row['deposits']:.2f} deposits per record, ceiling "
+                    f"{run_ceiling(size)}")
+    print("\nabove the byte path: BaWAL.append_batch([payload]) + commit of "
+          "one record\nof that size through a bare Platform; per record:")
+    print(f"{'size':>6} {'wal':>10} {'byte path':>10} {'above it':>10} "
+          f"{'kernel events':>14}")
+    for size in WAL_SIZES:
+        seconds, events, durable = best_of(
+            repeats, lambda: wal_commit(size, records))
+        print(f"{size:>6} {seconds * 1e6:>8.2f}us {byte_path_us[size]:>8.2f}us "
+              f"{seconds * 1e6 - byte_path_us[size]:>8.2f}us {events:>14.2f}"
+              f"{'' if durable else '  MISMATCH'}")
+        failed += not durable
     if failed:
-        print(f"{failed} row(s): landed bytes or TLP count differ from the "
-              "records stored", file=sys.stderr)
-        return 1
-    return 0
+        broken.append(f"{failed} row(s): landed bytes, TLP count or durable "
+                      "LSN differ from the records stored")
+    return exit_status(broken)
 
 
 if __name__ == "__main__":

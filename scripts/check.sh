@@ -4,7 +4,8 @@
 # gateway cost smokes -> tests.
 #
 #   scripts/check.sh          # everything (tier-1 includes the soak tests)
-#   scripts/check.sh --fast   # deselect the soak tests
+#   scripts/check.sh --fast   # deselect the soak tests (the system soak and
+#                             # the 3 000-example byte-path oracle property)
 #
 # ruff and mypy are optional in minimal images; they run when importable
 # and are reported as skipped otherwise (the configured baselines in
@@ -63,7 +64,9 @@ step "e2e benchmark smoke (benchmarks/e2e/run.py --smoke)" \
     python3 benchmarks/e2e/run.py --smoke
 
 # The byte path's own cost meter, at smoke size (< 1 s): checks the
-# landed bytes and TLP counts so the script cannot rot.
+# landed bytes, the TLP counts and the entries/deposits ceilings (one per
+# record, two once it overflows the WC buffer), then prices BaWAL's
+# append_batch + commit above it.
 step "byte-path cost smoke (scripts/byte_path_cost.py --smoke)" \
     python3 scripts/byte_path_cost.py --smoke
 

@@ -10,8 +10,9 @@ functionally: un-flushed spans really are absent from device memory, and
 
 The buffer is a FIFO of lines, but what it keeps is *extents*: lines that
 are consecutive in the region and adjacent in staging order share one
-record, so a streamed record is staged, evicted, flushed and posted as a
-few runs rather than line by line.
+record holding their contiguous dirty byte range, so a streamed record —
+aligned or not — is staged as one extent and evicted, flushed and posted
+as a run or two, which the link cuts into TLPs at line boundaries.
 """
 
 from __future__ import annotations
@@ -27,38 +28,43 @@ from repro.pcie.link import PcieLink, PostedTlp
 class _Extent:
     """Staged lines ``first .. first+count-1`` of ``region``, oldest first.
 
-    With ``mask is None`` these are whole lines held as one ``bytes``.
-    Otherwise it is one partially written line: ``data`` and the
-    dirty-byte ``mask`` are line-sized bytearrays.
+    With ``mask is None`` these hold one contiguous dirty byte range:
+    ``data`` starts ``lo`` bytes into line ``first`` and runs on through
+    the lines behind it, so only the first and the last line can be
+    partial.  Otherwise it is one line written with a gap: ``data`` and
+    the dirty-byte ``mask`` are line-sized bytearrays.
     """
 
-    __slots__ = ("region", "first", "count", "data", "mask")
+    __slots__ = ("region", "first", "count", "lo", "data", "mask")
 
-    def __init__(self, region: ByteRegion, first: int, count: int,
+    def __init__(self, region: ByteRegion, first: int, count: int, lo: int,
                  data: Union[bytes, bytearray],
                  mask: Optional[bytearray] = None) -> None:
         self.region = region
         self.first = first
         self.count = count
+        self.lo = lo
         self.data = data
         self.mask = mask
 
     def cut(self, lines: int, line_size: int) -> "_Extent":
-        """Split the oldest ``lines`` whole lines off as their own extent."""
-        nbytes = lines * line_size
-        head = _Extent(self.region, self.first, lines, self.data[:nbytes])
+        """Split the oldest ``lines`` lines off as their own extent."""
+        nbytes = lines * line_size - self.lo
+        head = _Extent(self.region, self.first, lines, self.lo, self.data[:nbytes])
         self.first += lines
         self.count -= lines
+        self.lo = 0
         self.data = self.data[nbytes:]
         return head
 
     def post(self, burst: list[PostedTlp], line_size: int) -> None:
-        """Append the TLPs carrying this extent to ``burst``: one run entry
-        of line-sized TLPs, or one TLP per contiguous dirty span."""
+        """Append the TLPs carrying this extent to ``burst``: the byte
+        range as one entry, which the link cuts at line boundaries, or
+        one TLP per contiguous dirty span of a gapped line."""
         base = self.first * line_size
         mask = self.mask
-        if mask is None or 0 not in mask:
-            burst.append((line_size, self.region, base, bytes(self.data)))
+        if mask is None:
+            burst.append((line_size, self.region, base + self.lo, self.data))
             return
         data = self.data
         start = mask.find(1)
@@ -66,7 +72,7 @@ class _Extent:
             end = mask.find(0, start + 1)
             if end == -1:
                 end = line_size
-            burst.append((end - start, self.region, base + start,
+            burst.append((line_size, self.region, base + start,
                           bytes(data[start:end])))
             start = mask.find(1, end)
 
@@ -114,70 +120,81 @@ class WriteCombiningBuffer:
         if type(data) is not bytes:
             data = bytes(data)
         line_size = self.line_size
-        max_lines = self.max_lines
         burst: list[PostedTlp] = []
-        touched = 0
-        staged = 0
-        evicted = 0
-        position = 0
-        end = len(data)
-        while position < end:
-            line_index, within = divmod(offset + position, line_size)
-            run = (end - position) // line_size
-            if within == 0 and run > 1 and self._find(region, line_index, run) is None:
-                # A run of whole lines none of which is staged: what the
-                # per-line walk below would do, in closed form.  It evicts
-                # max(0, held + run - max_lines) lines, oldest first, and
-                # once the pool holds only this run those are the run's
-                # own head — which goes to the link as one entry; the
-                # kept tail is staged as one slice.
-                held = self._staged
-                evict = max(0, held + run - max_lines)
-                head = max(0, evict - held)
-                self._evict(evict - head, burst)
-                cut = position + head * line_size
-                if head:
-                    burst.append((line_size, region, line_index * line_size,
-                                  data[position:cut]))
-                position += run * line_size
-                self._stage_whole(region, line_index + head, run - head,
-                                  data[cut:position])
-                staged += run
-                evicted += evict
-                touched += run
-                continue
-            chunk = min(end - position, line_size - within)
+        first, within = divmod(offset, line_size)
+        lines = (within + len(data) - 1) // line_size + 1
+        tail = self._tail_ending_at(region, offset)
+        # A line the bytes share with the extent they carry on is staged.
+        fresh = lines - (1 if tail is not None and within else 0)
+        if not fresh or self._find(region, first + lines - fresh, fresh) is None:
+            # The bytes continue the youngest extent (a log append) or touch
+            # no staged line: one extent either way.  Staging every fresh
+            # line and then evicting the overflow pops the same lines, with
+            # the same contents and in the same order, as evicting the oldest
+            # line before each fresh one: both take them off the old end of
+            # one FIFO, and the store writes no line twice.
+            if tail is None:
+                self._extents.append(_Extent(region, first, lines, within, data))
+            else:
+                tail.data += data
+                tail.count += fresh
+            self._staged += fresh
+            evicted = max(0, self._staged - self.max_lines)
+            if evicted:
+                self._evict(evicted, burst)
+        else:
+            fresh, evicted = self._store_by_line(region, offset, data, burst)
+        self.stats.lines_staged += fresh
+        self.stats.lines_evicted += evicted
+        if burst:
+            self.link.posted_burst(burst)
+        return lines, evicted
+
+    def _store_by_line(self, region: ByteRegion, offset: int, data: bytes,
+                       burst: list[PostedTlp]) -> tuple[int, int]:
+        """Stage ``data`` one line at a time: a staged line keeps its place
+        and takes the bytes, a fresh one evicts the oldest from a full pool.
+        Returns ``(fresh, evicted)``."""
+        line_size = self.line_size
+        fresh = evicted = position = 0
+        while position < len(data):
+            start = offset + position
+            line_index, within = divmod(start, line_size)
+            chunk = min(len(data) - position, line_size - within)
             piece = data[position:position + chunk]
+            position += chunk
             extent = self._find(region, line_index, 1)
             if extent is None:
-                if self._staged >= max_lines:
+                if self._staged >= self.max_lines:
                     self._evict(1, burst)
                     evicted += 1
-                staged += 1
-                if chunk < line_size:
-                    extent = _Extent(region, line_index, 1,
-                                     bytearray(line_size), bytearray(line_size))
-                    self._extents.append(extent)
-                    self._staged += 1
-            if extent is None:
-                self._stage_whole(region, line_index, 1, piece)
-            elif extent.mask is None:
-                # Every byte of a whole line is dirty already: a store into
-                # it, partial or whole, only replaces bytes of the run.
-                at = (line_index - extent.first) * line_size + within
-                extent.data = extent.data[:at] + piece + extent.data[at + chunk:]
-            elif chunk == line_size:
+                tail = self._tail_ending_at(region, start)
+                if tail is None:
+                    self._extents.append(_Extent(region, line_index, 1, within, piece))
+                else:
+                    tail.data += piece
+                    tail.count += 1
+                self._staged += 1
+                fresh += 1
+                continue
+            if extent.mask is None:
+                # Where the piece starts, counted from the dirty range's start.
+                at = start - extent.first * line_size - extent.lo
+                if -chunk <= at <= len(extent.data):
+                    # It touches or overlaps the range (always, on a middle
+                    # line): splice it in; only a ragged end can grow.
+                    if at < 0:
+                        extent.lo = within
+                    extent.data = (extent.data[:max(at, 0)] + piece
+                                   + extent.data[max(at + chunk, 0):])
+                    continue
+                extent = self._split_off(extent, line_index)
+            if chunk == line_size:
                 extent.data, extent.mask = piece, None
             else:
                 extent.data[within:within + chunk] = piece
                 extent.mask[within:within + chunk] = b"\x01" * chunk
-            touched += 1
-            position += chunk
-        self.stats.lines_staged += staged
-        self.stats.lines_evicted += evicted
-        if burst:
-            self.link.posted_burst(burst)
-        return touched, evicted
+        return fresh, evicted
 
     def _find(self, region: ByteRegion, first: int, count: int) -> Optional[_Extent]:
         """The oldest extent holding any of ``count`` lines from ``first``."""
@@ -188,19 +205,31 @@ class WriteCombiningBuffer:
                 return extent
         return None
 
-    def _stage_whole(self, region: ByteRegion, first: int, count: int,
-                     data: bytes) -> None:
-        """Stage ``count`` fresh whole lines at the young end of the FIFO."""
-        self._staged += count
-        extents = self._extents
-        if extents:
-            tail = extents[-1]
-            if (tail.mask is None and tail.region is region
-                    and tail.first + tail.count == first):
-                tail.data += data
-                tail.count += count
-                return
-        extents.append(_Extent(region, first, count, data))
+    def _tail_ending_at(self, region: ByteRegion, offset: int) -> Optional[_Extent]:
+        """The youngest extent, if it is a byte range ending at ``region[offset]``."""
+        if self._extents:
+            tail = self._extents[-1]
+            if (tail.mask is None and tail.region is region and offset
+                    == tail.first * self.line_size + tail.lo + len(tail.data)):
+                return tail
+        return None
+
+    def _split_off(self, extent: _Extent, line_index: int) -> _Extent:
+        """Make the ragged end line ``line_index`` of ``extent`` a masked
+        extent of its own, in the same FIFO place; returns it."""
+        extents, line_size = self._extents, self.line_size
+        place = extents.index(extent)
+        if line_index > extent.first:
+            extents.insert(place, extent.cut(line_index - extent.first, line_size))
+            place += 1
+        if extent.count > 1:
+            extent = extent.cut(1, line_size)
+            extents.insert(place, extent)
+        span = slice(extent.lo, extent.lo + len(extent.data))
+        data, mask = bytearray(line_size), bytearray(line_size)
+        data[span], mask[span] = extent.data, b"\x01" * len(extent.data)
+        extent.lo, extent.data, extent.mask = 0, data, mask
+        return extent
 
     def _evict(self, lines: int, burst: list[PostedTlp]) -> None:
         """Pop the ``lines`` oldest lines onto ``burst``, a run per extent."""

@@ -28,10 +28,11 @@ if TYPE_CHECKING:  # import cycle: repro.host imports this module
 
 # One entry of a :meth:`PcieLink.posted_burst`: ``(nbytes, region, offset,
 # payload)``.  With a region, ``payload`` is the bytes written at
-# ``region[offset:]`` on landing; a payload of several times ``nbytes`` is a
-# run of that many equal TLPs at consecutive offsets.  Without a region it
-# is one TLP whose payload is a callable run on landing, or ``None`` for a
-# TLP that only occupies the wire.
+# ``region[offset:]`` on landing, carried by a run of TLPs cut where the
+# region's offsets pass a multiple of ``nbytes`` (for the WC buffer, at line
+# boundaries): a first TLP up to the next multiple, full ``nbytes`` ones,
+# then a short last one.  Without a region it is one TLP whose payload is a
+# callable run on landing, or ``None`` for a TLP that only occupies the wire.
 PostedTlp = tuple[int, Optional["ByteRegion"], int,
                   Union[bytes, Callable[[], None], None]]
 
@@ -66,39 +67,46 @@ class PcieParams:
 
 
 class PostedRun:
-    """One burst entry on the wire: equal TLPs issued back to back.
+    """One burst entry on the wire: TLPs issued back to back.
 
-    The TLPs carry consecutive equal pieces of ``payload`` to
-    ``region[offset:]``; without a region the run is one TLP whose payload
-    is a callable.  :meth:`PcieLink.posted_burst` works out the landing
-    keys of the first and the last TLP only; the run is a sequence of
-    every TLP's key, obtained on first use by replaying the additions the
-    burst made when it serialized the run.
+    The TLPs carry consecutive pieces of ``payload`` to ``region[offset:]``,
+    cut at the multiples of ``size`` in the region; without a region the
+    run is one TLP whose payload is a callable.
+    :meth:`PcieLink.posted_burst` works out the landing keys of the first
+    and the last TLP only; the run is a sequence of every TLP's key,
+    obtained on first use by replaying the additions the burst made when
+    it serialized the run.
     """
 
-    __slots__ = ("region", "offset", "payload", "count", "first", "last",
-                 "_replay", "_keys")
+    __slots__ = ("region", "offset", "payload", "size", "count", "first",
+                 "last", "_replay", "_keys")
 
     def __init__(self, region: Optional["ByteRegion"], offset: int, payload,
-                 count: int, first: float, last: float,
-                 replay: tuple[float, float, float, float, int]) -> None:
+                 size: int, count: int, first: float, last: float,
+                 replay: tuple[float, float, int, float, Optional[float], float],
+                 ) -> None:
         self.region = region
         self.offset = offset
         self.payload = payload
+        self.size = size
         self.count = count
         self.first = first
         self.last = last
-        # (issue time, wire-free time after the first TLP, occupancy of
-        # one TLP, propagation, TLPs issued)
+        # (issue time, wire-free time after the first TLP, full TLPs after
+        # it, occupancy of a full TLP, occupancy of a short last TLP or
+        # None, propagation)
         self._replay = replay
         self._keys: Optional[list[float]] = None
 
     def flights(self) -> Iterator[float]:
         """Issue-to-landing delay of every TLP the run was issued with."""
-        issued, free_at, occupancy, propagation, count = self._replay
-        for _ in range(count):
-            yield free_at + propagation - issued
+        issued, free_at, full, occupancy, short, propagation = self._replay
+        yield free_at + propagation - issued
+        for _ in range(full):
             free_at += occupancy
+            yield free_at + propagation - issued
+        if short is not None:
+            yield free_at + short + propagation - issued
 
     def keys(self) -> list[float]:
         """Landing key of each TLP still in flight, in issue order.
@@ -122,7 +130,8 @@ class PostedRun:
         all); the rest stays in flight."""
         keys = self.keys()
         landed = bisect_right(keys, now)
-        cut = landed * (len(self.payload) // self.count)
+        # Up to the next multiple of size, then whole ones.
+        cut = landed * self.size - self.offset % self.size
         payload = self.payload[:cut]
         self.payload = self.payload[cut:]
         self.offset += cut
@@ -186,12 +195,16 @@ class PcieLink:
         queued: list[PostedRun] = []    # those with something to deposit
         fresh: list["ByteRegion"] = []  # regions not yet marked as this link's
         for nbytes, region, offset, payload in tlps:
-            if region is None:
-                count = 1
-            else:
-                if nbytes < 1 or len(payload) % nbytes:
+            # The first TLP's bytes, the full ones behind it, the occupancy
+            # of a short last one.
+            length = size = nbytes
+            count, full, short = 1, 0, None
+            if region is not None:
+                length = len(payload)
+                if nbytes < 1 or not 0 <= offset < offset + length <= region.size:
+                    region._check(offset, length)   # out of range raises here
                     raise ValueError(
-                        f"payload of {len(payload)} bytes is not a run of "
+                        f"payload of {length} bytes is not a run of "
                         f"{nbytes}-byte TLPs")
                 if region._inbound is not self:
                     if region._inbound is not None:
@@ -199,24 +212,35 @@ class PcieLink:
                             f"region {region.name!r} already takes posted "
                             "writes from another link")
                     fresh.append(region)
-                count = len(payload) // nbytes
+                size = nbytes - offset % nbytes
+                if size < length:
+                    full, rest = divmod(length - size, nbytes)
+                    count += full
+                    if rest:
+                        short = overhead + rest / bandwidth
+                        count += 1
+                else:
+                    size = length
             # The wire arithmetic, per TLP: start when the wire is free,
             # hold it for the occupancy, land one propagation later.  Only
             # the wire-free time is carried through a run; flights() is
             # the same additions with the landing taken at every step.
             occupancy = overhead + nbytes / bandwidth
-            head = free_at = (free_at if free_at > now else now) + occupancy
+            head = free_at = ((free_at if free_at > now else now)
+                              + (overhead + size / bandwidth))
             landing = free_at + propagation
             first = last = now + (landing - now)
             if count > 1:
-                for _ in range(count - 1):
+                for _ in range(full):
                     free_at += occupancy
+                if short is not None:
+                    free_at += short
                 landing = free_at + propagation
                 last = now + (landing - now)
             issued += count
-            total_bytes += count * nbytes
-            run = PostedRun(region, offset, payload, count, first, last,
-                            (now, head, occupancy, propagation, count))
+            total_bytes += length
+            run = PostedRun(region, offset, payload, nbytes, count, first, last,
+                            (now, head, full, occupancy, short, propagation))
             runs.append(run)
             if payload is not None:
                 queued.append(run)

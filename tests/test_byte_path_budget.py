@@ -1,9 +1,10 @@
 """Byte-path bookkeeping per logged record, pinned as exact counts.
 
-The unit of the byte path is the run: a record streamed through the WC
-buffer is staged, evicted, flushed, posted and deposited as a few extents,
-not line by line.  What a record costs the simulator is then three counts
-that repeat exactly on a fixed scenario — entries handed to
+The unit of the byte path is the byte range: a record streamed through the
+WC buffer is one extent however it is aligned, evicted and flushed as one
+run each, which the link cuts at line boundaries — not line by line, and
+not head line + body + tail line.  What a record costs the simulator is
+three counts that repeat exactly on a fixed scenario — entries handed to
 ``PcieLink.posted_burst``, ``region.write`` deposits, and posted TLPs — so
 a per-line loop that creeps back fails tier-1 instead of waiting for the
 benchmark (``scripts/byte_path_cost.py`` prints the same counts with the
@@ -12,14 +13,18 @@ wall-clock cost beside them).
 Scenario: unaligned records stored back to back from offset 0 through the
 default 10-line buffer, each range-flushed and drained the way ``BaWAL``
 does it; 64 records walk every alignment a size allows four times over.
-Entries and deposits are ceilings (the per-line tree before this: 2.50 /
-12.88 / 12.88 per record); lowering one after a real cut is the point,
-raising one needs the reason in the commit that does it.  TLPs are the
-model's — one per line a record touches — and must not move at all.
+Entries and deposits are ceilings (the per-line tree: 2.50 / 12.88 / 12.88
+per record; whole-line runs with masked partial lines: 2.50 / 4.82 / 4.82);
+lowering one after a real cut is the point, raising one needs the reason in
+the commit that does it.  TLPs are the model's — one per line a record
+touches — and must not move at all.  A log append dirties one contiguous
+range, so no dirty mask exists on this shape: ``repro.host.wc`` builds no
+``bytearray`` at all.
 """
 
 import pytest
 
+import repro.host.wc
 from repro.host import ByteRegion, HostParams
 from repro.host.wc import WriteCombiningBuffer
 from repro.pcie import PcieLink
@@ -62,9 +67,9 @@ def stream(size):
 
 
 @pytest.mark.parametrize("size,run_ceiling,tlps", [
-    (100, 2.50, 2.50),      # two or three partial lines: nothing to merge
-    (1060, 4.82, 17.50),    # head line, evicted run, kept run, evicted line, tail line
-    (2100, 4.82, 33.75),
+    (100, 1.00, 2.50),      # fits the buffer: the flush posts the one extent
+    (1060, 2.00, 17.50),    # the store evicts the extent's head, the flush posts the rest
+    (2100, 2.00, 33.75),
 ])
 def test_runs_per_record_within_budget(size, run_ceiling, tlps):
     entries, deposits, issued, image, expected = stream(size)
@@ -86,6 +91,18 @@ def test_streaming_never_asks_a_run_for_its_per_tlp_keys(monkeypatch):
 
     monkeypatch.setattr(PostedRun, "keys", replayed)
     monkeypatch.setattr(PostedRun, "flights", replayed)
+    for size in (100, 1060, 2100):
+        _entries, _deposits, _issued, image, expected = stream(size)
+        assert image == expected
+
+
+def test_streaming_builds_no_dirty_mask(monkeypatch):
+    """Back-to-back records never leave a gap in a line, so nothing on this
+    shape is a masked line: the WC buffer allocates no ``bytearray``."""
+    def built(*_args):
+        raise AssertionError("bytearray built in repro.host.wc while streaming")
+
+    monkeypatch.setattr(repro.host.wc, "bytearray", built, raising=False)
     for size in (100, 1060, 2100):
         _entries, _deposits, _issued, image, expected = stream(size)
         assert image == expected
