@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # The full local gate: domain lint -> whole-program scan -> generic
-# lint -> typing -> goldens -> e2e benchmark smoke -> byte-path, LSM and
-# gateway cost smokes -> tests.
+# lint -> typing -> goldens -> e2e benchmark smoke -> byte-path, LSM,
+# gateway and recovery cost smokes -> tests.
 #
 #   scripts/check.sh          # everything (tier-1 includes the soak tests)
 #   scripts/check.sh --fast   # deselect the soak tests (the system soak and
-#                             # the 3 000-example byte-path oracle property)
+#                             # the 3 000-example byte-path and WAL-recovery
+#                             # oracle properties)
 #
 # ruff and mypy are optional in minimal images; they run when importable
 # and are reported as skipped otherwise (the configured baselines in
@@ -82,6 +83,12 @@ step "LSM cost smoke (scripts/lsm_cost.py --smoke)" \
 # an Event built per lane pass breaks a ceiling and exits non-zero.
 step "gateway cost smoke (scripts/gateway_cost.py --smoke)" \
     python3 scripts/gateway_cost.py --smoke
+
+# What one BaWAL.recover asks of the device (~1 s): a scan that reads
+# slots the log never reached, or a server.recover() that costs the sum
+# of its shards' scans, breaks a ceiling and exits non-zero.
+step "recovery cost smoke (scripts/recover_cost.py --smoke)" \
+    python3 scripts/recover_cost.py --smoke
 
 if [ "$fast" = 1 ]; then
     step "tier-1 tests (fast: no soak)" python -m pytest -x -q -m "not soak" tests/

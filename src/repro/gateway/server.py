@@ -1070,18 +1070,23 @@ class GatewayServer:
         commands queued but never quorum-acked are dropped with their
         queues — the same socket-buffer semantics the replica pipelines
         promise.  Each shard re-adopts its stream by *name* (failover
-        swaps the object underneath), repairs the replica pipelines, and
-        replays the WAL into a fresh dict — the WAL is the only state the
-        gateway trusts.  Returns the number of shards rebuilt.
+        swaps the object underneath) and repairs the replica pipelines;
+        the shards' logs are independent streams, so they are then read
+        at once — recovery costs the slowest shard's scan, not the sum —
+        and each is replayed into a fresh dict: the WAL is the only
+        state the gateway trusts.  Returns the number of shards rebuilt.
         """
         engine = self.engine
         self._conns.clear()
-        rebuilt = 0
+        started = engine.now
         for shard in self.shards:
             shard.stream = self.pool.streams[shard.stream_name]
             shard.stream.respawn_workers()
+        logs = engine.run(until=engine.all_of([
+            engine.process(shard.stream.recover(), name="gw-recover")
+            for shard in self.shards]))
+        for shard, records in zip(self.shards, logs):
             shard.data = {}
-            records = engine.run_process(shard.stream.recover())
             applied = 0
             for lsn, payload in records:
                 command, key, value = decode_command(bytes(payload))
@@ -1089,10 +1094,12 @@ class GatewayServer:
                 applied = lsn + RECORD_HEADER_BYTES + len(payload)
             shard.applied_lsn = applied
             self._spawn_shard_pipeline(shard)
-            rebuilt += 1
         if events.enabled:
-            events.emit("gateway.recovered", engine.now, shards=rebuilt)
-        return rebuilt
+            events.emit("gateway.recovered", engine.now,
+                        shards=len(self.shards),
+                        records=tuple(len(records) for records in logs),
+                        seconds=engine.now - started)
+        return len(self.shards)
 
     # -- observability ------------------------------------------------------
 

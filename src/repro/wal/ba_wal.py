@@ -30,6 +30,7 @@ from repro.wal.record import (
     RecordFormatError,
     decode_record,
     encode_record,
+    peek_header,
     scan_records,
 )
 
@@ -407,32 +408,90 @@ class BaWAL(WriteAheadLog):
     # -- recovery --------------------------------------------------------------------
 
     def recover(self, start_lsn: int = 0) -> Iterator[Event]:
-        """Process: post-crash scan across NAND segments and the restored
-        BA-buffer.
+        """Process: post-crash read of the live log — the restored
+        BA-buffer and the NAND segments behind it.
 
-        Restored mapping-table entries overlay their NAND pages (the
-        BA-buffer holds the newer bytes).  Records are collected per
-        segment, then stitched into the longest contiguous run allowing
-        segment-aligned LSN jumps.
+        Segment ``n`` lives in slot ``n % segments`` and opens with a
+        record at LSN ``n * segment_bytes`` (records never span segments;
+        ``_switch_halves`` pads a sealed tail), so the log is followed
+        from ``start_lsn``'s segment, one slot at a time, until a slot
+        does not anchor at its expected base.  A pinned slot is read from
+        the BA-buffer (it holds the newer bytes); any other is probed one
+        page before its body is read.  When no record sits at
+        ``start_lsn`` — the area wrapped over it, or it is the tail —
+        every slot is scanned instead and :meth:`_stitch` re-anchors at
+        the oldest surviving segment.
         """
-        collected: list[tuple[int, bytes]] = []
         segments = self.area_pages // self.segment_pages
-        for segment in range(segments):
-            lpn = self.start_lpn + segment * self.segment_pages
-            # Resolve the pin overlay at access time (a background
-            # flush+re-pin may move entries while recovery is reading),
-            # and read the buffer synchronously so lookup and read are
-            # atomic with respect to the mapping table.
-            overlay = self.device.mapping_table.pinned_lba_overlap(
-                lpn, self.segment_pages)
-            if overlay is not None and overlay.lba == lpn:
-                image = self.device.ba_dram.read(overlay.offset, self.segment_bytes)
+        first = start_lsn // self.segment_bytes
+        with tracing.span("wal.ba.recover", self.engine):
+            collected: list[tuple[int, bytes]] = []
+            for number in range(first, first + segments):
+                base = number * self.segment_bytes
+                lpn = self.start_lpn + number % segments * self.segment_pages
+                image = self._pinned_image(lpn)
+                if image is not None:
+                    yield self.engine.timeout(self.api.params.entry_info_latency)
+                else:
+                    image = yield from self._read(
+                        lpn, self.page_size, "wal.ba.recover.slots_probed")
+                    if peek_header(image) != base:
+                        break
+                    # A background recycle may have re-pinned the slot
+                    # while the probe was in flight.
+                    pinned = self._pinned_image(lpn)
+                    if pinned is not None:
+                        image = pinned
+                    elif self.segment_pages > 1:
+                        image += yield from self._read(
+                            lpn + 1, self.segment_bytes - self.page_size,
+                            "wal.ba.recover.segments_read")
+                records = self._scan_anchored(image)
+                if not records or records[0][0] != base:
+                    break
+                collected.extend(records)
+            if all(lsn != start_lsn for lsn, _p in collected):
+                if tracing.enabled:
+                    tracing.count("wal.ba.recover.fallback_scans")
+                collected = yield from self._scan_every_slot()
+        return self._stitch(collected, start_lsn)
+
+    def _scan_every_slot(self) -> Iterator[Event]:
+        """Process: the anchored records of every slot of the log area,
+        whatever was written, in LSN order."""
+        collected: list[tuple[int, bytes]] = []
+        for slot in range(self.area_pages // self.segment_pages):
+            lpn = self.start_lpn + slot * self.segment_pages
+            image = self._pinned_image(lpn)
+            if image is not None:
                 yield self.engine.timeout(self.api.params.entry_info_latency)
             else:
-                image = yield from self.device.read(lpn, self.segment_bytes)
+                image = yield from self._read(
+                    lpn, self.segment_bytes, "wal.ba.recover.segments_read")
             collected.extend(self._scan_anchored(image))
         collected.sort(key=lambda item: item[0])
-        return self._stitch(collected, start_lsn)
+        return collected
+
+    def _pinned_image(self, lpn: int) -> Optional[bytes]:
+        """The BA-buffer bytes of the segment pinned at ``lpn``, if one is.
+
+        The overlay is resolved at access time (a background flush+re-pin
+        may move entries while recovery is reading) and the buffer read
+        synchronously, so lookup and read are atomic with respect to the
+        mapping table.
+        """
+        overlay = self.device.mapping_table.pinned_lba_overlap(
+            lpn, self.segment_pages)
+        if overlay is not None and overlay.lba == lpn:
+            return self.device.ba_dram.read(overlay.offset, self.segment_bytes)
+        return None
+
+    def _read(self, lpn: int, nbytes: int, counter: str) -> Iterator[Event]:
+        """Process: one block read of recovery, tallied when traced."""
+        if tracing.enabled:
+            tracing.count(counter)
+            tracing.count("wal.ba.recover.bytes_read", nbytes)
+        return (yield from self.device.read(lpn, nbytes))
 
     def _scan_anchored(self, image: bytes) -> list[tuple[int, bytes]]:
         try:
@@ -459,10 +518,11 @@ class BaWAL(WriteAheadLog):
                 result.append((lsn, payload))
                 expected = lsn + RECORD_HEADER_BYTES + len(payload)
                 continue
-            # Allow one segment-boundary jump (the sealed segment's padding).
+            # Allow one segment-boundary jump (the sealed segment's padding)
+            # — from inside a segment only: a record ending exactly on a
+            # boundary leaves no padding, so nothing but ``expected`` fits.
             next_segment_base = (
-                (expected // self.segment_bytes) + 1
-            ) * self.segment_bytes
+                -(-expected // self.segment_bytes) * self.segment_bytes)
             if lsn == next_segment_base:
                 result.append((lsn, payload))
                 expected = lsn + RECORD_HEADER_BYTES + len(payload)

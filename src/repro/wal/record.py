@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from typing import Optional
 
 _HEADER = struct.Struct("<HIQI")
 RECORD_HEADER_BYTES = _HEADER.size
@@ -27,6 +28,16 @@ def encode_record(lsn: int, payload: bytes) -> bytes:
         raise ValueError(f"lsn must be non-negative, got {lsn}")
     crc = zlib.crc32(payload, zlib.crc32(lsn.to_bytes(8, "little")))
     return _HEADER.pack(_MAGIC, len(payload), lsn, crc) + payload
+
+
+def peek_header(buffer: bytes, offset: int = 0) -> Optional[int]:
+    """The LSN the record header at ``offset`` claims, or ``None`` when the
+    header is truncated or its magic is wrong.  Nothing is CRC-checked: a
+    probe for "could a record of this LSN start here", never a decode."""
+    if offset + RECORD_HEADER_BYTES > len(buffer):
+        return None
+    magic, _length, lsn, _crc = _HEADER.unpack_from(buffer, offset)
+    return lsn if magic == _MAGIC else None
 
 
 def decode_record(buffer: bytes, offset: int = 0) -> tuple[int, bytes, int]:

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterCrashHarness, DevicePool, FailoverManager
 from repro.core import MappingTableFullError
-from repro.db.memkv.commands import Command, Reply, decode_value
+from repro.db.memkv.commands import (
+    Command,
+    Reply,
+    decode_command,
+    decode_value,
+)
 from repro.gateway import (
     BoundedQueue,
     GatewayConfig,
@@ -24,8 +29,10 @@ from repro.gateway import (
 )
 from repro.gateway.protocol import FrameDecoder
 from repro.nemesis.analyzer import StreamingAnalyzer
+from repro.obs import events
 from repro.sim import Engine
 from repro.sim.engine import Event
+from repro.wal.record import RECORD_HEADER_BYTES
 
 
 # -- flow-control primitives --------------------------------------------------
@@ -309,6 +316,78 @@ def test_power_loss_mid_pipeline_loses_no_acked_command():
     checked = [entry for entry in summary.values() if entry["checked"]]
     assert checked and all(entry["missing"] == 0 for entry in checked)
     assert sum(entry["acked"] for entry in checked) > acked_before
+
+
+# -- recover() reads every shard's log at once --------------------------------
+
+
+def _crashed_server():
+    """A default 3-node server cut down mid-run (4 KiB values: shards with
+    a sealed segment on NAND), shard 0's primary crashed and failed over."""
+    pool = _pool(devices=3, seed=1234)
+    engine = pool.engine
+    server = GatewayServer(pool, GatewayConfig())
+    engine.run_process(server.start())
+    load = GatewayLoad(server, value_bytes=4096, key_space=64)
+    for client_id in range(8):
+        engine.process(load.client(client_id, 400))
+    engine.run(until=engine.timeout(4e-3))
+    assert 0 < load.replies < load.commands
+    victim = server.shards[0].stream.primary.node.name
+    ClusterCrashHarness(pool).crash_node_now(victim)
+    manager = FailoverManager(pool)
+    for shard in server.shards:
+        stream = pool.streams[shard.stream_name]
+        if any(not leg.node.up for leg in stream.legs()):
+            engine.run_process(manager.fail_over(shard.stream_name))
+    return server
+
+
+def _serial_recover(server):
+    """``GatewayServer.recover`` as it was — one shard's log after the
+    other — returning each shard's scan time."""
+    engine = server.engine
+    server._conns.clear()
+    seconds = []
+    for shard in server.shards:
+        shard.stream = server.pool.streams[shard.stream_name]
+        shard.stream.respawn_workers()
+        shard.data = {}
+        started = engine.now
+        records = engine.run_process(shard.stream.recover())
+        seconds.append(engine.now - started)
+        applied = 0
+        for lsn, payload in records:
+            command, key, value = decode_command(bytes(payload))
+            server._apply(shard, command, key, value)
+            applied = lsn + RECORD_HEADER_BYTES + len(payload)
+        shard.applied_lsn = applied
+        server._spawn_shard_pipeline(shard)
+    return seconds
+
+
+def test_recover_costs_the_slowest_shard_and_rebuilds_the_same_state():
+    serial, parallel = _crashed_server(), _crashed_server()
+    scans = _serial_recover(serial)
+    assert sorted(scans)[1] > 1e-4  # two shards read a segment back from NAND
+    engine = parallel.engine
+    started = engine.now
+    with events.activated() as bus:
+        assert parallel.recover() == 3
+    elapsed = engine.now - started
+    assert elapsed <= max(scans) + 1e-6 < sum(scans)
+    for ours, theirs in zip(parallel.shards, serial.shards):
+        assert ours.data == theirs.data and ours.data
+        assert ours.applied_lsn == theirs.applied_lsn > 0
+    assert parallel.stats()["shard_keys"] == serial.stats()["shard_keys"]
+    (event,) = [e for e in bus.log if e.kind == "gateway.recovered"]
+    assert event.get("shards") == 3 and event.get("seconds") == elapsed
+    assert sum(event.get("records")) > 0 and len(event.get("records")) == 3
+    # Both serve again.
+    for server in (serial, parallel):
+        load = GatewayLoad(server, value_bytes=32)
+        server.engine.run(until=server.engine.process(load.client(0, 8)))
+        assert load.replies == load.commands == 8
 
 
 # -- the served prefix never depends on how the socket fragments --------------
