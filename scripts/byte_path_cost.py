@@ -21,6 +21,11 @@ A second table puts what is *above* the byte path next to it: one record
 of the same size on the wire (20-byte header + payload) through a bare
 ``Platform`` as ``BaWAL.append_batch([payload])`` + ``commit`` — wall µs
 and kernel events per record, the unaligned WC + link row beside them.
+A third goes one layer up again: a 64 B and a 2 KiB payload logged one
+record at a time on a ``ReplicatedBaWAL`` stream of a default
+``DevicePool(devices=3)`` (RF 2), as ``append_batch([payload])`` +
+``commit`` and as ``append(payload)`` + ``commit`` — wall µs per record,
+so the one write path's wrapper cost is metered on any commit.
 
 Read-only use of ``src/``: everything is observed from outside, so the
 same script runs on any commit (docs/performance.md, "Ranges, not lines",
@@ -43,6 +48,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from _meter import best_of, exit_status, wrapped  # noqa: E402  (scripts/_meter.py)
+from repro.cluster import DevicePool  # noqa: E402
 from repro.host.memory import ByteRegion  # noqa: E402
 from repro.host.wc import WriteCombiningBuffer  # noqa: E402
 from repro.pcie.link import PcieLink, PcieParams  # noqa: E402
@@ -53,6 +59,7 @@ from repro.wal.record import RECORD_HEADER_BYTES  # noqa: E402
 
 SIZES = (100, 1060, 2048, 2100)
 WAL_SIZES = (100, 2100)  # logged record sizes of the second table
+REPLICATED_SIZES = (64, 2048)  # payload sizes of the third table
 WC_LINES = 10  # HostParams.wc_buffer_lines default
 LINE = PcieParams().wc_line_bytes
 
@@ -146,6 +153,34 @@ def wal_commit(size: int, records: int) -> tuple[float, float, bool]:
             wal.durable_lsn == wal.tail_lsn == records * size)
 
 
+def replicated_commit(size: int, records: int,
+                      batch: bool) -> tuple[float, bool]:
+    """Seconds per record over ``records`` rounds of
+    ``append_batch([payload])`` (``batch``) or ``append(payload)``, each
+    followed by ``commit``, on a fresh stream of a default 3-device pool,
+    and whether the quorum horizon reached the tail."""
+    pool = DevicePool(devices=3, seed=1)
+    engine = pool.engine
+    stream = engine.run_process(pool.open_stream("wal0", replicas=2))
+    engine.run()
+    payload = bytes(size)
+
+    def client():
+        for _ in range(records):
+            if batch:
+                lsns = yield from stream.append_batch([payload])
+                lsn = lsns[0]
+            else:
+                lsn = yield from stream.append(payload)
+            yield from stream.commit(lsn)
+
+    start = perf_counter()
+    engine.run_process(client())
+    engine.run()
+    elapsed = perf_counter() - start
+    return elapsed / records, stream.durable_lsn == stream.tail_lsn > 0
+
+
 def measure(size: int, aligned: bool, records: int, repeats: int) -> dict:
     best = best_of(repeats, lambda: BytePath(size, aligned, records).timed(),
                    key=sum)
@@ -213,6 +248,15 @@ def main() -> int:
               f"{seconds * 1e6 - byte_path_us[size]:>8.2f}us {events:>14.2f}"
               f"{'' if durable else '  MISMATCH'}")
         failed += not durable
+    print("\nreplicated stream: one record per append + commit on a "
+          "DevicePool(devices=3)\nstream, RF 2; payload size, per record:")
+    print(f"{'size':>6} {'append_batch([p])':>18} {'append(p)':>10}")
+    for size in REPLICATED_SIZES:
+        row = [best_of(repeats, lambda: replicated_commit(size, records, batch))
+               for batch in (True, False)]
+        print(f"{size:>6} {row[0][0] * 1e6:>16.2f}us {row[1][0] * 1e6:>8.2f}us"
+              f"{'' if row[0][1] and row[1][1] else '  MISMATCH'}")
+        failed += not (row[0][1] and row[1][1])
     if failed:
         broken.append(f"{failed} row(s): landed bytes, TLP count or durable "
                       "LSN differ from the records stored")

@@ -67,7 +67,7 @@ step "e2e benchmark smoke (benchmarks/e2e/run.py --smoke)" \
 # The byte path's own cost meter, at smoke size (< 1 s): checks the
 # landed bytes, the TLP counts and the entries/deposits ceilings (one per
 # record, two once it overflows the WC buffer), then prices BaWAL's
-# append_batch + commit above it.
+# append_batch + commit above it and a replicated stream's above that.
 step "byte-path cost smoke (scripts/byte_path_cost.py --smoke)" \
     python3 scripts/byte_path_cost.py --smoke
 

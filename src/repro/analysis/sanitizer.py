@@ -83,7 +83,7 @@ class SanitizerError(Exception):
 class _SyncScope:
     """One in-flight BA_SYNC: which bytes must drain before the WVR."""
 
-    __slots__ = ("entry_id", "region", "offset", "length", "flushed")
+    __slots__ = ("entry_id", "region", "offset", "length", "flushed", "label")
 
     def __init__(self, entry_id: int, region: "ByteRegion",
                  offset: int, length: int) -> None:
@@ -92,6 +92,7 @@ class _SyncScope:
         self.offset = offset
         self.length = length
         self.flushed = False
+        self.label = f"core.api.ba_sync[{entry_id}]"
 
 
 class _State:
@@ -107,8 +108,9 @@ class _State:
         # Innermost-last labels of the operations in flight; attached to
         # every violation as the "span context" of the failure.
         self.op_stack: list[str] = []
-        # Active BA_SYNC protocol scopes, by entry id.
-        self.syncs: dict[int, _SyncScope] = {}
+        # Active BA_SYNC protocol scopes.  Not keyed by entry id: the
+        # devices of a pool reuse entry ids, so two scopes may share one.
+        self.syncs: list[_SyncScope] = []
         self.checks = 0
         self.violations = 0
 
@@ -261,22 +263,26 @@ def die_op_end(array, addr, die_res, die_req, op: str) -> None:
 
 
 def sync_begin(entry_id: int, region: "ByteRegion", offset: int,
-               length: int) -> None:
-    """BA_SYNC started for ``entry_id``: its lines must drain before the WVR."""
-    _state.syncs[entry_id] = _SyncScope(entry_id, region, offset, length)
-    _state.op_stack.append(f"core.api.ba_sync[{entry_id}]")
+               length: int) -> _SyncScope:
+    """BA_SYNC started for ``entry_id``: its lines must drain before the
+    WVR.  Returns the scope; hand exactly it to :func:`sync_end`."""
+    scope = _SyncScope(entry_id, region, offset, length)
+    _state.syncs.append(scope)
+    _state.op_stack.append(scope.label)
+    return scope
 
 
-def sync_end(entry_id: int) -> None:
-    _state.syncs.pop(entry_id, None)
-    label = f"core.api.ba_sync[{entry_id}]"
-    if label in _state.op_stack:
-        _state.op_stack.remove(label)
+def sync_end(scope: _SyncScope) -> None:
+    """BA_SYNC finished: drop exactly ``scope`` — a no-op once a crash
+    reset or another sanitizer state (a GC-finalized generator) voided it."""
+    if scope in _state.syncs:
+        _state.syncs.remove(scope)
+        _state.op_stack.remove(scope.label)
 
 
 def on_wc_flush(region: "ByteRegion", offset: int, nbytes: Optional[int]) -> None:
     """clflush+mfence covered ``region[offset:offset+nbytes]``."""
-    for scope in _state.syncs.values():
+    for scope in tuple(_state.syncs):
         if scope.region is not region:
             continue
         if nbytes is None:
@@ -294,7 +300,7 @@ def on_write_verify_read(cpu: "HostCPU") -> None:
     """
     _state.checks += 1
     now = cpu.engine.now
-    for scope in _state.syncs.values():
+    for scope in tuple(_state.syncs):
         if not scope.flushed:
             raise _violation(
                 "sync.reordered",

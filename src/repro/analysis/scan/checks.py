@@ -10,7 +10,7 @@ to a function proven (by interprocedural fixpoint) to barrier on every
 return path.  Branch edges guarded by a comparison against a durable
 watermark (``if lsn <= self._synced: return``) establish durability on
 the implied edge, and yields that take in *new* data (``append``,
-``write``, ``mmio_write``, ``put``) kill it.
+``append_batch``, ``write``, ``mmio_write``, ``put``) kill it.
 
 **GEN — process-generator discipline** (the PR-6 ``GeneratorExit``
 hazard class): kernel generators may yield only kernel events — no bare
@@ -68,7 +68,8 @@ EXTENT_MAPS = frozenset({"_extents"})
 BARRIER_CALLS = frozenset({"ba_sync", "fsync", "_await_quorum"})
 #: Call names that take in new (not yet durable) data; yielding one
 #: invalidates an earlier barrier for anything published after it.
-NEW_DATA_CALLS = frozenset({"append", "write", "mmio_write", "put"})
+NEW_DATA_CALLS = frozenset({"append", "append_batch", "write", "mmio_write",
+                            "put"})
 #: Names that look like request tokens when tuple-unpacked.
 _TOKEN_NAME_RE = re.compile(r"(^|_)(req|request|lock)(_|$)|(^|_)(req|lock)$")
 #: Die-shared state atoms (LOCK001), valid only in die-parallel modules.

@@ -215,24 +215,24 @@ def scenario_gateway_serving() -> dict:
     64-byte socket buffers and two slowloris readers fill the reply
     pipes, stall the connection writers, exhaust the pipelining windows,
     and push back through the shard queues to every sender — the whole
-    flow-control chain, byte-for-byte.  The fixture folds in the merged
-    pool stats, every gateway span histogram, and the serving counters.
+    flow-control chain, byte-for-byte.  Every group-commit cap is 1 (one
+    lane, one command per barrier, one frame per socket write): the
+    per-command cadence.  The fixture folds in the merged pool stats,
+    every gateway span histogram, and the serving counters.
     """
     from repro.cluster import DevicePool
-    from repro.gateway.driver import run_serving
+    from repro.gateway import GatewayConfig, run_serving
     from repro.obs import tracing
 
     with tracing.activated() as tracer:
         pool = DevicePool(devices=3, seed=909)
-        # Pinned to the pre-group-commit serving path (one lane, inline
-        # per-command commits, frame-per-write replies): the fixture
-        # predates the coalescer and must stay byte-identical to it.
-        result = run_serving(pool, clients=64, commands_per_client=12,
-                             pipeline_depth=8, queue_depth=8,
-                             socket_buffer_bytes=64,
-                             slow_clients=2, slow_recv_delay=2e-4,
-                             writer_lanes=1, group_commit=False,
-                             reply_flush_frames=1)
+        result = run_serving(
+            pool, GatewayConfig(pipeline_depth=8, queue_depth=8,
+                                socket_buffer_bytes=64, writer_lanes=1,
+                                commit_batch_commands=1,
+                                reply_flush_frames=1),
+            clients=64, commands_per_client=12,
+            slow_clients=2, slow_recv_delay=2e-4)
         report = pool.collect_stats(tracer=tracer)
     report["serving"] = result.to_dict()
     return report
@@ -241,23 +241,24 @@ def scenario_gateway_serving() -> dict:
 def scenario_gateway_group_commit() -> dict:
     """The group-commit serving pipeline on a 3-node pool (seed 909).
 
-    Same mixed load as ``gateway_serving`` but through the coalesced
-    path: four key-striped lanes per shard, batched appends and
+    Same mixed load as ``gateway_serving`` at the default caps: four
+    key-striped lanes per shard, batched appends and
     replication, one quorum barrier per commit window, scatter-gather
     reply flushing.  The fixture locks the whole pipeline's simulated
     behaviour — batch shapes, admit stalls, barrier counts, and every
     span histogram — byte-for-byte.
     """
     from repro.cluster import DevicePool
-    from repro.gateway.driver import run_serving
+    from repro.gateway import GatewayConfig, run_serving
     from repro.obs import tracing
 
     with tracing.activated() as tracer:
         pool = DevicePool(devices=3, seed=909)
-        result = run_serving(pool, clients=64, commands_per_client=12,
-                             pipeline_depth=8, queue_depth=8,
-                             socket_buffer_bytes=64,
-                             slow_clients=2, slow_recv_delay=2e-4)
+        result = run_serving(
+            pool, GatewayConfig(pipeline_depth=8, queue_depth=8,
+                                socket_buffer_bytes=64),
+            clients=64, commands_per_client=12,
+            slow_clients=2, slow_recv_delay=2e-4)
         report = pool.collect_stats(tracer=tracer)
     report["serving"] = result.to_dict()
     return report

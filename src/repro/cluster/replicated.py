@@ -1,8 +1,8 @@
 """Quorum-replicated WAL over the device pool (primary + R-1 replicas).
 
-``append`` writes the primary leg and ships the record to each replica's
-queue; replica workers apply appends in arrival order, so every leg holds
-the same payload sequence even though legs assign their *own* LSNs (a
+``append_batch`` writes the primary leg and ships the records to each
+replica's queue; replica workers apply them in arrival order, so every
+leg holds the same payload sequence though legs assign their *own* LSNs (a
 block-path fallback leg has no segment padding, so its offsets diverge
 from a byte-path primary's).  ``commit`` fans a sync request to every
 leg — ``BA_SYNC`` on byte-path legs, write+fsync on block legs — and
@@ -55,29 +55,18 @@ class _ReplicaLeg:
         return self.worker._waiting_on in self.queue._getters
 
     def _worker(self) -> Iterator[Event]:
-        engine = self.engine
         while True:
             item = yield self.queue.get()
             if item[0] == "append":
-                payload = item[1]
-                yield from self.net.transfer(
-                    self.src_name, self.leg.node.name,
-                    RECORD_HEADER_BYTES + len(payload),
-                )
-                self.local_lsn = yield from self.leg.wal.append(payload)
-            elif item[0] == "append_batch":
                 # One interconnect message and one replica-side append
                 # pass cover the whole batch (group commit's replication
-                # half).  Apply order still matches primary LSN order:
-                # batches are enqueued atomically after the primary batch.
-                payloads = item[1]
+                # half).  Apply order matches primary LSN order: batches
+                # are enqueued atomically after the primary batch.
+                _kind, payloads, nbytes = item
                 yield from self.net.transfer(
-                    self.src_name, self.leg.node.name,
-                    sum(RECORD_HEADER_BYTES + len(p) for p in payloads),
-                )
+                    self.src_name, self.leg.node.name, nbytes)
                 lsns = yield from self.leg.wal.append_batch(payloads)
-                if lsns:
-                    self.local_lsn = lsns[-1]
+                self.local_lsn = lsns[-1]
             else:  # ("commit", ack_event)
                 ack = item[1]
                 yield from self.net.send_control(
@@ -163,41 +152,21 @@ class ReplicatedBaWAL(WriteAheadLog):
     def tail_lsn(self) -> int:
         return self.primary.wal.tail_lsn
 
-    def append(self, payload: bytes) -> Iterator[Event]:
-        """Process: append locally, then ship to every replica queue.
-
-        Returns the *primary* leg's end LSN — the stream's public offset.
-        Enqueueing happens with no intervening yield after the primary
-        append completes, so replica apply order always matches primary
-        LSN order even under concurrent appenders.
-        """
-        if tracing.enabled:
-            _t0 = self.engine.now
-        lsn = yield from self.primary.wal.append(payload)
-        for replica in self._replicas:
-            replica.queue.put(("append", payload))
-        if tracing.enabled:
-            tracing.observe("cluster.append", self.engine.now - _t0)
-            tracing.count("cluster.appends")
-        self.stats.appends += 1
-        self.stats.bytes_appended += len(payload)
-        return lsn
-
     def append_batch(self, payloads: list[bytes]) -> Iterator[Event]:
-        """Process: batched append — the primary logs the whole batch in
-        one pass, then ONE queue message per replica ships it (one
-        interconnect transfer, one replica-side append pass), instead of
-        one message per record.
+        """Process: the primary logs the batch in one pass, then ONE
+        queue message per replica ships it (one interconnect transfer,
+        one replica-side append pass).
 
-        The LSN-order invariant is :meth:`append`'s: enqueueing happens
-        with no intervening yield after the primary batch lands.  If the
+        Returns the *primary* leg's end LSNs — the stream's public
+        offsets.  Enqueueing happens with no intervening yield after the
+        primary batch lands, so replica apply order always matches
+        primary LSN order even under concurrent appenders.  If the
         primary stops part-way (:class:`PartialAppendError`), the
         appended *prefix* is still shipped to every replica before the
         error re-raises — legs must hold identical payload sequences or
         a failover could promote a replica missing records the primary
         holds.
         """
-        payloads = list(payloads)
         if not payloads:
             return []
         if tracing.enabled:
@@ -205,21 +174,24 @@ class ReplicatedBaWAL(WriteAheadLog):
         try:
             lsns = yield from self.primary.wal.append_batch(payloads)
         except PartialAppendError as exc:
-            appended = payloads[:len(exc.lsns)]
-            if appended:
-                for replica in self._replicas:
-                    replica.queue.put(("append_batch", appended))
-                self.stats.appends += len(appended)
-                self.stats.bytes_appended += sum(len(p) for p in appended)
+            self._ship(payloads[:len(exc.lsns)])
             raise
-        for replica in self._replicas:
-            replica.queue.put(("append_batch", payloads))
+        self._ship(payloads)
         if tracing.enabled:
-            tracing.observe("cluster.append_batch", self.engine.now - _t0)
+            tracing.observe("cluster.append", self.engine.now - _t0)
             tracing.count("cluster.appends", len(payloads))
-        self.stats.appends += len(payloads)
-        self.stats.bytes_appended += sum(len(p) for p in payloads)
         return lsns
+
+    def _ship(self, payloads: list[bytes]) -> None:
+        """Queue appended records to every replica; the wire size is
+        computed once here, not per leg."""
+        payload_bytes = sum(map(len, payloads))
+        message = ("append", payloads,
+                   payload_bytes + RECORD_HEADER_BYTES * len(payloads))
+        for replica in self._replicas:
+            replica.queue.put(message)
+        self.stats.appends += len(payloads)
+        self.stats.bytes_appended += payload_bytes
 
     def commit(self, lsn: int) -> Iterator[Event]:
         """Process: make the stream durable on a quorum of legs.

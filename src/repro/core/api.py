@@ -111,15 +111,16 @@ class TwoBApiClient:
         if tracing.enabled:
             _t0 = self.engine.now
         entry = yield from self.ba_get_entry_info(entry_id)
-        if simsan.enabled:
-            simsan.sync_begin(entry_id, self.region, entry.offset, entry.length)
+        scope = (simsan.sync_begin(entry_id, self.region, entry.offset,
+                                   entry.length)
+                 if simsan.enabled else None)
         try:
             yield from self.cpu.wc_flush(self.region, entry.offset, entry.length)
             lines = self._lines_since_sync.get(entry_id, 0)
             yield from self.cpu.write_verify_read(lines)
         finally:
-            if simsan.enabled:
-                simsan.sync_end(entry_id)
+            if scope is not None:
+                simsan.sync_end(scope)
         if tracing.enabled:
             tracing.observe("core.api.ba_sync", self.engine.now - _t0)
         self._lines_since_sync[entry_id] = 0

@@ -101,9 +101,9 @@ class LSMTree:
     def _write(self, key: str, value: Optional[bytes]) -> Iterator[Event]:
         start = self.engine.now
         yield self.engine.timeout(self.WRITE_CPU)
-        lsn = yield from self.wal.append(encode_kv(key, value))
+        lsns = yield from self.wal.append_batch([encode_kv(key, value)])
         commit_start = self.engine.now
-        yield from self.wal.commit(lsn)
+        yield from self.wal.commit(lsns[0])
         self.stats.commit_latency += self.engine.now - commit_start
         self._active.insert(key, value)
         if self._active.approximate_bytes >= self.memtable_bytes and not self._rotating:

@@ -78,6 +78,33 @@ def decode_command(data: bytes) -> tuple[Command, str, bytes]:
             value if type(value) is bytes else bytes(value))
 
 
+def validate(data: dict, command: Command, key: str) -> None:
+    """Raise ``ValueError`` if ``command`` cannot apply to ``data`` — run
+    it *before* logging: a record that cannot apply must never reach the
+    AOF, or every replay of it would fail too."""
+    if command is Command.INCR:
+        try:
+            int(data.get(key, b"0"))
+        except ValueError:
+            raise ValueError("value is not an integer") from None
+
+
+def apply(data: dict, command: Command, key: str, value: bytes) -> bytes:
+    """Apply one validated write command to ``data``; returns the key's
+    new value (``value`` itself for SET and DEL)."""
+    if command is Command.SET:
+        data[key] = value
+    elif command is Command.DEL:
+        data.pop(key, None)
+    elif command is Command.APPEND:
+        data[key] = value = data.get(key, b"") + value
+    elif command is Command.INCR:
+        data[key] = value = str(int(data.get(key, b"0")) + 1).encode()
+    else:
+        raise ValueError(f"not a write command: {command}")
+    return value
+
+
 def encode_reply(reply: Reply, payload: bytes = b"") -> bytes:
     """One reply body: ``[status u8][payload]`` (framing is the caller's)."""
     return _STATUS_OF[reply] + payload

@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.db.common import EngineStats
-from repro.db.memkv.commands import Command, decode_command, encode_command
+from repro.db.memkv.commands import (
+    Command, apply, decode_command, encode_command, validate)
 from repro.sim import Engine, Resource
 from repro.sim.engine import Event
 from repro.sim.units import USEC
@@ -54,7 +55,8 @@ class MemKV:
         return None
 
     def incr(self, key: str) -> Iterator[Event]:
-        """Process: INCR — integer increment (missing keys start at 0)."""
+        """Process: INCR — integer increment (missing keys start at 0); a
+        non-integer value raises ``ValueError`` before anything is logged."""
         yield from self._write_command(Command.INCR, key)
         return int(self._data[key])
 
@@ -80,29 +82,17 @@ class MemKV:
         yield thread
         try:
             yield self.engine.timeout(self.COMMAND_CPU)
+            validate(self._data, command, key)
             record = encode_command(command, key, value)
-            lsn = yield from self.aof.append(record)
+            lsns = yield from self.aof.append_batch([record])
             commit_start = self.engine.now
-            yield from self.aof.commit(lsn)
+            yield from self.aof.commit(lsns[0])
             self.stats.commit_latency += self.engine.now - commit_start
-            self._apply(command, key, value)
+            apply(self._data, command, key, value)
         finally:
             self._thread.release(thread)
         self.stats.record(command.name, self.engine.now - start, is_write=True)
         return None
-
-    def _apply(self, command: Command, key: str, value: bytes) -> None:
-        if command is Command.SET:
-            self._data[key] = value
-        elif command is Command.DEL:
-            self._data.pop(key, None)
-        elif command is Command.APPEND:
-            self._data[key] = self._data.get(key, b"") + value
-        elif command is Command.INCR:
-            current = int(self._data.get(key, b"0"))
-            self._data[key] = str(current + 1).encode()
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unknown command {command}")
 
     # -- recovery -----------------------------------------------------------------
 
@@ -112,7 +102,7 @@ class MemKV:
         self._data.clear()
         for _lsn, payload in records:
             command, key, value = decode_command(payload)
-            self._apply(command, key, value)
+            apply(self._data, command, key, value)
         return len(records)
 
     def snapshot(self) -> dict[str, bytes]:

@@ -205,39 +205,21 @@ class GatewayLoad:
         return self._resume_at.get(client_id, 0)
 
 
-def run_serving(pool, *, clients: int = 64, commands_per_client: int = 16,
-                pipeline_depth: int = 8, queue_depth: int = 16,
-                shards: Optional[int] = None, replicas: int = 2,
-                quorum: Optional[int] = None, value_bytes: int = 64,
-                key_space: int = 16, payload_stamps: bool = False,
-                max_conns: int = 4096, socket_buffer_bytes: int = 4096,
-                slow_clients: int = 0, slow_recv_delay: float = 0.0,
-                writer_lanes: int = 4, group_commit: bool = True,
-                commit_batch_commands: int = 16,
-                commit_batch_bytes: int = 64 * 1024,
-                reply_flush_frames: int = 8) -> GatewayRunResult:
-    """Build a gateway on ``pool``, serve one full load, return the result.
+def run_serving(pool, config: Optional[GatewayConfig] = None, *,
+                clients: int = 64, commands_per_client: int = 16,
+                value_bytes: int = 64, key_space: int = 16,
+                payload_stamps: bool = False, slow_clients: int = 0,
+                slow_recv_delay: float = 0.0) -> GatewayRunResult:
+    """Build a gateway on ``pool`` (default :class:`GatewayConfig` when
+    ``config`` is None), serve one full load, return the result.
 
     The single entry point the golden scenario, the bench legs, and the
     tests share.  Call from outside the kernel; the pool's engine runs to
     completion of every client session.  The first ``slow_clients``
     clients read with ``slow_recv_delay`` think time between socket
     reads — slowloris readers that drive the backpressure chain from the
-    reply side.  The group-commit knobs (``writer_lanes``,
-    ``group_commit``, ``commit_batch_*``, ``reply_flush_frames``) pass
-    straight through to :class:`GatewayConfig`; ``writer_lanes=1,
-    group_commit=False, reply_flush_frames=1`` pins the PR-9
-    per-command serving path exactly (the legacy golden rides it).
+    reply side.
     """
-    config = GatewayConfig(shards=shards, replicas=replicas, quorum=quorum,
-                           pipeline_depth=pipeline_depth,
-                           queue_depth=queue_depth, max_conns=max_conns,
-                           socket_buffer_bytes=socket_buffer_bytes,
-                           writer_lanes=writer_lanes,
-                           group_commit=group_commit,
-                           commit_batch_commands=commit_batch_commands,
-                           commit_batch_bytes=commit_batch_bytes,
-                           reply_flush_frames=reply_flush_frames)
     server = GatewayServer(pool, config)
     engine = pool.engine
     engine.run_process(server.start())

@@ -52,10 +52,10 @@ def warm_gateway_pool(pool, seed: int = 909, devices: int = 3) -> None:
     """Warm a pool to a snapshot-able state: one short serving burst
     (shard streams opened, WAL segments cycled, caches touched), then
     streams closed, devices drained, kernel quiescent."""
-    from repro.gateway.driver import run_serving
+    from repro.gateway import GatewayConfig, run_serving
 
-    run_serving(pool, clients=8, commands_per_client=4, pipeline_depth=4,
-                queue_depth=8, replicas=2)
+    run_serving(pool, GatewayConfig(pipeline_depth=4, queue_depth=8),
+                clients=8, commands_per_client=4)
     for name in list(pool.streams):
         pool.engine.run_process(pool.close_stream(name))
     for node in pool.nodes.values():
@@ -79,29 +79,21 @@ def stage_latencies(tracer) -> dict:
 
 
 def serving_leg(pool, clients: int = 64, commands: int = 8,
-                pipeline_depth: int = 8, queue_depth: int = 16,
-                replicas: int = 2, writer_lanes: int = 4,
-                group_commit: bool = True,
-                commit_batch_commands: int = 16,
-                reply_flush_frames: int = 8) -> dict:
+                **config) -> dict:
     """One saturation point: serve the full fleet, report throughput and
     per-stage latency percentiles (all simulated time — deterministic).
-    The group-commit knobs pin an ablation point (``group_commit=False``
-    reproduces the PR-9 per-command commit path)."""
-    from repro.gateway.driver import run_serving
+    ``config`` holds :class:`GatewayConfig` fields, e.g. the cap-1
+    ablation's ``writer_lanes=1, commit_batch_commands=1,
+    reply_flush_frames=1``."""
+    from repro.gateway import GatewayConfig, run_serving
     from repro.obs import tracing
 
+    gateway_config = GatewayConfig(**config)
     with tracing.activated() as tracer:
-        result = run_serving(pool, clients=clients,
-                             commands_per_client=commands,
-                             pipeline_depth=pipeline_depth,
-                             queue_depth=queue_depth, replicas=replicas,
-                             writer_lanes=writer_lanes,
-                             group_commit=group_commit,
-                             commit_batch_commands=commit_batch_commands,
-                             reply_flush_frames=reply_flush_frames)
+        result = run_serving(pool, gateway_config, clients=clients,
+                             commands_per_client=commands)
     payload = result.to_dict()
-    payload["pipeline_depth"] = pipeline_depth
+    payload["pipeline_depth"] = gateway_config.pipeline_depth
     payload["stages"] = stage_latencies(tracer)
     return payload
 
@@ -115,8 +107,8 @@ _GATEWAY_WARM = WarmSpec(
 
 def gateway_matrix(sweep=SATURATION_SWEEP) -> list[Leg]:
     """The clients x pipeline-depth saturation sweep as runner legs,
-    plus one per-command ablation point (group commit off at the old
-    plateau's load) so the coalescer's win stays measured, not assumed."""
+    plus one per-command ablation point (every group-commit cap at 1, at
+    the old plateau's load) so the coalescer's win stays measured."""
     legs = [
         leg(f"gateway:c{clients}xd{depth}", f"{_HERE}:serving_leg",
             warm=_GATEWAY_WARM, clients=clients, commands=commands,
@@ -126,6 +118,6 @@ def gateway_matrix(sweep=SATURATION_SWEEP) -> list[Leg]:
     legs.append(
         leg("gateway:c512xd8-percmd", f"{_HERE}:serving_leg",
             warm=_GATEWAY_WARM, clients=512, commands=8,
-            pipeline_depth=8, writer_lanes=1, group_commit=False,
+            pipeline_depth=8, writer_lanes=1, commit_batch_commands=1,
             reply_flush_frames=1))
     return legs

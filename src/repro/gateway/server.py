@@ -46,11 +46,12 @@ from repro.core import MappingTableFullError
 from repro.db.memkv.commands import (
     Command,
     Reply,
-    WRITE_COMMANDS,
+    apply,
     decode_command,
     encode_command,
     encode_reply,
     encode_value,
+    validate,
 )
 from repro.gateway.protocol import (
     MAX_FRAME_BYTES,
@@ -253,25 +254,25 @@ class BoundedQueue:
 class GatewayConfig:
     """Serving knobs; defaults match the saturation bench's base leg.
 
-    Group-commit knobs:
+    Group-commit knobs (writers register their LSN with the shard's
+    commit coalescer and park; one committer per shard covers every
+    pending writer with a single ``commit(max_lsn)`` quorum barrier):
 
     * ``writer_lanes`` — executor lanes per shard.  Keys are striped
       across lanes (second-level blake2b routing), so per-key command
       order is preserved while independent keys execute in parallel.
-    * ``group_commit`` — when true, writers register their LSN with the
-      shard's commit coalescer and park; one committer process per shard
-      covers every pending writer with a single ``commit(max_lsn)``
-      quorum barrier.  When false the PR-9 per-command append+commit
-      path runs unchanged.
     * ``commit_batch_commands`` / ``commit_batch_bytes`` — the coalescer
       caps: lanes stall once that much work is pending-or-in-flight, so
       a barrier can never stretch past one knob's worth of commands (the
-      p999 governor).  ``commit_batch_commands=1`` degenerates to the
-      per-command commit cadence.
+      p999 governor).
     * ``reply_flush_frames`` — scatter-gather reply flushing: the
       connection writer takes up to this many *already-settled* replies
       per socket write (never waiting for more), one receiver wake per
-      flush.  ``1`` is the PR-9 frame-per-write behaviour.
+      flush.
+
+    ``writer_lanes=1, commit_batch_commands=1, reply_flush_frames=1`` is
+    the per-command cadence: one writer in flight per shard, one barrier
+    and one socket write per command.
     """
 
     shards: Optional[int] = None  # None -> one per pool node
@@ -283,7 +284,6 @@ class GatewayConfig:
     socket_buffer_bytes: int = 4096
     max_frame_bytes: int = MAX_FRAME_BYTES
     writer_lanes: int = 4
-    group_commit: bool = True
     commit_batch_commands: int = 16
     commit_batch_bytes: int = 64 * 1024
     reply_flush_frames: int = 8
@@ -294,8 +294,8 @@ class _Shard:
     """One partition: a dict, its replicated WAL stream, and its lanes.
 
     ``applied_lsn`` is the shard's read horizon: the primary-stream end
-    LSN of the newest write already applied to ``data``.  Under group
-    commit applies land *before* their quorum barrier, so a GET that
+    LSN of the newest write already applied to ``data``.  Applies land
+    *before* their quorum barrier, so a GET that
     observed ``applied_lsn > stream.durable_lsn`` must register with the
     coalescer and ack only behind the covering barrier — reads never
     leak state a crash could erase.
@@ -317,15 +317,6 @@ class _Shard:
     active_writers: int = 0
     degrading: object = None
     writer_drain: object = None
-
-    @property
-    def queue(self) -> BoundedQueue:
-        """Back-compat accessor for single-lane setups (tests, tools)."""
-        if len(self.queues) != 1:
-            raise GatewayError(
-                f"shard {self.index} has {len(self.queues)} lanes; "
-                f"use .queues")
-        return self.queues[0]
 
 
 class Connection:
@@ -365,20 +356,16 @@ class _CommitCoalescer:
     quorum round trip — correct because ``ReplicatedBaWAL.commit`` is
     LSN-monotonic and idempotent below ``_quorum_durable``.  Every
     covered ack fires only *after* the barrier returns, so reproscan's
-    DUR001 dominance proof holds for the batched path exactly as it did
-    for the per-command one.
+    DUR001 dominance proof holds.
 
     ``admit`` is the p999 governor: once pending + in-flight
     registrations reach the command/byte caps, lanes park before
     draining more work, bounding how many commands one barrier can
-    stretch over.  With ``commit_batch_commands=1`` the pipeline
-    degenerates to the per-command cadence: one writer in flight, one
-    barrier, one ack.
+    stretch over.
 
     A quorum loss kills the committer mid-barrier; registered acks stay
     parked and the admit window never refills, so the shard wedges
-    without ever acking an uncovered write — the same fail-stop shape as
-    a PR-9 worker dying mid-commit.
+    without ever acking an uncovered write.
     """
 
     def __init__(self, server: "GatewayServer", shard: _Shard) -> None:
@@ -544,15 +531,14 @@ class GatewayServer:
         return None
 
     def _spawn_shard_pipeline(self, shard: _Shard) -> None:
-        """Fresh lanes, queues, and (when enabled) coalescer for a shard
-        whose stream is already adopted — shared by start and recover."""
+        """Fresh lanes, queues, and coalescer for a shard whose stream is
+        already adopted — shared by start and recover."""
         lanes = self.config.writer_lanes
         shard.queues = [
             BoundedQueue(self.engine, self.config.queue_depth)
             for _ in range(lanes)
         ]
-        shard.coalescer = (_CommitCoalescer(self, shard)
-                           if self.config.group_commit else None)
+        shard.coalescer = _CommitCoalescer(self, shard)
         shard.active_writers = 0
         shard.degrading = None
         shard.writer_drain = None
@@ -746,32 +732,15 @@ class GatewayServer:
 
     def _lane_worker(self, shard: _Shard, lane: int) -> Iterator[Event]:
         """Process: one executor lane — the commands of one key stripe,
-        strictly in arrival order.
-
-        Without a coalescer this IS the PR-9 per-command worker: dequeue,
-        charge CPU, inline append + quorum + apply + ack.  With group
-        commit the lane waits for coalescer admission, drains a bounded
-        run of queued commands, and executes them as one batch whose acks
-        the shard committer covers with a single quorum barrier.
+        strictly in arrival order.  The lane waits for coalescer
+        admission, drains a bounded run of queued commands, and executes
+        them as one batch whose acks the shard committer covers with a
+        single quorum barrier.
         """
         engine = self.engine
         queue = shard.queues[lane]
         coalescer = shard.coalescer
         while True:
-            if coalescer is None:
-                entry = yield queue.get()
-                enqueued_at, command, key, value, done = entry
-                if tracing.enabled:
-                    tracing.observe("gateway.queue.wait",
-                                    engine.now - enqueued_at)
-                yield engine.timeout(self.COMMAND_CPU)
-                if command is Command.GET:
-                    payload = encode_value(shard.data.get(key))
-                    done.succeed(encode_reply(Reply.VALUE, payload))
-                    continue
-                body = yield from self._execute_write(shard, command, key, value)
-                done.succeed(body)
-                continue
             if not coalescer.has_room():
                 if tracing.enabled:
                     tracing.count("gateway.coalescer.stalls")
@@ -820,24 +789,18 @@ class GatewayServer:
                 else:
                     done.succeed(body)
                 continue
-            if command is Command.INCR:
-                # Validate *before* the WAL append: a command that cannot
-                # apply must never reach the AOF (replay would fail too).
-                try:
-                    int(shard.data.get(key, b"0"))
-                except ValueError:
-                    self.errors += 1
-                    if tracing.enabled:
-                        tracing.count("gateway.errors")
-                    done.succeed(encode_reply(Reply.ERR,
-                                              b"value is not an integer"))
-                    continue
+            try:
+                validate(shard.data, command, key)
+            except ValueError as exc:
+                self.errors += 1
+                if tracing.enabled:
+                    tracing.count("gateway.errors")
+                done.succeed(encode_reply(Reply.ERR, str(exc).encode()))
+                continue
             record = encode_command(command, key, value)
-            new_value = self._apply(shard, command, key, value)
-            if command is Command.INCR:
-                body = encode_reply(Reply.OK, new_value)
-            else:
-                body = encode_reply(Reply.OK)
+            new_value = apply(shard.data, command, key, value)
+            body = (encode_reply(Reply.OK, new_value)
+                    if command is Command.INCR else encode_reply(Reply.OK))
             acks.append(("w", len(records), done, body))
             records.append(record)
         lsns: list[int] = []
@@ -859,8 +822,8 @@ class GatewayServer:
     def _append_with_degrade(self, shard: _Shard,
                              records: list[bytes]) -> Iterator[Event]:
         """Process: land ``records`` on the shard stream, riding out at
-        most one mapping-table degrade (the PR-9 contract: one
-        degrade-and-retry, a second failure propagates).
+        most one mapping-table degrade (one degrade-and-retry, a second
+        failure propagates).
 
         Returns one end LSN per record, positionally.  Records appended
         before a mid-batch failure are already in the old primary's log
@@ -883,10 +846,7 @@ class GatewayServer:
                 try:
                     if tracing.enabled:
                         _t0 = engine.now
-                    if len(remaining) == 1:
-                        got = [(yield from stream.append(remaining[0]))]
-                    else:
-                        got = yield from stream.append_batch(remaining)
+                    got = yield from stream.append_batch(remaining)
                     if tracing.enabled:
                         tracing.observe("gateway.wal.append",
                                         engine.now - _t0)
@@ -929,93 +889,13 @@ class GatewayServer:
             while shard.active_writers > 0:
                 shard.writer_drain = engine.event()
                 yield shard.writer_drain
-            if shard.coalescer is not None:
-                yield from shard.coalescer.quiesced()
+            yield from shard.coalescer.quiesced()
             yield from self._degrade_shard(shard)
             shard.applied_lsn = shard.stream.durable_lsn
         finally:
             done, shard.degrading = shard.degrading, None
             done.succeed()
         return None
-
-    def _execute_write(self, shard: _Shard, command: Command, key: str,
-                       value: bytes) -> Iterator[Event]:
-        """Process: WAL-first commit — append, quorum, *then* apply.
-
-        The PR-9 per-command path, kept verbatim for ``group_commit=
-        False`` (the batch-size-1 golden rides it): the ack (the
-        returned reply body) exists only after the AOF record is
-        quorum-durable; destage to NAND rides the BA-WAL's background
-        recycling.  One degrade-and-retry on byte-path pressure; a
-        second failure propagates.  The ``active_writers`` bookkeeping
-        coordinates with peer lanes' degrades and costs no events on the
-        happy path.
-        """
-        engine = self.engine
-        if command is Command.INCR:
-            # Validate *before* the WAL append: a command that cannot
-            # apply must never reach the AOF (replay would fail too).
-            try:
-                int(shard.data.get(key, b"0"))
-            except ValueError:
-                self.errors += 1
-                if tracing.enabled:
-                    tracing.count("gateway.errors")
-                return encode_reply(Reply.ERR, b"value is not an integer")
-        record = encode_command(command, key, value)
-        for attempt in (0, 1):
-            while shard.degrading is not None:
-                yield shard.degrading
-            stream = shard.stream
-            shard.active_writers += 1
-            failure = None
-            try:
-                if tracing.enabled:
-                    _t0 = engine.now
-                lsn = yield from stream.append(record)
-                if tracing.enabled:
-                    tracing.observe("gateway.wal.append", engine.now - _t0)
-                    _t1 = engine.now
-                yield from stream.commit(lsn)
-                if tracing.enabled:
-                    tracing.observe("gateway.wal.quorum", engine.now - _t1)
-            except MappingTableFullError as exc:
-                failure = exc
-            finally:
-                shard.active_writers -= 1
-                if (shard.active_writers == 0
-                        and shard.writer_drain is not None):
-                    drain, shard.writer_drain = shard.writer_drain, None
-                    drain.succeed()
-            if failure is None:
-                shard.applied_lsn = max(shard.applied_lsn, lsn)
-                break
-            if attempt:
-                raise failure
-            if shard.stream is stream and shard.degrading is None:
-                yield from self._quiesce_and_degrade(shard)
-            elif shard.degrading is not None:
-                yield shard.degrading
-        new_value = self._apply(shard, command, key, value)
-        if command is Command.INCR:
-            return encode_reply(Reply.OK, new_value)
-        return encode_reply(Reply.OK)
-
-    @staticmethod
-    def _apply(shard: _Shard, command: Command, key: str,
-               value: bytes) -> bytes:
-        data = shard.data
-        if command is Command.SET:
-            data[key] = value
-        elif command is Command.DEL:
-            data.pop(key, None)
-        elif command is Command.APPEND:
-            data[key] = value = data.get(key, b"") + value
-        elif command is Command.INCR:
-            data[key] = value = str(int(data.get(key, b"0")) + 1).encode()
-        else:  # pragma: no cover - WRITE_COMMANDS is exhaustive
-            raise GatewayError(f"not a write command: {command}")
-        return value
 
     def _degrade_shard(self, shard: _Shard) -> Iterator[Event]:
         """Process: byte-path pressure — move the shard's log to a fresh
@@ -1090,7 +970,7 @@ class GatewayServer:
             applied = 0
             for lsn, payload in records:
                 command, key, value = decode_command(bytes(payload))
-                self._apply(shard, command, key, value)
+                apply(shard.data, command, key, value)
                 applied = lsn + RECORD_HEADER_BYTES + len(payload)
             shard.applied_lsn = applied
             self._spawn_shard_pipeline(shard)
@@ -1105,7 +985,8 @@ class GatewayServer:
 
     def stats(self) -> dict:
         """JSON-safe serving counters (golden fixtures fold these in)."""
-        stats = {
+        coalescers = [shard.coalescer for shard in self.shards]
+        return {
             "accepted": self.accepted,
             "refused": self.refused,
             "requests": self.requests,
@@ -1124,15 +1005,10 @@ class GatewayServer:
                 if shard.stream is not None else ()
                 for shard in self.shards
             ],
-        }
-        if self.config.group_commit:
-            coalescers = [shard.coalescer for shard in self.shards
-                          if shard.coalescer is not None]
-            stats["group_commit"] = {
+            "group_commit": {
                 "barriers": sum(c.batches for c in coalescers),
                 "commands": sum(c.batched_commands for c in coalescers),
-                "max_batch": max((c.max_batch for c in coalescers),
-                                 default=0),
+                "max_batch": max(c.max_batch for c in coalescers),
                 "admit_stalls": sum(c.stalls for c in coalescers),
-            }
-        return stats
+            },
+        }

@@ -83,9 +83,9 @@ class CampaignSpec:
     clients_per_stream: int = 2
     records_per_client: int = 10_000  # effectively "until the clock runs out"
     payload_bytes: int = 256
-    #: Records per client iteration: 1 is the per-record commit path;
-    #: >1 appends a batch and covers it with one quorum barrier before
-    #: acking any member (the gateway group-commit pattern under chaos).
+    #: Records per client iteration: each iteration appends a batch and
+    #: covers it with one quorum barrier before acking any member (the
+    #: gateway group-commit pattern under chaos); 1 is per-record commit.
     batch: int = 1
     replicas: int = 2
     quorum: Optional[int] = None
@@ -306,37 +306,25 @@ class CampaignContext:
             stream = self.pool.streams.get(stream_name)
             if stream is None:
                 return None
-            if spec.batch > 1:
-                count = min(spec.batch, spec.records_per_client - seq)
-                payloads = [make_payload(stream_name, client, seq + i,
-                                         spec.payload_bytes)
-                            for i in range(count)]
-                try:
-                    lsns = yield from stream.append_batch(payloads)
-                except PartialAppendError as exc:
-                    # Only the durable prefix may ever be acked.
-                    lsns = list(exc.lsns)
-                    payloads = payloads[:len(lsns)]
-                try:
-                    yield from stream.commit_batch(lsns)
-                except QuorumLossError:
-                    self.quorum_losses += 1
-                    return None
-                now = engine.now
-                for payload in payloads:
-                    self.acked[stream_name].append((now, payload))
-                self.next_seq[key] = seq + len(payloads)
-                continue
-            payload = make_payload(stream_name, client, seq,
-                                   spec.payload_bytes)
-            lsn = yield from stream.append(payload)
+            count = min(spec.batch, spec.records_per_client - seq)
+            payloads = [make_payload(stream_name, client, seq + i,
+                                     spec.payload_bytes)
+                        for i in range(count)]
             try:
-                yield from stream.commit(lsn)
+                lsns = yield from stream.append_batch(payloads)
+            except PartialAppendError as exc:
+                # Only the durable prefix may ever be acked.
+                lsns = exc.lsns
+                payloads = payloads[:len(lsns)]
+            try:
+                yield from stream.commit_batch(lsns)
             except QuorumLossError:
                 self.quorum_losses += 1
                 return None
-            self.acked[stream_name].append((engine.now, payload))
-            self.next_seq[key] = seq + 1
+            now = engine.now
+            for payload in payloads:
+                self.acked[stream_name].append((now, payload))
+            self.next_seq[key] = seq + len(payloads)
         return None
 
     def open_streams(self) -> None:

@@ -161,108 +161,68 @@ class BaWAL(WriteAheadLog):
     def tail_lsn(self) -> int:
         return self._tail
 
-    def append(self, payload: bytes) -> Iterator[Event]:
-        """Process: logging phase — MMIO-append exactly the record's bytes."""
+    def append_batch(self, payloads: list[bytes]) -> Iterator[Event]:
+        """Process: logging phase — MMIO-append exactly the records'
+        bytes under ONE insert-lock pass, one MMIO write per contiguous
+        run inside a buffer half.
+
+        A record that does not fit the active half's rest seals it
+        (:meth:`_switch_halves`) and opens the next segment.  A run
+        counts as appended only once its MMIO lands, so a half switch
+        failing mid-batch (mapping-table pressure stealing the recycle's
+        pin) reports exactly the prefix :meth:`recover` would see.
+        """
         if not self._started:
             raise RuntimeError("call start() before appending")
-        record_len = RECORD_HEADER_BYTES + len(payload)
-        if record_len > self.segment_bytes:
+        if not payloads:
+            return []
+        longest = RECORD_HEADER_BYTES + max(map(len, payloads))
+        if longest > self.segment_bytes:
             raise ValueError(
-                f"record of {record_len} bytes exceeds segment of {self.segment_bytes}"
+                f"record of {longest} bytes exceeds segment of {self.segment_bytes}"
             )
         if tracing.enabled:
             _t0 = self.engine.now
+        lsns: list[int] = []
+        count = len(payloads)
+        index = 0
         lock = self._insert_lock.request()
         yield lock
         try:
-            half = self._halves[self._active]
-            used = self._tail - half.stream_base
-            if used + record_len > self.segment_bytes:
-                yield from self._switch_halves()
+            while True:
                 half = self._halves[self._active]
-            record = encode_record(self._tail, payload)
-            offset_in_half = self._tail - half.stream_base
-            yield from self.api.mmio_write(half.entry, offset_in_half, record)
-            self._tail += len(record)
+                limit = half.stream_base + self.segment_bytes
+                tail = self._tail
+                run: list[bytes] = []
+                while index < count:
+                    payload = payloads[index]
+                    end = tail + RECORD_HEADER_BYTES + len(payload)
+                    if end > limit:
+                        break
+                    run.append(encode_record(tail, payload))
+                    lsns.append(end)
+                    tail = end
+                    index += 1
+                if run:
+                    yield from self.api.mmio_write(
+                        half.entry, self._tail - half.stream_base,
+                        b"".join(run))
+                    self.stats.appends += len(run)
+                    self.stats.bytes_appended += (
+                        tail - self._tail - RECORD_HEADER_BYTES * len(run))
+                    self._tail = tail
+                if index == count:
+                    break
+                try:
+                    yield from self._switch_halves()
+                except Exception as exc:
+                    if lsns:
+                        raise PartialAppendError(lsns, exc) from exc
+                    raise
         finally:
             self._insert_lock.release(lock)
         if tracing.enabled:
             tracing.observe("wal.ba.append", self.engine.now - _t0)
-        self.stats.appends += 1
-        self.stats.bytes_appended += len(payload)
-        return self._tail
-
-    def append_batch(self, payloads: list[bytes]) -> Iterator[Event]:
-        """Process: batched logging phase — ONE insert-lock pass, MMIO
-        writes coalesced per contiguous run inside a buffer half.
-
-        Record framing is identical to N :meth:`append` calls (same
-        LSNs, same segment padding); only the lock traffic and the WC
-        store count shrink.  Staged records become visible in ``lsns``
-        only after their MMIO lands, so a half-switch failing mid-batch
-        (mapping-table pressure stealing the recycle's pin) raises
-        :class:`~repro.wal.base.PartialAppendError` with exactly the
-        prefix that :meth:`recover` would see.
-        """
-        if not self._started:
-            raise RuntimeError("call start() before appending")
-        payloads = list(payloads)
-        if not payloads:
-            return []
-        for payload in payloads:
-            record_len = RECORD_HEADER_BYTES + len(payload)
-            if record_len > self.segment_bytes:
-                raise ValueError(
-                    f"record of {record_len} bytes exceeds segment of "
-                    f"{self.segment_bytes}"
-                )
-        if tracing.enabled:
-            _t0 = self.engine.now
-        lsns: list[int] = []
-        lock = self._insert_lock.request()
-        yield lock
-        try:
-            staged = bytearray()
-            staged_offset = 0
-            staged_lsns: list[int] = []
-            staged_bytes = 0  # payload bytes inside `staged`
-            for payload in payloads:
-                record_len = RECORD_HEADER_BYTES + len(payload)
-                half = self._halves[self._active]
-                used = self._tail - half.stream_base
-                if used + record_len > self.segment_bytes:
-                    if staged:
-                        yield from self.api.mmio_write(
-                            half.entry, staged_offset, bytes(staged))
-                        lsns.extend(staged_lsns)
-                        self.stats.appends += len(staged_lsns)
-                        self.stats.bytes_appended += staged_bytes
-                        staged = bytearray()
-                        staged_lsns = []
-                        staged_bytes = 0
-                    try:
-                        yield from self._switch_halves()
-                    except Exception as exc:
-                        raise PartialAppendError(lsns, exc) from exc
-                    half = self._halves[self._active]
-                if not staged:
-                    staged_offset = self._tail - half.stream_base
-                record = encode_record(self._tail, payload)
-                staged += record
-                self._tail += len(record)
-                staged_lsns.append(self._tail)
-                staged_bytes += len(payload)
-            if staged:
-                half = self._halves[self._active]
-                yield from self.api.mmio_write(
-                    half.entry, staged_offset, bytes(staged))
-                lsns.extend(staged_lsns)
-                self.stats.appends += len(staged_lsns)
-                self.stats.bytes_appended += staged_bytes
-        finally:
-            self._insert_lock.release(lock)
-        if tracing.enabled:
-            tracing.observe("wal.ba.append_batch", self.engine.now - _t0)
         return lsns
 
     def commit(self, lsn: int) -> Iterator[Event]:

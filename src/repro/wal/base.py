@@ -38,7 +38,8 @@ class PartialAppendError(Exception):
     """A batched append failed part-way through the batch.
 
     ``lsns`` holds the end LSNs of the records that *did* land, in batch
-    order; ``cause`` is the underlying error for the first record that
+    order — never empty: a batch that landed nothing raises ``cause``
+    itself.  ``cause`` is the underlying error for the first record that
     did not.  The appended prefix is real log content — it is in the
     stream and will be replicated/recovered like any other record — so a
     caller may retry only the remaining suffix.
@@ -54,18 +55,30 @@ class PartialAppendError(Exception):
 class WriteAheadLog(abc.ABC):
     """A log stream with byte-offset LSNs and a durability horizon.
 
-    ``append`` places a record in the stream and returns its *end* LSN;
-    ``commit(lsn)`` returns once the stream is durable at least up to
-    ``lsn``.  ``durable_lsn`` is the crash-survivable horizon — after a
-    power cycle, :meth:`recover` returns exactly the contiguous records
-    below it (and possibly a few more that made it out by luck).
+    ``append_batch`` places records in the stream and returns their
+    *end* LSNs; ``commit(lsn)`` returns once the stream is durable at
+    least up to ``lsn``.  ``durable_lsn`` is the crash-survivable
+    horizon — after a power cycle, :meth:`recover` returns exactly the
+    contiguous records below it (and possibly a few more that made it
+    out by luck).
     """
 
     stats: WalStats
 
     @abc.abstractmethod
+    def append_batch(self, payloads: list[bytes]) -> Iterator[Event]:
+        """Process: append ``payloads`` in order; returns their end LSNs.
+
+        The logging phase — group commit is its native shape, one record
+        is a batch of one.  A failure after at least one record landed
+        raises :class:`PartialAppendError` carrying the landed prefix; a
+        failure before any landed raises its cause unchanged.
+        """
+
     def append(self, payload: bytes) -> Iterator[Event]:
         """Process: append one record; returns the record's end LSN."""
+        lsns = yield from self.append_batch([payload])
+        return lsns[0]
 
     @abc.abstractmethod
     def commit(self, lsn: int) -> Iterator[Event]:
@@ -90,27 +103,6 @@ class WriteAheadLog(abc.ABC):
         lsn = yield from self.append(payload)
         yield from self.commit(lsn)
         return lsn
-
-    def append_batch(self, payloads: list[bytes]) -> Iterator[Event]:
-        """Process: append ``payloads`` in order; returns their end LSNs.
-
-        The group-commit logging phase.  This default is a plain loop
-        over :meth:`append`; backends override it to amortize per-record
-        overheads (one insert-lock pass, coalesced MMIO or DRAM copies,
-        one interconnect message per replica).  A failure part-way
-        through raises :class:`PartialAppendError` carrying the LSNs of
-        the prefix that did land.
-        """
-        lsns: list[int] = []
-        for payload in payloads:
-            try:
-                lsn = yield from self.append(payload)
-            except PartialAppendError as exc:
-                raise PartialAppendError(lsns + exc.lsns, exc.cause) from exc
-            except Exception as exc:
-                raise PartialAppendError(lsns, exc) from exc
-            lsns.append(lsn)
-        return lsns
 
     def commit_batch(self, lsns: list[int]) -> Iterator[Event]:
         """Process: group fsync — ONE durability barrier covers every LSN

@@ -30,7 +30,8 @@ from repro.wal.base import (
     WalStats,
     WriteAheadLog,
 )
-from repro.wal.record import decode_record, encode_record, RecordFormatError
+from repro.wal.record import (
+    RECORD_HEADER_BYTES, RecordFormatError, decode_record, encode_record)
 
 
 class BlockWAL(WriteAheadLog):
@@ -82,41 +83,20 @@ class BlockWAL(WriteAheadLog):
     def tail_lsn(self) -> int:
         return self._tail
 
-    def append(self, payload: bytes) -> Iterator[Event]:
-        lock = self._insert_lock.request()
-        yield lock
-        try:
-            record = encode_record(self._tail, payload)
-            if self._tail + len(record) - self._durable > self.area_pages * self.page_size:
-                raise RuntimeError(
-                    "log area overflow: checkpoint/truncate before wrapping over "
-                    "undurable records"
-                )
-            self._copy_into_pages(self._tail, record)
-            self._tail += len(record)
-            yield from self.cpu.dram_copy(len(record))
-        finally:
-            self._insert_lock.release(lock)
-        self.stats.appends += 1
-        self.stats.bytes_appended += len(payload)
-        if self.mode is CommitMode.ASYNCHRONOUS:
-            self._kick_writer()
-        return self._tail
-
     def append_batch(self, payloads: list[bytes]) -> Iterator[Event]:
-        """Process: batched append — one insert-lock pass and ONE DRAM
-        copy charge for the whole batch; framing identical to N
-        :meth:`append` calls.  An overflow mid-batch raises
+        """Process: copy the records into the host log buffer — one
+        insert-lock pass and ONE DRAM copy charge for the whole batch.
+        An overflow mid-batch raises
         :class:`~repro.wal.base.PartialAppendError` with the prefix that
         landed in the page cache."""
-        payloads = list(payloads)
         if not payloads:
             return []
         lock = self._insert_lock.request()
         yield lock
         lsns: list[int] = []
         try:
-            total = 0
+            start = self._tail
+            overflow = None
             for payload in payloads:
                 record = encode_record(self._tail, payload)
                 if (self._tail + len(record) - self._durable
@@ -125,16 +105,18 @@ class BlockWAL(WriteAheadLog):
                         "log area overflow: checkpoint/truncate before "
                         "wrapping over undurable records"
                     )
-                    if lsns:
-                        raise PartialAppendError(lsns, overflow)
-                    raise overflow
+                    break
                 self._copy_into_pages(self._tail, record)
                 self._tail += len(record)
-                total += len(record)
                 lsns.append(self._tail)
-                self.stats.appends += 1
-                self.stats.bytes_appended += len(payload)
-            yield from self.cpu.dram_copy(total)
+            self.stats.appends += len(lsns)
+            self.stats.bytes_appended += (
+                self._tail - start - RECORD_HEADER_BYTES * len(lsns))
+            if overflow is not None:
+                if lsns:
+                    raise PartialAppendError(lsns, overflow)
+                raise overflow
+            yield from self.cpu.dram_copy(self._tail - start)
         finally:
             self._insert_lock.release(lock)
         if self.mode is CommitMode.ASYNCHRONOUS:

@@ -20,7 +20,8 @@ from repro.sim import Engine, Resource, Store
 from repro.sim.engine import Event
 from repro.ssd.device import BlockSSD
 from repro.wal.base import WalStats, WriteAheadLog
-from repro.wal.record import decode_record, encode_record, RecordFormatError
+from repro.wal.record import (
+    RECORD_HEADER_BYTES, RecordFormatError, decode_record, encode_record)
 
 
 class PmWAL(WriteAheadLog):
@@ -69,28 +70,34 @@ class PmWAL(WriteAheadLog):
     def tail_lsn(self) -> int:
         return self._tail
 
-    def append(self, payload: bytes) -> Iterator[Event]:
-        """Process: persist one record into PM (durable on return)."""
+    def append_batch(self, payloads: list[bytes]) -> Iterator[Event]:
+        """Process: persist the records into PM under one insert-lock
+        pass (durable on return)."""
+        if not payloads:
+            return []
+        if RECORD_HEADER_BYTES + max(map(len, payloads)) > self.pm.size:
+            raise ValueError("record larger than the PM buffer")
+        lsns: list[int] = []
         lock = self._insert_lock.request()
         yield lock
         try:
-            record = encode_record(self._tail, payload)
-            if len(record) > self.pm.size:
-                raise ValueError("record larger than the PM buffer")
-            while self._tail + len(record) - self._drained > self.pm.size:
-                self.stats.flush_stalls += 1
-                waiter = self.engine.event()
-                self._space_waiters.append(waiter)
-                self._kick_flusher()
-                yield waiter
-            yield from self._pm_copy(self._tail, record)
-            self._tail += len(record)
+            for payload in payloads:
+                record = encode_record(self._tail, payload)
+                while self._tail + len(record) - self._drained > self.pm.size:
+                    self.stats.flush_stalls += 1
+                    waiter = self.engine.event()
+                    self._space_waiters.append(waiter)
+                    self._kick_flusher()
+                    yield waiter
+                yield from self._pm_copy(self._tail, record)
+                self._tail += len(record)
+                lsns.append(self._tail)
+                self.stats.appends += 1
+                self.stats.bytes_appended += len(payload)
         finally:
             self._insert_lock.release(lock)
-        self.stats.appends += 1
-        self.stats.bytes_appended += len(payload)
         self._kick_flusher()
-        return self._tail
+        return lsns
 
     def commit(self, lsn: int) -> Iterator[Event]:
         """Process: a no-op — the append's fence already persisted the record."""

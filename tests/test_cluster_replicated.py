@@ -84,10 +84,13 @@ class _BrokenWal:
         self.engine = engine
         self.lsn = 0
 
-    def append(self, payload):
+    def append_batch(self, payloads):
         yield self.engine.timeout(1e-9)
-        self.lsn += len(payload)
-        return self.lsn
+        lsns = []
+        for payload in payloads:
+            self.lsn += len(payload)
+            lsns.append(self.lsn)
+        return lsns
 
     def commit(self, lsn):
         raise IOError("replica device gone")

@@ -12,6 +12,7 @@ from repro.core import MappingTableFullError
 from repro.db.memkv.commands import (
     Command,
     Reply,
+    apply,
     decode_command,
     decode_value,
 )
@@ -84,8 +85,9 @@ def _pool(devices=3, seed=777):
 
 
 def test_serving_answers_every_pipelined_command():
-    result = run_serving(_pool(), clients=16, commands_per_client=8,
-                         pipeline_depth=4, queue_depth=8)
+    result = run_serving(_pool(), GatewayConfig(pipeline_depth=4,
+                                                queue_depth=8),
+                         clients=16, commands_per_client=8)
     assert result.replies == result.commands == 16 * 8
     assert result.server_stats["open_conns"] == 0
     assert result.ok and result.values  # both writes and reads served
@@ -136,10 +138,10 @@ def test_get_observes_prior_writes_in_order():
 def test_pipelining_overlaps_commits():
     """Depth 8 finishes the same per-client workload in less simulated
     time than depth 1 — in-flight commands overlap WAL commits."""
-    deep = run_serving(_pool(seed=31), clients=4, commands_per_client=16,
-                       pipeline_depth=8)
-    shallow = run_serving(_pool(seed=31), clients=4, commands_per_client=16,
-                          pipeline_depth=1)
+    deep = run_serving(_pool(seed=31), GatewayConfig(pipeline_depth=8),
+                       clients=4, commands_per_client=16)
+    shallow = run_serving(_pool(seed=31), GatewayConfig(pipeline_depth=1),
+                          clients=4, commands_per_client=16)
     assert deep.replies == shallow.replies
     assert deep.sim_seconds < shallow.sim_seconds
 
@@ -238,9 +240,8 @@ def test_mapping_pressure_degrades_shard_to_block_wal():
     # Exhaust the remaining byte-path budget on both nodes.
     for index in range(3):
         engine.run_process(pool.open_stream(f"filler-{index}", replicas=2))
-    # Inject byte-path pressure on the next append only (the group-commit
-    # path routes multi-record runs through append_batch, single-record
-    # runs through append — arm both).
+    # Inject byte-path pressure on the next append only (both entry
+    # points are armed; the gateway calls append_batch).
     real_append = shard.stream.append
     real_append_batch = shard.stream.append_batch
     state = {"armed": True}
@@ -359,7 +360,7 @@ def _serial_recover(server):
         applied = 0
         for lsn, payload in records:
             command, key, value = decode_command(bytes(payload))
-            server._apply(shard, command, key, value)
+            apply(shard.data, command, key, value)
             applied = lsn + RECORD_HEADER_BYTES + len(payload)
         shard.applied_lsn = applied
         server._spawn_shard_pipeline(shard)

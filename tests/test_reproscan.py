@@ -23,6 +23,7 @@ MUTANTS = {
     "mut_synced_before_sync.py": "DUR001",
     "mut_ack_before_quorum.py": "DUR001",
     "mut_coalesced_ack_before_barrier.py": "DUR001",
+    "mut_ack_after_append_batch.py": "DUR001",
     "mut_drop_fsync_manifest.py": "DUR002",
     "mut_extents_before_fsync.py": "DUR002",
     "mut_bare_yield.py": "GEN001",

@@ -116,7 +116,8 @@ class TestDurabilityMutants:
 
         def buggy_sync(entry_id):
             entry = yield engine.process(api.ba_get_entry_info(entry_id))
-            simsan.sync_begin(entry_id, api.region, entry.offset, entry.length)
+            scope = simsan.sync_begin(entry_id, api.region, entry.offset,
+                                      entry.length)
             try:
                 # bug: verify read first, flush second
                 yield engine.process(api.cpu.write_verify_read(0))
@@ -124,7 +125,7 @@ class TestDurabilityMutants:
                     api.cpu.wc_flush(api.region, entry.offset, entry.length)
                 )
             finally:
-                simsan.sync_end(entry_id)
+                simsan.sync_end(scope)
             return entry
 
         monkeypatch.setattr(api, "ba_sync", buggy_sync)
