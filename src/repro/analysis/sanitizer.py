@@ -30,6 +30,7 @@ Invariants checked (IDs appear in :class:`SanitizerError`):
 ``table.invariant``       mapping-table capacity/alignment/overlap violated
 ``table.checker-split``   the LBA checker gates against a different table
 ``pcie.unsettled-read``   BAR-target memory accessed with a landed TLP still queued
+``lsm.wal-truncation``    a manifest truncates the WAL past a record not yet in a memtable
 ``kernel.past-event``     an event was scheduled before the current sim time
 ``kernel.time-reversal``  a continuation would move simulated time backwards
 ========================  =====================================================
@@ -378,6 +379,26 @@ def check_mapping_table(device: "TwoBSSD") -> None:
                 f"(entry {entry.entry_id})",
                 sim_time=now, context={"entry_id": entry.entry_id},
             )
+
+
+# -- LSM write-ahead log truncation -------------------------------------------
+
+
+def check_wal_truncation(engine, wal_start: int, unapplied) -> None:
+    """A manifest is about to record ``wal_start``: recovery replays the
+    WAL from there, so no record still on its way into a memtable (start
+    LSNs in ``unapplied``) may sit below it."""
+    _state.checks += 1
+    lowest = min(unapplied, default=wal_start)
+    if lowest < wal_start:
+        raise _violation(
+            "lsm.wal-truncation",
+            f"manifest truncates the WAL at {wal_start}, past the record at "
+            f"{lowest} that is logged but not yet in a memtable (recovery "
+            "would skip an acknowledged write)",
+            sim_time=engine.now,
+            context={"wal_start": wal_start, "record": lowest},
+        )
 
 
 # -- sim kernel ---------------------------------------------------------------

@@ -18,6 +18,7 @@ and assert the durability contract at every single point.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -66,6 +67,16 @@ class CrashHarness:
             if halt is not None:
                 halt()
         discarded = engine.purge()
+        # A purged process whose generator sits in a reference cycle is
+        # finalized whenever the garbage collector gets to it; its finally
+        # blocks release host-side locks, handing them to other dead
+        # processes, which would then run on in the rebooted world.
+        # Finalize the dead now, while the devices are fenced, and drop
+        # whatever their cleanup scheduled.
+        gc.collect()
+        while not engine.quiescent():
+            engine.purge()
+            gc.collect()
         for device in self.platform.power._devices:
             reboot = getattr(device, "reboot", None)
             if reboot is not None:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import sanitizer as simsan
+from repro.core.faults import CrashHarness
 from repro.db.lsm import (
     DeviceTableStorage,
     LSMTree,
@@ -601,28 +603,48 @@ class TestConcurrentWriters:
         live = self.read_all(engine, tree, sorted(acked))
         assert not [key for key in live if live[key] != acked[key]]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known issue: WAL truncation races in-flight writers — _rotate takes "
-        "_immutable_end_lsn = wal.tail_lsn, but a writer that appended before "
-        "the rotation inserts into the new memtable after it; once the frozen "
-        "memtable is flushed, recovery skips that record "
-        "(docs/performance.md, LSM data plane, 'Known issue')"))
-    def test_power_loss_mid_run_recovers_every_acked_write(self):
+    def cut_and_recover(self, after):
+        """Write for ``after`` simulated seconds, cut power, reopen, and
+        compare every key sent.  Returns the tree as it was at the cut,
+        the acknowledged values, and the keys that came back wrong."""
         platform = Platform(seed=3)
         engine = platform.engine
         tree = dual_path_lsm(platform, RngStreams(3), **self.TREE)
         started, acked = {}, {}
         self.start_writers(engine, tree, started, acked)
-        engine.run(until=engine.now + 1e-3)  # all eight writers mid-flight
-        assert tree.flush_count > 10 and len(acked) == self.KEYS
-        platform.power.power_loss()
-        engine.purge()
-        platform.power.power_on()
+        CrashHarness(platform).crash_at(after)
         fresh = dual_path_lsm(platform, RngStreams(4), start_wal=False,
                               **self.TREE)
         engine.run_process(fresh.recover())
-        recovered = self.read_all(engine, fresh, sorted(acked))
+        recovered = self.read_all(engine, fresh, sorted(started))
         # A key's writer may have had one more put logged but not yet
         # acknowledged when the power failed; either value is correct.
-        assert not [key for key, value in recovered.items()
-                    if value not in (acked[key], started[key])]
+        wrong = [key for key, value in recovered.items()
+                 if value not in (acked.get(key), started[key])]
+        return tree, acked, wrong
+
+    def test_power_loss_mid_run_recovers_every_acked_write(self):
+        # 1 ms in: all eight writers mid-flight, past a dozen rotations.
+        tree, acked, wrong = self.cut_and_recover(1e-3)
+        assert tree.flush_count > 10 and len(acked) == self.KEYS
+        assert not wrong
+
+    def test_power_cut_sweep_recovers_every_acked_write(self):
+        """A cut every 50 us over the first 2 ms: each key holds its last
+        acknowledged value or a later sent one, wherever the cut falls
+        relative to a rotation, a flush or a manifest write."""
+        wrong = {}
+        for step in range(1, 41):
+            _tree, _acked, keys = self.cut_and_recover(step * 50e-6)
+            if keys:
+                wrong[step * 50] = keys
+        assert not wrong, f"stale keys by cut (us): {wrong}"
+
+    def test_manifest_truncating_past_an_unapplied_record_is_caught(self):
+        platform = Platform(seed=3)
+        tree = dual_path_lsm(platform, RngStreams(3), **self.TREE)
+        tree._wal_start = 4096
+        tree._unapplied.add(1024)
+        with simsan.activated():
+            with pytest.raises(simsan.SanitizerError, match="lsm.wal-truncation"):
+                tree._manifest()
