@@ -1,5 +1,6 @@
 """What the ``scripts/*_cost.py`` meters share: the best-of-N bracket, the
-counting wrapper, and the ceiling report that sets the exit status.
+counting wrapper, the opcode counter, and the ceiling report that sets
+the exit status.
 
 Everything here observes ``src/`` from outside, so a meter built on it runs
 unchanged on any commit.
@@ -16,6 +17,34 @@ _ABSENT = object()
 def best_of(repeats: int, timed, key=None):
     """The smallest of ``repeats`` calls of ``timed()`` (by ``key``)."""
     return min((timed() for _ in range(repeats)), key=key)
+
+
+def opcodes(fn):
+    """``(fn(), n)``: what ``fn()`` returns and the Python opcodes it ran.
+
+    Counted with ``sys.settrace`` and ``f_trace_opcodes``, so it is exact
+    and repeats, but a call into C — ``bytes.join``, a dict operation,
+    ``heapq.heappush`` — counts as one opcode however much it does.
+    """
+    count = 0
+
+    def opcode(frame, event, _arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return opcode
+
+    def call(frame, _event, _arg):
+        frame.f_trace_opcodes = True
+        return opcode
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        result = fn()
+    finally:
+        sys.settrace(previous)
+    return result, count
 
 
 @contextmanager

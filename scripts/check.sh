@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # The full local gate: domain lint -> whole-program scan -> generic
 # lint -> typing -> goldens -> e2e benchmark smoke -> byte-path, LSM,
-# gateway and recovery cost smokes -> tests.
+# gateway, recovery and device cost smokes -> tests.
 #
 #   scripts/check.sh          # everything (tier-1 includes the soak tests)
-#   scripts/check.sh --fast   # deselect the soak tests (the system soak and
+#   scripts/check.sh --fast   # deselect the soak tests (the system soak,
 #                             # the 3 000-example byte-path and WAL-recovery
-#                             # oracle properties)
+#                             # and the 2 000-example firmware-pacing oracle
+#                             # properties)
 #
 # ruff and mypy are optional in minimal images; they run when importable
 # and are reported as skipped otherwise (the configured baselines in
@@ -89,6 +90,12 @@ step "gateway cost smoke (scripts/gateway_cost.py --smoke)" \
 # of its shards' scans, breaks a ceiling and exits non-zero.
 step "recovery cost smoke (scripts/recover_cost.py --smoke)" \
     python3 scripts/recover_cost.py --smoke
+
+# One BA_PIN / BA_FLUSH / TRIM / BaWAL.start() on a bare platform (< 2 s):
+# wrong landed bytes, or a never-written 1 MiB pin above 4 kernel events,
+# breaks a ceiling and exits non-zero.
+step "device cost smoke (scripts/device_cost.py --smoke)" \
+    python3 scripts/device_cost.py --smoke
 
 if [ "$fast" = 1 ]; then
     step "tier-1 tests (fast: no soak)" python -m pytest -x -q -m "not soak" tests/

@@ -12,7 +12,7 @@ exactly the windows the benchmark's ``kernel_events_per_op`` counts:
 * ``completion-wake``    — a finished process waking whoever awaited it
 * ``handoff-wake``       — a resource grant / store hand-off / all_of waking its waiter
 * ``yield-of-processed`` — a process yielding an event that had already fired
-* ``timeout``            — ``engine.timeout(...)``
+* ``timeout``            — ``engine.timeout(...)`` and ``engine.timeout_at(...)``
 * ``schedule``           — ``Event.succeed/fail``, ``call_at``, PCIe burst wake-ups
 
 A ``bootstrap`` + ``completion-wake`` pair at one site is a spawn; when
@@ -81,6 +81,9 @@ def _innermost(generator):
 
 def instrument(ledger: Ledger) -> None:
     timeout_init = kernel.Timeout.__init__
+    # An absolute-time wake-up builds its Timeout without __init__; older
+    # kernels have none.
+    timeout_at = getattr(kernel.Engine, "timeout_at", None)
     schedule = kernel.Engine._schedule
     defer = kernel.Engine._defer
     capture_state = kernel.Engine.capture_state
@@ -89,6 +92,11 @@ def instrument(ledger: Ledger) -> None:
     def counted_timeout(self, engine, delay, value=None):
         timeout_init(self, engine, delay, value)
         ledger.add("timeout", _stack_site(sys._getframe(1)))
+
+    def counted_timeout_at(self, when, value=None):
+        event = timeout_at(self, when, value)
+        ledger.add("timeout", _stack_site(sys._getframe(1)))
+        return event
 
     def counted_schedule(self, event, delay):
         schedule(self, event, delay)
@@ -130,6 +138,8 @@ def instrument(ledger: Ledger) -> None:
             ledger.open = False
 
     kernel.Timeout.__init__ = counted_timeout
+    if timeout_at is not None:
+        kernel.Engine.timeout_at = counted_timeout_at
     kernel.Engine._schedule = counted_schedule
     kernel.Engine._defer = counted_defer
     kernel.Engine.capture_state = marking_capture_state

@@ -11,6 +11,14 @@ from __future__ import annotations
 from typing import Optional
 
 
+def keys_in_range(keys, start: int, end: int) -> list[int]:
+    """The integer keys of ``keys`` (a dict or set) in ``[start, end)``,
+    found by walking whichever is shorter: the range or the keys."""
+    if end - start <= len(keys):
+        return [key for key in range(start, end) if key in keys]
+    return [key for key in keys if start <= key < end]
+
+
 class MappingTable:
     """L2P / P2L page map with inverse-consistency enforcement."""
 

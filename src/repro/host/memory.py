@@ -62,6 +62,13 @@ class ByteRegion:
             self._data = bytearray(self.size)
         self._data[offset:offset + len(data)] = data
 
+    def zero(self, offset: int, nbytes: int) -> None:
+        """A write of zeros that allocates nothing while the region is untouched."""
+        if self._data is None and self._inbound is None:
+            self._check(offset, nbytes)
+        else:
+            self.write(offset, bytes(nbytes))
+
     def read(self, offset: int, nbytes: int) -> bytes:
         self._check(offset, nbytes)
         if self._inbound is not None:

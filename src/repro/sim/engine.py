@@ -363,6 +363,21 @@ class Engine:
         """Return an event firing ``delay`` simulated seconds from now."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Return an event firing at absolute simulated time ``when``: for
+        a driver that adds up a chain of delays itself and wakes only where
+        it has work (``now + (when - now)`` need not round back to ``when``)."""
+        if when < self.now:
+            raise ValueError(f"timeout_at({when}) is in the past (now={self.now})")
+        timeout = Timeout.__new__(Timeout)
+        Event.__init__(timeout, self)
+        timeout._triggered = True
+        timeout._value = value
+        timeout.delay = when - self.now
+        self._sequence = sequence = self._sequence + 1
+        heapq.heappush(self._queue, (when, sequence, timeout))
+        return timeout
+
     def event(self) -> Event:
         """Return a fresh, untriggered event for manual triggering."""
         return Event(self)

@@ -18,6 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from repro.ftl.mapping import keys_in_range
 from repro.ftl.pagemap import PageMapFTL
 from repro.nand.array import FlashArray
 from repro.sim import Engine, Resource, RngStreams, Store
@@ -229,15 +230,17 @@ class BlockSSD:
         return None
 
     def trim(self, lpn: int, npages: int) -> None:
-        """Discard pages: drop cached copies and unmap in the FTL."""
+        """Discard pages: drop cached copies and unmap in the FTL.  Costs
+        O(pages cached or mapped): a never-written range is free."""
         self._check_range(lpn, npages)
-        for page in range(lpn, lpn + npages):
-            self._dirty.pop(page, None)
-            if page in self._destaging:
-                # An in-flight destage would re-materialize the mapping;
-                # remember to unmap again once it lands.
-                self._trimmed_during_destage.add(page)
-            self.ftl.trim(page)
+        end = lpn + npages
+        for page in keys_in_range(self._dirty, lpn, end):
+            del self._dirty[page]
+        # An in-flight destage would re-materialize the mapping; remember
+        # to unmap again once it lands.
+        self._trimmed_during_destage.update(
+            keys_in_range(self._destaging, lpn, end))
+        self.ftl.trim(lpn, npages)
 
     def smart(self) -> dict:
         """SMART-style health report: wear, spare pool, media activity.

@@ -111,3 +111,29 @@ def test_events_per_operation_within_budget(scenario, ceiling):
         f"{scenario.__name__}: {deltas[0]} kernel events per op, budget "
         f"{ceiling} — a spawn-and-join back on the hot path? "
         f"(scripts/kernel_events.py names the call sites)")
+
+
+def ba_wal_start():
+    platform = Platform(seed=5)
+    wal = BaWAL(platform.engine, platform.api, area_pages=2048)
+    return events_per_op(platform.engine, [wal.start()])[0]
+
+
+def gateway_start():
+    pool = DevicePool(devices=3, seed=777)
+    server = GatewayServer(pool, GatewayConfig())
+    return events_per_op(pool.engine, [server.start()])[0]
+
+
+@pytest.mark.parametrize("scenario,ceiling", [
+    # Two never-written 4 MiB pins: each is the ioctl, the core grant and
+    # one wake at its last page (per-page pacing: 4 099).
+    (ba_wal_start, 8),
+    # Three shards x RF 2: six area trims and twelve such pins (6 181).
+    (gateway_start, 64),
+])
+def test_start_up_within_budget(scenario, ceiling):
+    events = scenario()
+    assert events <= ceiling, (
+        f"{scenario.__name__}: {events} kernel events, budget {ceiling} — "
+        f"a never-written page costing a wake-up again?")
