@@ -102,6 +102,9 @@ def logged(records: int):
         for index in range(records):
             end = yield from wal.append(bytes([index % 251]) * PAYLOAD)
             yield from wal.commit(end)
+            # A consumer that truncates each committed record: the
+            # wrapped row needs the area to recycle.
+            wal.low_water_lsn = end
 
     engine.run_process(load())
     engine.run()

@@ -152,6 +152,17 @@ class ReplicatedBaWAL(WriteAheadLog):
     def tail_lsn(self) -> int:
         return self.primary.wal.tail_lsn
 
+    @property
+    def low_water_lsn(self) -> int:
+        return self.primary.wal.low_water_lsn
+
+    @low_water_lsn.setter
+    def low_water_lsn(self, lsn: int) -> None:
+        """Every leg holds the same records, so every leg may recycle
+        below the same point."""
+        for leg in self.legs():
+            leg.wal.low_water_lsn = lsn
+
     def append_batch(self, payloads: list[bytes]) -> Iterator[Event]:
         """Process: the primary logs the batch in one pass, then ONE
         queue message per replica ships it (one interconnect transfer,

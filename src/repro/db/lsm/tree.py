@@ -160,6 +160,8 @@ class LSMTree:
         self._l0.append(table)
         self._wal_start = self._immutable_end_lsn
         yield from self.storage.write_manifest(self._manifest())
+        # Only a durable manifest lets the log recycle below the new start.
+        self.wal.low_water_lsn = self._wal_start
         self._immutable = None
         self.flush_count += 1
         done, self._flush_done = self._flush_done, None
@@ -333,4 +335,5 @@ class LSMTree:
             key, value = decode_kv(payload)
             self._active.insert(key, value)
             replayed += 1
+        self.wal.low_water_lsn = self._wal_start
         return replayed

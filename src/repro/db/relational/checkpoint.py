@@ -103,10 +103,11 @@ def checkpoint_and_truncate(engine, db: RelationalEngine,
     """Process: take a checkpoint at the WAL's current durable horizon.
 
     Returns the WAL LSN the checkpoint covers; log space before it may be
-    recycled, and recovery starts there.
+    recycled (it becomes the WAL's low water), and recovery starts there.
     """
     wal_lsn = db.wal.durable_lsn
     yield from store.save(db, wal_lsn)
+    db.wal.low_water_lsn = wal_lsn
     return wal_lsn
 
 
@@ -120,4 +121,5 @@ def recover_from_checkpoint(engine, db: RelationalEngine,
         start_lsn, blob = loaded
         db.load_checkpoint(blob)
     replayed = yield from db.recover(start_lsn)
+    db.wal.low_water_lsn = start_lsn
     return start_lsn, replayed

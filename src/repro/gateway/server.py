@@ -26,7 +26,10 @@ background recycling, off the critical path.  Under byte-path pressure
 (:class:`~repro.core.errors.MappingTableFullError`) the shard degrades:
 its log is replayed onto a fresh stream — which lands on block-WAL legs
 when the mapping-table budget is gone — and the command retries.  Slower
-commits, same durability contract.
+commits, same durability contract.  A shard whose log area is full
+(:class:`~repro.wal.base.LogFullError`: every slot still holds records
+above the stream's low water) refuses writes with ``ERR readonly``
+instead of wrapping over acknowledged ones; reads keep being served.
 
 Crash semantics are the kernel's: a node crash purges in-flight work.
 Parked waiters (empty-queue getters, empty-pipe receivers) survive a
@@ -64,8 +67,12 @@ from repro.obs import events, tracing
 from repro.sim import Engine, Resource, Store
 from repro.sim.engine import Event
 from repro.sim.units import USEC
-from repro.wal.base import PartialAppendError
+from repro.wal.base import LogFullError, PartialAppendError
 from repro.wal.record import RECORD_HEADER_BYTES
+
+# The reply to a write the shard's full log refused (LogFullError).
+_READONLY = encode_reply(Reply.ERR, b"readonly: shard log is full")
+_ABSENT = object()  # no value under the key before a write's apply
 
 
 class GatewayError(Exception):
@@ -772,10 +779,17 @@ class GatewayServer:
         not-yet-durable state registers at the shard's applied horizon
         and acks only behind the covering barrier, so reads never leak
         state a crash could erase.
+
+        When the shard's log is full it refuses a suffix of the run's
+        records (:class:`~repro.wal.base.LogFullError`).  Those writes
+        are un-applied and answer ``ERR readonly``; the landed prefix
+        commits and acks as usual, and a read queued behind a refused
+        write answers from the restored state.
         """
         engine = self.engine
-        acks: list[tuple] = []  # ("w", record_index, done, body) | ("g", ...)
+        acks: list[tuple] = []  # ("w", record_index, done, body) | ("g", key, ...)
         records: list[bytes] = []
+        priors: list[tuple] = []  # (key, value before the record's apply)
         for enqueued_at, command, key, value, done in batch:
             if tracing.enabled:
                 tracing.observe("gateway.queue.wait",
@@ -785,7 +799,7 @@ class GatewayServer:
                 payload = encode_value(shard.data.get(key))
                 body = encode_reply(Reply.VALUE, payload)
                 if records or shard.applied_lsn > shard.stream.durable_lsn:
-                    acks.append(("g", None, done, body))
+                    acks.append(("g", key, done, body))
                 else:
                     done.succeed(body)
                 continue
@@ -798,6 +812,7 @@ class GatewayServer:
                 done.succeed(encode_reply(Reply.ERR, str(exc).encode()))
                 continue
             record = encode_command(command, key, value)
+            priors.append((key, shard.data.get(key, _ABSENT)))
             new_value = apply(shard.data, command, key, value)
             body = (encode_reply(Reply.OK, new_value)
                     if command is Command.INCR else encode_reply(Reply.OK))
@@ -806,14 +821,34 @@ class GatewayServer:
         lsns: list[int] = []
         if records:
             lsns = yield from self._append_with_degrade(shard, records)
-            shard.applied_lsn = max(shard.applied_lsn, lsns[-1])
+            for key, prior in reversed(priors[len(lsns):]):
+                # Refused by the full log: undo the apply, newest first.
+                if prior is _ABSENT:
+                    shard.data.pop(key, None)
+                else:
+                    shard.data[key] = prior
+            if lsns:
+                shard.applied_lsn = max(shard.applied_lsn, lsns[-1])
         coalescer = shard.coalescer
         horizon = shard.applied_lsn
+        refused = False
         for kind, index, done, body in acks:
             if kind == "w":
+                if index >= len(lsns):
+                    refused = True
+                    self.errors += 1
+                    if tracing.enabled:
+                        tracing.count("gateway.errors")
+                    done.succeed(_READONLY)
+                    continue
                 coalescer.register(lsns[index], len(records[index]),
                                    done, body)
             else:
+                if refused:
+                    # Read after a refused write: answer from the state
+                    # the refusal restored, not the one it observed.
+                    body = encode_reply(Reply.VALUE,
+                                        encode_value(shard.data.get(index)))
                 # A read of possibly-undurable state: ack it behind the
                 # barrier covering everything applied so far.
                 coalescer.register(horizon, 0, done, body)
@@ -825,12 +860,16 @@ class GatewayServer:
         most one mapping-table degrade (one degrade-and-retry, a second
         failure propagates).
 
-        Returns one end LSN per record, positionally.  Records appended
-        before a mid-batch failure are already in the old primary's log
-        (and shipped to its replicas), so they ride the degrade replay —
-        which quorum-commits them — and report the *new* stream's durable
-        horizon as their LSN: their coalescer registrations are covered
-        the moment the committer looks at them.
+        Returns one end LSN per landed record, positionally.  Records
+        appended before a mid-batch failure are already in the old
+        primary's log (and shipped to its replicas), so they ride the
+        degrade replay — which quorum-commits them — and report the *new*
+        stream's durable horizon as their LSN: their coalescer
+        registrations are covered the moment the committer looks at them.
+
+        A full log (:class:`~repro.wal.base.LogFullError`, alone or as a
+        partial append's cause) is no degrade: the list comes back short,
+        and the records past its end were refused.
         """
         engine = self.engine
         lsns: list[int] = []
@@ -852,9 +891,16 @@ class GatewayServer:
                                         engine.now - _t0)
                 except MappingTableFullError as exc:
                     failure = exc
+                except LogFullError:
+                    got = []
                 except PartialAppendError as exc:
-                    failure = exc
-                    appended = len(exc.lsns)
+                    if isinstance(exc.cause, LogFullError):
+                        got = exc.lsns
+                    elif isinstance(exc.cause, MappingTableFullError):
+                        failure = exc
+                        appended = len(exc.lsns)
+                    else:
+                        raise
             finally:
                 shard.active_writers -= 1
                 if (shard.active_writers == 0

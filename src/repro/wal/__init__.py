@@ -16,7 +16,8 @@ Three interchangeable WAL backends drive the database engines:
 """
 
 from repro.wal.ba_wal import BaWAL
-from repro.wal.base import CommitMode, WalStats, WriteAheadLog
+from repro.wal.base import (
+    CommitMode, LogFullError, PartialAppendError, WalStats, WriteAheadLog)
 from repro.wal.block_wal import BlockWAL
 from repro.wal.pm_wal import PmWAL
 from repro.wal.record import (
@@ -31,6 +32,8 @@ __all__ = [
     "BaWAL",
     "BlockWAL",
     "CommitMode",
+    "LogFullError",
+    "PartialAppendError",
     "PmWAL",
     "RECORD_HEADER_BYTES",
     "RecordFormatError",

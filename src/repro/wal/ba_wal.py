@@ -24,7 +24,8 @@ from repro.core.mapping_table import BaMappingEntry
 from repro.obs import tracing
 from repro.sim import Engine, Resource
 from repro.sim.engine import Event
-from repro.wal.base import PartialAppendError, WalStats, WriteAheadLog
+from repro.wal.base import (
+    LogFullError, PartialAppendError, WalStats, WriteAheadLog)
 from repro.wal.record import (
     RECORD_HEADER_BYTES,
     RecordFormatError,
@@ -170,7 +171,8 @@ class BaWAL(WriteAheadLog):
         (:meth:`_switch_halves`) and opens the next segment.  A run
         counts as appended only once its MMIO lands, so a half switch
         failing mid-batch (mapping-table pressure stealing the recycle's
-        pin) reports exactly the prefix :meth:`recover` would see.
+        pin, or a recycle refused by low water) reports exactly the
+        prefix :meth:`recover` would see.
         """
         if not self._started:
             raise RuntimeError("call start() before appending")
@@ -253,6 +255,16 @@ class BaWAL(WriteAheadLog):
         """Seal the active half: sync it, flush it in the background, and
         continue in the other half (waiting for it only if its own recycle
         is still running — the double-buffering stall)."""
+        segments = self.area_pages // self.segment_pages
+        discarded_end = (self._next_segment - segments + 1) * self.segment_bytes
+        if self._next_segment >= segments and discarded_end > self.low_water_lsn:
+            # The recycle would trim the slot's previous generation, which
+            # still holds records the consumer needs.  Refuse before
+            # sealing: nothing changes, the active half stays open.
+            raise LogFullError(
+                f"log area full: recycling segment {self._next_segment} "
+                f"discards bytes below {discarded_end}, low water is "
+                f"{self.low_water_lsn}")
         old = self._halves[self._active]
         # Everything in the sealed segment becomes durable before flushing.
         yield from self.api.ba_sync(old.entry_id)

@@ -52,6 +52,13 @@ class PartialAppendError(Exception):
         self.cause = cause
 
 
+class LogFullError(Exception):
+    """An append needs log area that still holds records at or above the
+    stream's ``low_water_lsn``: recycling it would discard them, so the
+    log refuses the append and overwrites nothing.  Advancing low water
+    (the consumer truncating) makes room again."""
+
+
 class WriteAheadLog(abc.ABC):
     """A log stream with byte-offset LSNs and a durability horizon.
 
@@ -61,9 +68,15 @@ class WriteAheadLog(abc.ABC):
     horizon — after a power cycle, :meth:`recover` returns exactly the
     contiguous records below it (and possibly a few more that made it
     out by luck).
+
+    ``low_water_lsn`` is the consumer's truncation point: records below
+    it are no longer needed (flushed into tables, checkpointed).  The
+    log area is circular, and no backend recycles area holding bytes at
+    or above low water — such an append raises :class:`LogFullError`.
     """
 
     stats: WalStats
+    low_water_lsn: int = 0
 
     @abc.abstractmethod
     def append_batch(self, payloads: list[bytes]) -> Iterator[Event]:

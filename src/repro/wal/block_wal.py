@@ -26,6 +26,7 @@ from repro.sim.engine import Event
 from repro.ssd.device import BlockSSD
 from repro.wal.base import (
     CommitMode,
+    LogFullError,
     PartialAppendError,
     WalStats,
     WriteAheadLog,
@@ -86,9 +87,10 @@ class BlockWAL(WriteAheadLog):
     def append_batch(self, payloads: list[bytes]) -> Iterator[Event]:
         """Process: copy the records into the host log buffer — one
         insert-lock pass and ONE DRAM copy charge for the whole batch.
-        An overflow mid-batch raises
-        :class:`~repro.wal.base.PartialAppendError` with the prefix that
-        landed in the page cache."""
+        A record that would wrap the area over low water raises
+        :class:`~repro.wal.base.LogFullError` — mid-batch, as the cause
+        of a :class:`~repro.wal.base.PartialAppendError` with the prefix
+        that landed in the page cache."""
         if not payloads:
             return []
         lock = self._insert_lock.request()
@@ -99,11 +101,12 @@ class BlockWAL(WriteAheadLog):
             overflow = None
             for payload in payloads:
                 record = encode_record(self._tail, payload)
-                if (self._tail + len(record) - self._durable
+                if (self._tail + len(record) - self.low_water_lsn
                         > self.area_pages * self.page_size):
-                    overflow = RuntimeError(
-                        "log area overflow: checkpoint/truncate before "
-                        "wrapping over undurable records"
+                    overflow = LogFullError(
+                        f"log area full: appending up to "
+                        f"{self._tail + len(record)} would wrap over low "
+                        f"water {self.low_water_lsn}"
                     )
                     break
                 self._copy_into_pages(self._tail, record)

@@ -19,7 +19,8 @@ from repro.obs import tracing
 from repro.sim import Engine, Resource, Store
 from repro.sim.engine import Event
 from repro.ssd.device import BlockSSD
-from repro.wal.base import WalStats, WriteAheadLog
+from repro.wal.base import (
+    LogFullError, PartialAppendError, WalStats, WriteAheadLog)
 from repro.wal.record import (
     RECORD_HEADER_BYTES, RecordFormatError, decode_record, encode_record)
 
@@ -72,7 +73,10 @@ class PmWAL(WriteAheadLog):
 
     def append_batch(self, payloads: list[bytes]) -> Iterator[Event]:
         """Process: persist the records into PM under one insert-lock
-        pass (durable on return)."""
+        pass (durable on return).  A record whose drain would wrap the
+        device area over low water raises
+        :class:`~repro.wal.base.LogFullError` (mid-batch, as the cause of
+        a :class:`~repro.wal.base.PartialAppendError`)."""
         if not payloads:
             return []
         if RECORD_HEADER_BYTES + max(map(len, payloads)) > self.pm.size:
@@ -83,6 +87,15 @@ class PmWAL(WriteAheadLog):
         try:
             for payload in payloads:
                 record = encode_record(self._tail, payload)
+                if (self._tail + len(record) - self.low_water_lsn
+                        > self.area_pages * self.page_size):
+                    full = LogFullError(
+                        f"log area full: appending up to "
+                        f"{self._tail + len(record)} would wrap over low "
+                        f"water {self.low_water_lsn}")
+                    if lsns:
+                        raise PartialAppendError(lsns, full)
+                    raise full
                 while self._tail + len(record) - self._drained > self.pm.size:
                     self.stats.flush_stalls += 1
                     waiter = self.engine.event()

@@ -48,6 +48,9 @@ def logged(records, power_cycle=True):
         for index in range(records):
             end = yield from wal.append(bytes([index % 251]) * PAYLOAD)
             yield from wal.commit(end)
+            # A consumer that truncates each record once it is committed,
+            # so a long load may wrap the area.
+            wal.low_water_lsn = end
 
     engine.run_process(load())
     engine.run()

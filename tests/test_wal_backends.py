@@ -5,7 +5,7 @@ import pytest
 
 from repro.sim.units import USEC
 from repro.ssd import DC_SSD, ULL_SSD
-from repro.wal import BaWAL, BlockWAL, CommitMode, PmWAL
+from repro.wal import BaWAL, BlockWAL, CommitMode, LogFullError, PmWAL
 from tests.helpers import Platform, small_ba_params
 
 
@@ -103,7 +103,7 @@ class TestBlockWalSync:
             for _ in range(10):
                 yield platform_engine.process(wal.append(b"x" * 2000))
 
-        with pytest.raises(RuntimeError, match="overflow"):
+        with pytest.raises(LogFullError, match="log area full"):
             platform_engine.run_process(scenario())
 
 

@@ -143,8 +143,11 @@ class TestLogAreaWrap:
 
         def workload():
             for i in range(count):
-                yield engine.process(
+                end = yield engine.process(
                     wal.append_and_commit(b"wrap%04d" % i + b"." * 480))
+                # The consumer truncates each committed record, which is
+                # what lets the area recycle.
+                wal.low_water_lsn = end
 
         engine.run_process(workload())
         engine.run()  # quiesce: let in-flight segment recycling finish
