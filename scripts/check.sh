@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # The full local gate: domain lint -> whole-program scan -> generic
 # lint -> typing -> goldens -> e2e benchmark smoke -> byte-path, LSM,
-# gateway, recovery and device cost smokes -> tests.
+# gateway, recovery, device and memory cost smokes -> tests.
 #
 #   scripts/check.sh          # everything (tier-1 includes the soak tests)
 #   scripts/check.sh --fast   # deselect the soak tests (the system soak,
 #                             # the 3 000-example byte-path and WAL-recovery
-#                             # and the 2 000-example firmware-pacing oracle
-#                             # properties)
+#                             # and the 2 000-example firmware-pacing and
+#                             # memory-backing oracle properties)
 #
 # ruff and mypy are optional in minimal images; they run when importable
 # and are reported as skipped otherwise (the configured baselines in
@@ -96,6 +96,12 @@ step "recovery cost smoke (scripts/recover_cost.py --smoke)" \
 # breaks a ceiling and exits non-zero.
 step "device cost smoke (scripts/device_cost.py --smoke)" \
     python3 scripts/device_cost.py --smoke
+
+# Host memory of a gateway pool, one fresh child per row (~1 s): 4 096
+# SETs of 64 B leaving more than 512 KiB of a node's 8 MiB BA-buffer
+# resident breaks the ceiling and exits non-zero.
+step "memory cost smoke (scripts/memory_cost.py --smoke)" \
+    python3 scripts/memory_cost.py --smoke
 
 if [ "$fast" = 1 ]; then
     step "tier-1 tests (fast: no soak)" python -m pytest -x -q -m "not soak" tests/

@@ -1,7 +1,7 @@
 """Byte-addressable memory regions.
 
-:class:`ByteRegion` is the basic data container: a named bytearray used for
-host DRAM buffers and for the device-internal DRAM that BAR1 exposes.
+:class:`ByteRegion` is the basic data container: a named byte store used
+for host DRAM buffers and for the device-internal DRAM that BAR1 exposes.
 
 :class:`PersistentMemoryRegion` marks a region that survives power loss
 (an emulated NVDIMM for the Fig. 10 comparison, or the capacitor-backed
@@ -10,6 +10,7 @@ BA-buffer once the recovery manager has saved it).
 
 from __future__ import annotations
 
+import mmap
 from typing import TYPE_CHECKING, Optional
 
 from repro.analysis import sanitizer as simsan
@@ -17,15 +18,20 @@ from repro.analysis import sanitizer as simsan
 if TYPE_CHECKING:  # import cycle: pcie.link is imported by repro.host
     from repro.pcie.link import PcieLink
 
+_OS_PAGE = mmap.PAGESIZE
+
 
 class ByteRegion:
     """A named, bounds-checked byte store.
 
-    The backing bytearray is allocated lazily on the first write: large
-    regions (the 16 MiB BA DRAM, multi-MiB host buffers) are routinely
-    constructed and never — or only sparsely — touched, and eagerly
-    zero-filling them dominated short-run platform construction.
-    An untouched region reads as zeros, exactly like the eager version.
+    The backing store is a private anonymous mapping, created on the
+    first write: large regions (the 8 MiB BA DRAM, multi-MiB host
+    buffers) are routinely constructed and never — or only sparsely —
+    touched.  The OS backs a page only once it is written, so host
+    memory follows the bytes the model wrote, not the region's size, and
+    an untouched page reads as zeros.  :meth:`zero` hands whole pages
+    back.  The mapping is ``MAP_PRIVATE``: a forked worker's writes stay
+    in the worker.
 
     A region behind a BAR takes posted writes that land some time after
     they are issued; the link that carries them (``_inbound``, set by the
@@ -38,7 +44,7 @@ class ByteRegion:
             raise ValueError(f"region size must be positive, got {size}")
         self.name = name
         self.size = size
-        self._data: bytearray | None = None
+        self._data: mmap.mmap | None = None
         self._inbound: Optional["PcieLink"] = None
 
     def _check(self, offset: int, nbytes: int) -> None:
@@ -54,20 +60,40 @@ class ByteRegion:
         if simsan.enabled:
             simsan.check_settled(link, self)
 
+    def _backing(self) -> mmap.mmap:
+        if self._data is None:
+            self._data = mmap.mmap(-1, self.size, flags=mmap.MAP_PRIVATE)
+            if hasattr(mmap, "MADV_NOHUGEPAGE"):
+                # A host with transparent huge pages always on would
+                # fault in 2 MiB per touch.
+                self._data.madvise(mmap.MADV_NOHUGEPAGE)
+        return self._data
+
     def write(self, offset: int, data: bytes) -> None:
         self._check(offset, len(data))
         if self._inbound is not None:
             self._settle_inbound()
-        if self._data is None:
-            self._data = bytearray(self.size)
-        self._data[offset:offset + len(data)] = data
+        self._backing()[offset:offset + len(data)] = data
 
     def zero(self, offset: int, nbytes: int) -> None:
-        """A write of zeros that allocates nothing while the region is untouched."""
-        if self._data is None and self._inbound is None:
-            self._check(offset, nbytes)
-        else:
-            self.write(offset, bytes(nbytes))
+        """A write of zeros that touches only the ragged ends: the whole
+        OS pages between them go back to the OS (they read as zeros and
+        cost nothing until written again)."""
+        self._check(offset, nbytes)
+        if self._inbound is not None:
+            self._settle_inbound()
+        data = self._data
+        if data is None:
+            return
+        end = offset + nbytes
+        first = -(-offset // _OS_PAGE) * _OS_PAGE
+        last = end // _OS_PAGE * _OS_PAGE
+        if first >= last:
+            data[offset:end] = bytes(nbytes)
+            return
+        data[offset:first] = bytes(first - offset)
+        data.madvise(mmap.MADV_DONTNEED, first, last - first)
+        data[last:end] = bytes(end - last)
 
     def read(self, offset: int, nbytes: int) -> bytes:
         self._check(offset, nbytes)
@@ -75,14 +101,14 @@ class ByteRegion:
             self._settle_inbound()
         if self._data is None:
             return bytes(nbytes)
-        return bytes(memoryview(self._data)[offset:offset + nbytes])
+        return self._data[offset:offset + nbytes]
 
     def snapshot(self) -> bytes:
         if self._inbound is not None:
             self._settle_inbound()
         if self._data is None:
             return bytes(self.size)
-        return bytes(self._data)
+        return self._data[:]
 
     def restore(self, image: bytes) -> None:
         if len(image) != self.size:
@@ -91,14 +117,13 @@ class ByteRegion:
             )
         if self._inbound is not None:
             self._settle_inbound()
-        if self._data is None:
-            self._data = bytearray(image)
-        else:
-            self._data[:] = image
+        self._backing()[:] = image
 
     def clear(self) -> None:
         if self._inbound is not None:
             self._settle_inbound()
+        # Dropped, not closed: a live memoryview export would make
+        # close() raise; the mapping goes when its last user does.
         self._data = None
 
 

@@ -89,8 +89,8 @@ class FlashArray:
         self.ecc = ecc or EccConfig()
         self._ecc_seed = (rng or RngStreams(0)).stream("ecc-seed").getrandbits(32)
         self._rng = (rng or RngStreams(0)).stream("nand")
-        # Shared zero page for never-programmed reads: peek() returns it by
-        # reference instead of allocating page_size zero bytes per miss.
+        # Shared zero page: peek() returns it for a never-programmed page,
+        # and an all-zero program stores it, instead of a page_size copy.
         self._zero_page = bytes(self.geometry.page_size)
         self._data: dict[int, bytes] = {}
         self._blocks: dict[tuple[int, int, int], _BlockState] = {}
@@ -243,6 +243,16 @@ class FlashArray:
         """Read page contents without timing (for assertions and recovery dumps)."""
         return self._data.get(ppn, self._zero_page)
 
+    def _page_image(self, data: bytes) -> bytes:
+        """What a programmed page stores: ``data`` padded to a whole
+        page — or the shared zero page when it is all zeros, so a flush
+        of never-written buffer pages costs no host memory per page."""
+        if len(data) != self.geometry.page_size:
+            data = bytes(data) + bytes(self.geometry.page_size - len(data))
+        elif type(data) is not bytes:
+            data = bytes(data)
+        return self._zero_page if data == self._zero_page else data
+
     def _transfer_time(self, nbytes: int) -> float:
         return nbytes / self.CHANNEL_BYTES_PER_SEC
 
@@ -342,11 +352,7 @@ class FlashArray:
             if _addr is not None:
                 simsan.die_op_end(self, _addr, die_res, die_req, "program")
             die_res.release(die_req)
-        if len(data) != self.geometry.page_size:
-            data = bytes(data) + bytes(self.geometry.page_size - len(data))
-        elif type(data) is not bytes:
-            data = bytes(data)
-        self._data[ppn] = data
+        self._data[ppn] = self._page_image(data)
         state.programmed.add(page)
         state.write_pointer = page + 1
         self.stats.page_programs += 1
@@ -675,7 +681,6 @@ class NandProgramBatch(_NandBatch):
         sample_program = array.timing.sample_program
         rng = array._rng
         stats = array.stats
-        page_size = array.geometry.page_size
         channel = die_index // self._dpc
         die = die_index % self._dpc
         get = queue.get
@@ -723,11 +728,7 @@ class NandProgramBatch(_NandBatch):
             except BaseException:
                 self._abort(queue, die_res)
                 raise
-            if len(data) != page_size:
-                data = bytes(data) + bytes(page_size - len(data))
-            elif type(data) is not bytes:
-                data = bytes(data)
-            array._data[ppn] = data
+            array._data[ppn] = array._page_image(data)
             state.programmed.add(page)
             state.write_pointer = page + 1
             stats.page_programs += 1

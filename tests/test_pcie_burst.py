@@ -871,10 +871,11 @@ def test_malformed_run_rejected():
     link, engine = host.link, host.engine
 
     def state():
+        backing = host.region._data  # its contents, without a settle
         return (link._down_free_at, link.pending_posted_until,
                 link.posted_writes_issued, link.posted_writes_lost,
                 link.in_flight, len(link._inflight),
-                host.region._inbound, host.region._data,
+                host.region._inbound, None if backing is None else backing[:],
                 engine.now, engine._sequence, len(engine._queue),
                 engine.quiescent())
 
