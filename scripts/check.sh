@@ -6,8 +6,9 @@
 #   scripts/check.sh          # everything (tier-1 includes the soak tests)
 #   scripts/check.sh --fast   # deselect the soak tests (the system soak,
 #                             # the 3 000-example byte-path and WAL-recovery
-#                             # and the 2 000-example firmware-pacing and
-#                             # memory-backing oracle properties)
+#                             # and the 2 000-example firmware-pacing,
+#                             # memory-backing and live-page oracle
+#                             # properties)
 #
 # ruff and mypy are optional in minimal images; they run when importable
 # and are reported as skipped otherwise (the configured baselines in
@@ -97,9 +98,10 @@ step "recovery cost smoke (scripts/recover_cost.py --smoke)" \
 step "device cost smoke (scripts/device_cost.py --smoke)" \
     python3 scripts/device_cost.py --smoke
 
-# Host memory of a gateway pool, one fresh child per row (~1 s): 4 096
-# SETs of 64 B leaving more than 512 KiB of a node's 8 MiB BA-buffer
-# resident breaks the ceiling and exits non-zero.
+# Host memory, one fresh child per row (~2 s): 4 096 SETs of 64 B leaving
+# more than 512 KiB of a node's 8 MiB BA-buffer resident, or a compacted
+# LSM whose NAND keeps page images nothing maps, breaks a ceiling and
+# exits non-zero.
 step "memory cost smoke (scripts/memory_cost.py --smoke)" \
     python3 scripts/memory_cost.py --smoke
 

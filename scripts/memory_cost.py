@@ -22,16 +22,27 @@ Rows:
    and a drain;
 4. a bare ``Platform`` and a default ``BaWAL`` (two 4 MiB halves)
    logging 4 000-byte records until four halves were sealed, flushed and
-   recycled.
+   recycled;
+5. an LSM tree on one 2B-SSD (WAL on the byte path, SSTables on the
+   block path, as ``tests/helpers.py::dual_path_lsm`` builds it) through
+   at least three compactions: the NAND page images the flash model
+   holds, the pages the FTL maps, and the images' MiB;
+6. row 4, then ``power.power_cycle()``: the BA-DRAM resident against the
+   pages of the saved image that hold data.
 
 Read-only use of ``src/``: the same script runs on any commit (on a tree
 whose BA-DRAM is a ``bytearray``, the resident column reports the pages
 of that ``bytearray``).  docs/performance.md, "Memory follows the bytes
-written", has the before and after.  Ceiling: row 2's BA-DRAM at most
-``ROW2_CEILING_KIB`` resident on any node; the script exits non-zero
-when it is broken or a row fails.  ``--smoke`` runs rows 1 and 2 only
-(~1 s); ``scripts/check.sh`` and CI run it.  Without Linux's ``/proc``
-the columns read ``n/a`` and no ceiling is checked.
+written" and "Device memory follows the live data", has the before and
+after.  Ceilings: row 2's BA-DRAM at most ``ROW2_CEILING_KIB`` resident
+on any node; row 5's images exactly the mapped pages; row 6's resident
+at most the written pages.  The script exits non-zero when one is broken
+or a row fails (on a tree older than "Device memory follows the live
+data", row 5 prints the stale images and row 6 a whole resident buffer,
+and both ceilings are reported broken).  ``--smoke`` runs rows 1, 2 and
+a smaller row 5 (~2 s); ``scripts/check.sh`` and CI run it.  Without
+Linux's ``/proc`` the resident and growth columns read ``n/a`` and their
+ceilings are not checked.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ import argparse
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -48,6 +60,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from _meter import exit_status, resident_kib  # noqa: E402  (scripts/_meter.py)
 from repro.cluster import DevicePool  # noqa: E402
+from repro.db.lsm import DeviceTableStorage, LSMTree  # noqa: E402
 from repro.db.memkv.commands import Command  # noqa: E402
 from repro.gateway import GatewayConfig, GatewayServer  # noqa: E402
 from repro.gateway.protocol import FrameDecoder, encode_request  # noqa: E402
@@ -59,10 +72,18 @@ SETS = 4096
 VALUE = b"v" * 64
 RECORD = b"r" * 4000
 ROW2_CEILING_KIB = 512    # measured 372 / 120 / 252; a bytearray backing is 8 196
+LSM_AREA_PAGES = 4096     # the WAL's log area; SSTables follow it
+LSM_PUTS = 6000           # of 256 B over 1 000 keys, 8 KiB memtables
+SMOKE_LSM_PUTS = 1500
+PAGE = 4096
+
+
+def residency(regions) -> dict:
+    return {"ba_dram_kib": [resident_kib(region._data) for region in regions]}
 
 
 def gateway(sets: int, stop: bool):
-    """Rows 1-3: the BA-DRAM regions of a default pool behind a started
+    """Rows 1-3: the BA-DRAM residency of a default pool behind a started
     gateway, and what keeps the system alive while it is measured."""
     pool = DevicePool(devices=3, seed=1)
     engine = pool.engine
@@ -83,11 +104,13 @@ def gateway(sets: int, stop: bool):
     if stop:
         engine.run_process(server.stop())
         engine.run()
-    return [node.platform.device.ba_dram for node in pool.nodes.values()], server
+    return residency(node.platform.device.ba_dram
+                     for node in pool.nodes.values()), server
 
 
-def bawal_recycles():
-    """Row 4: a bare platform's BA-DRAM after four half recycles."""
+def bawal_recycles(power_cycle: bool):
+    """Row 4: a bare platform's BA-DRAM after four half recycles; row 6:
+    the same after a power cycle, against the saved image's data pages."""
     platform = Platform(seed=1)
     engine = platform.engine
     wal = BaWAL(engine, platform.api)
@@ -100,14 +123,50 @@ def bawal_recycles():
 
     engine.run_process(load())
     engine.run()
-    return [platform.device.ba_dram], wal
+    dram = platform.device.ba_dram
+    if not power_cycle:
+        return residency([dram]), wal
+    image = dram.snapshot()
+    written = sum(1 for offset in range(0, len(image), PAGE)
+                  if image[offset:offset + PAGE] != bytes(PAGE))
+    platform.power.power_cycle()
+    return {**residency([dram]), "written_kib": written * PAGE // 1024}, wal
+
+
+def lsm_compactions(puts: int):
+    """Row 5: the NAND page images behind an LSM tree on one 2B-SSD."""
+    platform = Platform(seed=1)
+    engine = platform.engine
+    wal = BaWAL(engine, platform.api, area_pages=LSM_AREA_PAGES)
+    engine.run_process(wal.start())
+    storage = DeviceTableStorage(engine, platform.device,
+                                 base_lpn=LSM_AREA_PAGES)
+    tree = LSMTree(engine, wal, storage, memtable_bytes=8 * 1024,
+                   rng=platform.rng.fork("lsm"))
+    keys = random.Random(1)
+
+    def load():
+        for index in range(puts):
+            yield from tree.put(f"key{keys.randrange(1000):04d}",
+                                bytes([index % 251]) * 256)
+
+    engine.run_process(load())
+    engine.run()
+    images = len(platform.device.flash._data)
+    return {"images": images, "mapped": len(platform.device.ftl.map),
+            "image_mib": images * PAGE / (1 << 20),
+            "compactions": tree.compaction_count}, tree
 
 
 ROWS = {
-    "1": ("pool + start + 64 connections", lambda: gateway(0, False)),
-    "2": ("+ 4 096 SETs of 64 B", lambda: gateway(SETS, False)),
-    "3": ("+ server.stop() and drain", lambda: gateway(SETS, True)),
-    "4": ("bare BaWAL, 4 halves recycled", bawal_recycles),
+    "1": ("pool + start + 64 connections", lambda smoke: gateway(0, False)),
+    "2": ("+ 4 096 SETs of 64 B", lambda smoke: gateway(SETS, False)),
+    "3": ("+ server.stop() and drain", lambda smoke: gateway(SETS, True)),
+    "4": ("bare BaWAL, 4 halves recycled",
+          lambda smoke: bawal_recycles(False)),
+    "5": ("LSM on one 2B-SSD, compacted",
+          lambda smoke: lsm_compactions(SMOKE_LSM_PUTS if smoke else LSM_PUTS)),
+    "6": ("row 4 + power_cycle()", lambda smoke: bawal_recycles(True)),
 }
 
 
@@ -123,23 +182,22 @@ def status_kib() -> dict:
             if key in ("VmRSS", "VmHWM")}
 
 
-def run_row(key: str) -> dict:
+def run_row(key: str, smoke: bool) -> dict:
     """In the child: build and run one row, measure it, return the row."""
     gc.collect()
     before = status_kib()
-    regions, _keep_alive = ROWS[key][1]()
+    row, _keep_alive = ROWS[key][1](smoke)
     gc.collect()
     after = status_kib()
-    row = {"ba_dram_kib": [resident_kib(region._data) for region in regions]}
     for name in ("VmRSS", "VmHWM"):
         row[name] = ((after[name] - before[name]) / 1024
                      if name in before and name in after else None)
     return row
 
 
-def child(key: str) -> dict:
+def child(key: str, smoke: bool) -> dict:
     done = subprocess.run([sys.executable, os.path.abspath(__file__),
-                           "--row", key],
+                           "--row", key] + (["--smoke"] if smoke else []),
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -148,38 +206,63 @@ def mib(value) -> str:
     return "n/a" if value is None else f"{value:+.1f}"
 
 
+def kib(value) -> str:
+    return "n/a" if value is None else str(value)
+
+
+def ceilings(key: str, row: dict) -> list:
+    """What the row breaks, if anything."""
+    resident = row.get("ba_dram_kib", [])
+    measured = None not in resident
+    if key == "2" and measured and max(resident) > ROW2_CEILING_KIB:
+        return [f"row 2: {max(resident)} KiB of BA-DRAM resident on a node, "
+                f"ceiling {ROW2_CEILING_KIB}"]
+    if key == "5" and row["compactions"] < 3:
+        return [f"row 5: {row['compactions']} compactions, needs 3"]
+    if key == "5" and row["images"] != row["mapped"]:
+        return [f"row 5: {row['images']} NAND page images for "
+                f"{row['mapped']} mapped pages"]
+    if key == "6" and measured and resident[0] > row["written_kib"]:
+        return [f"row 6: {resident[0]} KiB of BA-DRAM resident after a power "
+                f"cycle, {row['written_kib']} KiB of it written"]
+    return []
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="Host memory growth and per-node BA-DRAM residency of "
-                    "a gateway pool and a bare BaWAL, one child per row.")
+        description="Host memory growth, BA-DRAM residency and NAND page "
+                    "images of a gateway pool, a bare BaWAL and an LSM "
+                    "tree, one child per row.")
     parser.add_argument("--smoke", action="store_true",
-                        help="rows 1 and 2 only")
+                        help="rows 1, 2 and a smaller row 5")
     parser.add_argument("--row", choices=sorted(ROWS), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.row:
-        print(json.dumps(run_row(args.row)))
+        print(json.dumps(run_row(args.row, args.smoke)))
         return 0
 
     print("One fresh child per row; growth from just before the row builds "
           "its system.")
     print(f"  {'':<34}{'VmRSS MiB':>10}{'VmHWM MiB':>10}"
-          f"   BA-DRAM resident KiB per node")
+          f"   BA-DRAM resident KiB per node / NAND images")
     broken = []
-    for key in ("1", "2") if args.smoke else sorted(ROWS):
+    for key in ("1", "2", "5") if args.smoke else sorted(ROWS):
         try:
-            row = child(key)
+            row = child(key, args.smoke)
         except subprocess.CalledProcessError as exc:
             broken.append(f"row {key} failed: {exc.stderr.strip()[-300:]}")
             continue
-        resident = row["ba_dram_kib"]
+        if "images" in row:
+            detail = (f"{row['images']} images / {row['mapped']} mapped "
+                      f"pages, {row['image_mib']:.1f} MiB "
+                      f"({row['compactions']} compactions)")
+        else:
+            detail = " / ".join(kib(value) for value in row["ba_dram_kib"])
+            if "written_kib" in row:
+                detail += f" ({row['written_kib']} KiB written)"
         print(f"  {key} {ROWS[key][0]:<32}{mib(row['VmRSS']):>10}"
-              f"{mib(row['VmHWM']):>10}   "
-              + " / ".join("n/a" if kib is None else str(kib)
-                           for kib in resident))
-        if key == "2" and None not in resident \
-                and max(resident) > ROW2_CEILING_KIB:
-            broken.append(f"row 2: {max(resident)} KiB of BA-DRAM resident "
-                          f"on a node, ceiling {ROW2_CEILING_KIB}")
+              f"{mib(row['VmHWM']):>10}   {detail}")
+        broken += ceilings(key, row)
     return exit_status(broken)
 
 

@@ -102,6 +102,9 @@ class ReplicatedBaWAL(WriteAheadLog):
                 f"quorum {self.quorum} out of range for {total} legs"
             )
         self.stats = WalStats()
+        # Every leg must take every record.
+        self.max_record_bytes = min(leg.wal.max_record_bytes
+                                    for leg in self.legs())
         self._quorum_durable = 0
         self._replicas = [
             _ReplicaLeg(engine, net, primary.node.name, leg)

@@ -83,6 +83,8 @@ class PageMapFTL:
         self.stats = FtlStats()
         self._valid: dict[tuple[int, int, int], set[int]] = {}
         self._full_blocks: list[tuple[int, int, int]] = []
+        # Full blocks a crash left short of their last programs.
+        self._stranded: set[tuple[int, int, int]] = set()
         self._dies: list[_DieAllocator] = []
         for channel in range(geometry.channels):
             for die in range(geometry.dies_per_channel):
@@ -116,6 +118,8 @@ class PageMapFTL:
         pointers (pages that were allocated but never programmed before
         the crash are skipped, as real firmware does on power-up), and
         the GC lock is recreated (its holder died with the event queue).
+        A full block whose last programs died is stranded: those pages
+        will never be programmed, so they no longer keep it from GC.
         """
         self._generation += 1
         self._gc_lock.retire()
@@ -126,6 +130,10 @@ class PageMapFTL:
         # event queue; recreate lazily on the next stall.
         self._fallback_batch = None
         self.engine.process(self._background_gc_loop(), name="ftl-background-gc")
+        pages_per_block = self.flash.geometry.pages_per_block
+        self._stranded.update(
+            key for key in self._full_blocks
+            if self.flash._block_state(*key).write_pointer < pages_per_block)
         for die in self._dies:
             if die.active_block is not None:
                 state = self.flash._block_state(die.channel, die.die, die.active_block)
@@ -215,6 +223,11 @@ class PageMapFTL:
             raise AssertionError(
                 f"free-block counter {self._free_block_count} != actual {actual_free}"
             )
+        # At quiescence the array holds bytes for exactly the mapped pages.
+        if self.flash._data.keys() != self.map._p2l.keys():
+            raise AssertionError(
+                f"{len(self.flash._data)} NAND page images != "
+                f"{len(self.map)} mapped pages")
 
     # -- allocation ------------------------------------------------------------
 
@@ -239,10 +252,14 @@ class PageMapFTL:
         raise FtlCapacityError("no free physical pages; GC failed to keep up")
 
     def _invalidate(self, ppn: int) -> None:
+        """``ppn`` is stale: nothing maps it, so its bytes go too.  Every
+        read of NAND bytes names a mapped PPN and re-checks the mapping
+        after the media read, so a dropped image is never delivered."""
         channel, die, block, page = self.flash.geometry.decompose(ppn)
         pages = self._valid.get((channel, die, block))
         if pages is not None:
             pages.discard(page)
+        self.flash.discard(ppn)
 
     def _mark_valid(self, ppn: int) -> None:
         channel, die, block, page = self.flash.geometry.decompose(ppn)
@@ -474,10 +491,20 @@ class PageMapFTL:
     def _pick_victim(self) -> Optional[tuple[int, tuple[int, int, int]]]:
         """Greedy victim selection with a wear-aware tiebreak: among
         blocks with the fewest valid pages, prefer the least-worn one so
-        hot blocks don't absorb all the erases."""
+        hot blocks don't absorb all the erases.
+
+        A block whose last allocated pages are still being programmed is
+        no candidate: its valid set does not list them yet, so the erase
+        would destroy pages the map is about to point at.  Pages a crash
+        left unprogrammed (``_stranded``) never will be, and do not hold
+        their block back."""
         best: Optional[tuple[int, int]] = None
         best_index = -1
+        pages_per_block = self.flash.geometry.pages_per_block
         for index, key in enumerate(self._full_blocks):
+            if (self.flash._block_state(*key).write_pointer < pages_per_block
+                    and key not in self._stranded):
+                continue
             candidate = (len(self._valid.get(key, ())), self.flash.erase_count(*key))
             # Strict < keeps the first-encountered minimum on ties — the
             # same victim the old remove()-based scan picked.
@@ -556,6 +583,7 @@ class PageMapFTL:
                 self._invalidate(new_ppn)
         yield from self.flash.erase_block(channel, die, block)
         self._valid.pop(key, None)
+        self._stranded.discard(key)
         owner = self._dies[channel * geometry.dies_per_channel + die]
         owner.free_blocks.append(block)
         self._free_block_count += 1

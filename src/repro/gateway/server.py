@@ -29,7 +29,9 @@ when the mapping-table budget is gone — and the command retries.  Slower
 commits, same durability contract.  A shard whose log area is full
 (:class:`~repro.wal.base.LogFullError`: every slot still holds records
 above the stream's low water) refuses writes with ``ERR readonly``
-instead of wrapping over acknowledged ones; reads keep being served.
+instead of wrapping over acknowledged ones; reads keep being served.  A
+write whose record exceeds the stream's ``max_record_bytes`` answers
+``ERR toolarge`` and is never applied.
 
 Crash semantics are the kernel's: a node crash purges in-flight work.
 Parked waiters (empty-queue getters, empty-pipe receivers) survive a
@@ -812,6 +814,18 @@ class GatewayServer:
                 done.succeed(encode_reply(Reply.ERR, str(exc).encode()))
                 continue
             record = encode_command(command, key, value)
+            limit = shard.stream.max_record_bytes
+            if RECORD_HEADER_BYTES + len(record) > limit:
+                # A legal frame can still outgrow what the shard log holds
+                # (one segment on a byte-path leg): refuse it before its
+                # apply; the lane keeps serving.
+                self.errors += 1
+                if tracing.enabled:
+                    tracing.count("gateway.errors")
+                done.succeed(encode_reply(Reply.ERR, (
+                    f"toolarge: a {RECORD_HEADER_BYTES + len(record)}-byte "
+                    f"record exceeds the shard log's {limit}").encode()))
+                continue
             priors.append((key, shard.data.get(key, _ABSENT)))
             new_value = apply(shard.data, command, key, value)
             body = (encode_reply(Reply.OK, new_value)

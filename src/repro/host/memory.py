@@ -19,6 +19,7 @@ if TYPE_CHECKING:  # import cycle: pcie.link is imported by repro.host
     from repro.pcie.link import PcieLink
 
 _OS_PAGE = mmap.PAGESIZE
+_ZERO_PAGE = bytes(_OS_PAGE)
 
 
 class ByteRegion:
@@ -111,13 +112,22 @@ class ByteRegion:
         return self._data[:]
 
     def restore(self, image: bytes) -> None:
+        """Adopt ``image`` whole.  Only its OS pages that hold data are
+        written; every other page is handed back as :meth:`zero` does, so
+        a restored region is resident where the image holds data."""
         if len(image) != self.size:
             raise ValueError(
                 f"restore image of {len(image)} bytes does not match region size {self.size}"
             )
         if self._inbound is not None:
             self._settle_inbound()
-        self._backing()[:] = image
+        if self._data is not None:
+            self._data.madvise(mmap.MADV_DONTNEED)
+        view = memoryview(image)
+        for offset in range(0, self.size, _OS_PAGE):
+            if not image.startswith(_ZERO_PAGE, offset):
+                self._backing()[offset:offset + _OS_PAGE] = \
+                    view[offset:offset + _OS_PAGE]
 
     def clear(self) -> None:
         if self._inbound is not None:

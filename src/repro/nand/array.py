@@ -1,10 +1,11 @@
 """Functional flash array with timing, wear, and protocol enforcement.
 
-The array stores page contents sparsely (only programmed pages occupy
-memory).  Channels and dies are modeled as simulation resources so that
-concurrent operations contend realistically: a die can run one operation at
-a time, and a channel is occupied for the data-transfer portion of an
-operation while the die continues the cell operation.
+The array stores page contents sparsely: only programmed pages the FTL
+still maps occupy memory (:meth:`FlashArray.discard`).  Channels and dies
+are modeled as simulation resources so that concurrent operations contend
+realistically: a die can run one operation at a time, and a channel is
+occupied for the data-transfer portion of an operation while the die
+continues the cell operation.
 
 Protocol invariants enforced (violations raise :class:`NandProtocolError`):
 
@@ -240,8 +241,16 @@ class FlashArray:
         return addr.page in self._block_state(addr.channel, addr.die, addr.block).programmed
 
     def peek(self, ppn: int) -> bytes:
-        """Read page contents without timing (for assertions and recovery dumps)."""
+        """Read page contents without timing (for assertions and recovery
+        dumps).  A never-programmed or discarded page reads as the shared
+        zero page."""
         return self._data.get(ppn, self._zero_page)
+
+    def discard(self, ppn: int) -> None:
+        """Forget a programmed page's bytes (the FTL no longer maps it).
+        Its protocol state stays: it is still programmed, so it refuses a
+        program until its block is erased."""
+        self._data.pop(ppn, None)
 
     def _page_image(self, data: bytes) -> bytes:
         """What a programmed page stores: ``data`` padded to a whole

@@ -79,6 +79,7 @@ class BaWAL(WriteAheadLog):
         if buffer_base + 2 * self.segment_bytes > params.buffer_bytes:
             raise ValueError("two segments (double buffering) must fit the BA-buffer")
         self.segment_pages = self.segment_bytes // self.page_size
+        self.max_record_bytes = self.segment_bytes  # no record straddles two
         if area_pages % self.segment_pages:
             raise ValueError("log area must hold a whole number of segments")
         if entry_ids[0] == entry_ids[1]:
@@ -179,7 +180,7 @@ class BaWAL(WriteAheadLog):
         if not payloads:
             return []
         longest = RECORD_HEADER_BYTES + max(map(len, payloads))
-        if longest > self.segment_bytes:
+        if longest > self.max_record_bytes:
             raise ValueError(
                 f"record of {longest} bytes exceeds segment of {self.segment_bytes}"
             )

@@ -73,10 +73,15 @@ class WriteAheadLog(abc.ABC):
     it are no longer needed (flushed into tables, checkpointed).  The
     log area is circular, and no backend recycles area holding bytes at
     or above low water — such an append raises :class:`LogFullError`.
+
+    ``max_record_bytes`` is the largest record, header included, the
+    stream can ever hold (fixed at construction); ``append_batch`` of a
+    larger one raises ``ValueError``.
     """
 
     stats: WalStats
     low_water_lsn: int = 0
+    max_record_bytes: int
 
     @abc.abstractmethod
     def append_batch(self, payloads: list[bytes]) -> Iterator[Event]:

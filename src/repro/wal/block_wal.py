@@ -63,6 +63,7 @@ class BlockWAL(WriteAheadLog):
         self.start_lpn = start_lpn
         self.area_pages = area_pages
         self.page_size = device.page_size
+        self.max_record_bytes = area_pages * self.page_size  # the area itself
         self.stats = WalStats()
         self._tail = 0
         self._durable = 0

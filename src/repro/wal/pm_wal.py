@@ -45,6 +45,7 @@ class PmWAL(WriteAheadLog):
             raise ValueError("PM buffer must be page-aligned")
         self.pm = PersistentMemoryRegion("pm-log-buffer", pm_bytes)
         self.pm_pages = pm_bytes // self.page_size
+        self.max_record_bytes = pm_bytes  # a record persists into PM whole
         self.start_lpn = start_lpn
         self.area_pages = area_pages
         self.stats = WalStats()
@@ -79,7 +80,7 @@ class PmWAL(WriteAheadLog):
         a :class:`~repro.wal.base.PartialAppendError`)."""
         if not payloads:
             return []
-        if RECORD_HEADER_BYTES + max(map(len, payloads)) > self.pm.size:
+        if RECORD_HEADER_BYTES + max(map(len, payloads)) > self.max_record_bytes:
             raise ValueError("record larger than the PM buffer")
         lsns: list[int] = []
         lock = self._insert_lock.request()

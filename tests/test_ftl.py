@@ -204,6 +204,33 @@ class TestPageMapFTL:
         assert ftl.stats.waf >= 1.0
 
 
+class TestGcVictims:
+    def test_a_block_still_programming_is_no_victim(self):
+        """Erasing a block whose last pages are still being programmed
+        would destroy pages the map is about to point at.  Once a crash
+        has killed those programs the block is stranded, and eligible."""
+        engine, ftl = make_ftl(channels=1, blocks_per_die=8, pages_per_block=4)
+        batch = ftl.flash.program_batch()
+        for lpn in range(5):  # block 0 fully allocated, then block 1
+            assert ftl.write_submit(lpn, bytes([lpn]) * 8, batch) is None
+        assert ftl._full_blocks == [(0, 0, 0)]
+        assert ftl._pick_victim() is None  # nothing programmed yet
+        engine.run_process(batch.drain())
+        assert ftl._pick_victim() == (4, (0, 0, 0))
+
+        engine, ftl = make_ftl(channels=1, blocks_per_die=8, pages_per_block=4)
+        batch = ftl.flash.program_batch()
+        for lpn in range(5):
+            ftl.write_submit(lpn, bytes([lpn]) * 8, batch)
+        engine.run(until=engine.now + 1.5 * ftl.flash.timing.program_latency)
+        ftl.flash.reboot()  # power is cut mid-batch
+        engine.purge()
+        ftl.reboot()
+        assert ftl._stranded == {(0, 0, 0)}
+        assert ftl._pick_victim() == (len(ftl.map), (0, 0, 0))
+        ftl.check_consistency()
+
+
 class TestFtlStats:
     def test_waf_without_writes(self):
         assert FtlStats().waf == 1.0

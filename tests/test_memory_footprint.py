@@ -7,9 +7,11 @@ all-zero programmed page as its one shared zero page.
 
 ``OracleRegion`` is the ``bytearray`` region this replaced, kept verbatim.
 The property drives the same operations — writes, zeros of ragged ends,
-page-aligned runs and the whole region, reads, snapshots, restores,
-clears, and posted bursts landing between them — through both, each on
-its own engine and link, and demands every read and snapshot agree.
+page-aligned runs and the whole region, reads, snapshots, restores of
+sparse images (``restore`` writes only the image's pages that hold data
+and hands the rest back), clears, and posted bursts landing between
+them — through both, each on its own engine and link, and demands every
+read and snapshot agree.
 The budget tests read the page table (``scripts/_meter.py``'s
 ``resident_kib``) and skip where Linux's ``/proc`` is absent.
 """
@@ -130,7 +132,11 @@ OPS = st.lists(
         st.just(("zero_whole",)),
         st.tuples(st.just("read"), OFFSETS, st.integers(0, 3 * PAGE)),
         st.just(("snapshot",)),
-        st.tuples(st.just("restore"), st.integers(0, 255)),
+        # A sparse image: the OS pages in ``mask`` hold data from
+        # ``start`` on (the rest of each, and every other page, is zero).
+        st.tuples(st.just("restore"), st.integers(1, 255),
+                  st.integers(0, 2 ** (REGION_BYTES // PAGE) - 1),
+                  st.integers(0, PAGE - 1)),
         st.just(("clear",)),
         # A posted run of 64-byte TLPs; the kernel then runs for a while,
         # so later operations meet it landed, in flight or half landed.
@@ -172,8 +178,11 @@ class _Twin:
         elif kind == "snapshot":
             self.seen.append(region.snapshot())
         elif kind == "restore":
-            region.restore(bytes([op[1]]) * (REGION_BYTES // 2)
-                           + bytes(REGION_BYTES // 2))
+            _kind, fill, mask, start = op
+            region.restore(b"".join(
+                bytes(start) + bytes([fill]) * (PAGE - start)
+                if mask >> page & 1 else bytes(PAGE)
+                for page in range(REGION_BYTES // PAGE)))
         elif kind == "clear":
             region.clear()
         else:
