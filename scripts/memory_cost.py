@@ -28,21 +28,30 @@ Rows:
    at least three compactions: the NAND page images the flash model
    holds, the pages the FTL maps, and the images' MiB;
 6. row 4, then ``power.power_cycle()``: the BA-DRAM resident against the
-   pages of the saved image that hold data.
+   pages of the saved image that hold data;
+7. row 5, then ``power.power_cycle()`` and a fresh tree's ``recover()``,
+   as ``lsm-dual`` recovers: how far ``VmHWM`` rose above ``VmRSS``
+   across the power cycle and across recovery (the peak is reset
+   before each, ``/proc/self/clear_refs``), the KiB the dump held against
+   the buffer's pages that hold data, and ``tracemalloc``'s peak inside
+   ``BaWAL.recover`` against the payload bytes it returned.
 
 Read-only use of ``src/``: the same script runs on any commit (on a tree
 whose BA-DRAM is a ``bytearray``, the resident column reports the pages
 of that ``bytearray``).  docs/performance.md, "Memory follows the bytes
-written" and "Device memory follows the live data", has the before and
-after.  Ceilings: row 2's BA-DRAM at most ``ROW2_CEILING_KIB`` resident
-on any node; row 5's images exactly the mapped pages; row 6's resident
-at most the written pages.  The script exits non-zero when one is broken
-or a row fails (on a tree older than "Device memory follows the live
-data", row 5 prints the stale images and row 6 a whole resident buffer,
-and both ceilings are reported broken).  ``--smoke`` runs rows 1, 2 and
-a smaller row 5 (~2 s); ``scripts/check.sh`` and CI run it.  Without
-Linux's ``/proc`` the resident and growth columns read ``n/a`` and their
-ceilings are not checked.
+written", "Device memory follows the live data" and "Recovery holds only
+what it returns", has the before and after.  Ceilings: row 2's BA-DRAM
+at most ``ROW2_CEILING_KIB`` resident on any node; row 5's images exactly
+the mapped pages; row 6's resident at most the written pages; row 7's
+recovery peak at most the bytes it returned plus ``ROW7_SLACK_KIB``.  The
+script exits non-zero when one is broken or a row fails (on a tree older
+than "Device memory follows the live data", row 5 prints the stale images
+and row 6 a whole resident buffer; on one older than "Recovery holds only
+what it returns", row 7 prints an 8 MiB dump and a recovery peak of two
+copied halves; each ceiling is reported broken).  ``--smoke`` runs rows
+1, 2 and smaller rows 5 and 7 (~3 s); ``scripts/check.sh`` and CI run it.
+Without Linux's ``/proc`` the resident and growth columns read ``n/a``
+and their ceilings are not checked.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -75,6 +85,7 @@ ROW2_CEILING_KIB = 512    # measured 372 / 120 / 252; a bytearray backing is 8 1
 LSM_AREA_PAGES = 4096     # the WAL's log area; SSTables follow it
 LSM_PUTS = 6000           # of 256 B over 1 000 keys, 8 KiB memtables
 SMOKE_LSM_PUTS = 1500
+ROW7_SLACK_KIB = 256      # recovery's peak above the payloads it returned
 PAGE = 4096
 
 
@@ -133,8 +144,8 @@ def bawal_recycles(power_cycle: bool):
     return {**residency([dram]), "written_kib": written * PAGE // 1024}, wal
 
 
-def lsm_compactions(puts: int):
-    """Row 5: the NAND page images behind an LSM tree on one 2B-SSD."""
+def lsm_tree(puts: int):
+    """Row 5's LSM tree on one 2B-SSD, ``puts`` puts in."""
     platform = Platform(seed=1)
     engine = platform.engine
     wal = BaWAL(engine, platform.api, area_pages=LSM_AREA_PAGES)
@@ -152,10 +163,84 @@ def lsm_compactions(puts: int):
 
     engine.run_process(load())
     engine.run()
+    return platform, tree
+
+
+def lsm_compactions(puts: int):
+    """Row 5: the NAND page images behind an LSM tree on one 2B-SSD."""
+    platform, tree = lsm_tree(puts)
     images = len(platform.device.flash._data)
     return {"images": images, "mapped": len(platform.device.ftl.map),
             "image_mib": images * PAGE / (1 << 20),
             "compactions": tree.compaction_count}, tree
+
+
+def peak_above_resident(work):
+    """``work()`` and how far ``VmHWM`` rose above the ``VmRSS`` it began
+    at, MiB (None without a resettable peak)."""
+    gc.collect()
+    try:
+        with open("/proc/self/clear_refs", "w") as clear_refs:
+            clear_refs.write("5")  # VmHWM := VmRSS
+    except OSError:
+        return work(), None
+    before = status_kib()
+    result = work()
+    return result, (status_kib()["VmHWM"] - before["VmRSS"]) / 1024
+
+
+def lsm_power_cycle_and_recover(puts: int):
+    """Row 7: row 5, a power cycle and a fresh tree's recovery, as
+    ``lsm-dual`` runs them."""
+    platform, tree = lsm_tree(puts)
+    engine, device = platform.engine, platform.device
+    dram = device.ba_dram
+    nonzero = sum(1 for offset in range(0, dram.size, PAGE)
+                  if dram.read(offset, PAGE) != bytes(PAGE))
+    held = []
+
+    def power_cycle():
+        platform.power.power_loss()
+        image = device.recovery._saved.buffer_image  # what the dump keeps
+        held.append(sum(map(len, image.values())) if isinstance(image, dict)
+                    else len(image))
+        del image
+        platform.power.power_on()
+
+    def fresh_tree():
+        return LSMTree(engine, BaWAL(engine, platform.api,
+                                     area_pages=LSM_AREA_PAGES),
+                       DeviceTableStorage(engine, device,
+                                          base_lpn=LSM_AREA_PAGES),
+                       memtable_bytes=8 * 1024, rng=platform.rng.fork("again"))
+
+    _none, cycle_mib = peak_above_resident(power_cycle)
+    replayed, recover_mib = peak_above_resident(
+        lambda: engine.run_process(fresh_tree().recover()))
+    # Once more on another fresh tree (recovery only reads the device),
+    # tracing allocations inside BaWAL.recover alone.
+    traced = fresh_tree()
+    recover = traced.wal.recover
+    inside = {}
+
+    def measured(start_lsn=0):
+        tracemalloc.start()
+        try:
+            records = yield from recover(start_lsn)
+            inside["peak"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        inside["returned"] = sum(len(payload) for _lsn, payload in records)
+        inside["records"] = len(records)
+        return records
+
+    traced.wal.recover = measured
+    engine.run_process(traced.recover())
+    return {"cycle_mib": cycle_mib, "recover_mib": recover_mib,
+            "dump_kib": held[0] // 1024, "nonzero_kib": nonzero * PAGE // 1024,
+            "replayed": replayed, "peak_kib": inside["peak"] / 1024,
+            "returned_kib": inside["returned"] / 1024,
+            "records": inside["records"]}, tree
 
 
 ROWS = {
@@ -167,6 +252,9 @@ ROWS = {
     "5": ("LSM on one 2B-SSD, compacted",
           lambda smoke: lsm_compactions(SMOKE_LSM_PUTS if smoke else LSM_PUTS)),
     "6": ("row 4 + power_cycle()", lambda smoke: bawal_recycles(True)),
+    "7": ("row 5 + power_cycle() + recover()",
+          lambda smoke: lsm_power_cycle_and_recover(
+              SMOKE_LSM_PUTS if smoke else LSM_PUTS)),
 }
 
 
@@ -222,6 +310,10 @@ def ceilings(key: str, row: dict) -> list:
     if key == "5" and row["images"] != row["mapped"]:
         return [f"row 5: {row['images']} NAND page images for "
                 f"{row['mapped']} mapped pages"]
+    if key == "7" and row["peak_kib"] > row["returned_kib"] + ROW7_SLACK_KIB:
+        return [f"row 7: BaWAL.recover peaked at {row['peak_kib']:.0f} KiB "
+                f"returning {row['returned_kib']:.0f} KiB, ceiling "
+                f"+{ROW7_SLACK_KIB}"]
     if key == "6" and measured and resident[0] > row["written_kib"]:
         return [f"row 6: {resident[0]} KiB of BA-DRAM resident after a power "
                 f"cycle, {row['written_kib']} KiB of it written"]
@@ -234,7 +326,7 @@ def main() -> int:
                     "images of a gateway pool, a bare BaWAL and an LSM "
                     "tree, one child per row.")
     parser.add_argument("--smoke", action="store_true",
-                        help="rows 1, 2 and a smaller row 5")
+                        help="rows 1, 2 and smaller rows 5 and 7")
     parser.add_argument("--row", choices=sorted(ROWS), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.row:
@@ -246,11 +338,24 @@ def main() -> int:
     print(f"  {'':<34}{'VmRSS MiB':>10}{'VmHWM MiB':>10}"
           f"   BA-DRAM resident KiB per node / NAND images")
     broken = []
-    for key in ("1", "2", "5") if args.smoke else sorted(ROWS):
+    for key in ("1", "2", "5", "7") if args.smoke else sorted(ROWS):
         try:
             row = child(key, args.smoke)
         except subprocess.CalledProcessError as exc:
             broken.append(f"row {key} failed: {exc.stderr.strip()[-300:]}")
+            continue
+        if "peak_kib" in row:
+            print(f"  {key} {ROWS[key][0]:<32}{'':>10}{'':>10}   "
+                  f"{row['replayed']} records replayed")
+            print(f"      VmHWM above VmRSS: power cycle "
+                  f"{mib(row['cycle_mib'])} MiB, recover() "
+                  f"{mib(row['recover_mib'])} MiB")
+            print(f"      dump holds {row['dump_kib']} KiB for "
+                  f"{row['nonzero_kib']} KiB of pages holding data")
+            print(f"      BaWAL.recover peak {row['peak_kib']:.0f} KiB for "
+                  f"{row['returned_kib']:.0f} KiB returned "
+                  f"({row['records']} records)")
+            broken += ceilings(key, row)
             continue
         if "images" in row:
             detail = (f"{row['images']} images / {row['mapped']} mapped "

@@ -77,7 +77,7 @@ class TwoBSSD(BlockSSD):
             raise RuntimeError(
                 "capture with a pending recovery image is unsupported")
         state = super().capture_state()
-        state["ba_dram"] = self.ba_dram.snapshot()
+        state["ba_dram"] = self.ba_dram.page_image()
         state["mapping_table"] = self.mapping_table.to_snapshot()
         state["ba_stats"] = {
             "pins": self.ba_manager.stats.pins,

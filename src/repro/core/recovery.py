@@ -23,9 +23,11 @@ from repro.host.memory import ByteRegion
 
 @dataclass
 class _SavedImage:
-    """Contents of the reserved NAND area after an emergency dump."""
+    """Contents of the reserved NAND area after an emergency dump.  The
+    firmware dumps the whole buffer; the model keeps only its pages that
+    hold data (``ByteRegion.page_image``), the rest reading as zeros."""
 
-    buffer_image: bytes
+    buffer_image: dict[int, bytes]
     table_snapshot: list[tuple[int, int, int, int]]
 
 
@@ -70,7 +72,7 @@ class RecoveryManager:
             self.stats.dumps_failed += 1
             return False
         self._saved = _SavedImage(
-            buffer_image=self.dram.snapshot(),
+            buffer_image=self.dram.page_image(),
             table_snapshot=self.table.to_snapshot(),
         )
         self.stats.emergency_dumps += 1

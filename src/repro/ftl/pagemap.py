@@ -85,6 +85,8 @@ class PageMapFTL:
         self._full_blocks: list[tuple[int, int, int]] = []
         # Full blocks a crash left short of their last programs.
         self._stranded: set[tuple[int, int, int]] = set()
+        # The GC victim taken off ``_full_blocks`` and not yet erased.
+        self._victim: Optional[tuple[int, int, int]] = None
         self._dies: list[_DieAllocator] = []
         for channel in range(geometry.channels):
             for die in range(geometry.dies_per_channel):
@@ -119,7 +121,9 @@ class PageMapFTL:
         the crash are skipped, as real firmware does on power-up), and
         the GC lock is recreated (its holder died with the event queue).
         A full block whose last programs died is stranded: those pages
-        will never be programmed, so they no longer keep it from GC.
+        will never be programmed, so they no longer keep it from GC.  A
+        GC victim whose erase never completed is full again: its valid
+        set is intact, since each relocated page moves in one step.
         """
         self._generation += 1
         self._gc_lock.retire()
@@ -130,6 +134,9 @@ class PageMapFTL:
         # event queue; recreate lazily on the next stall.
         self._fallback_batch = None
         self.engine.process(self._background_gc_loop(), name="ftl-background-gc")
+        if self._victim is not None:
+            self._full_blocks.append(self._victim)
+            self._victim = None
         pages_per_block = self.flash.geometry.pages_per_block
         self._stranded.update(
             key for key in self._full_blocks
@@ -223,6 +230,21 @@ class PageMapFTL:
             raise AssertionError(
                 f"free-block counter {self._free_block_count} != actual {actual_free}"
             )
+        # Every block is free, active, full or GC's victim, exactly once
+        # (at quiescence there is no victim).
+        blocks = list(self._full_blocks)
+        if self._victim is not None:
+            blocks.append(self._victim)
+        for die in self._dies:
+            blocks += [(die.channel, die.die, block) for block in
+                       [*die.free_blocks, die.active_block] if block is not None]
+        geometry = self.flash.geometry
+        if sorted(blocks) != [(die.channel, die.die, block) for die in self._dies
+                              for block in range(geometry.blocks_per_die)]:
+            raise AssertionError(
+                f"{len(blocks)} blocks free, active, full or collected "
+                f"({len(set(blocks))} distinct) of "
+                f"{len(self._dies) * geometry.blocks_per_die}")
         # At quiescence the array holds bytes for exactly the mapped pages.
         if self.flash._data.keys() != self.map._p2l.keys():
             raise AssertionError(
@@ -513,8 +535,7 @@ class PageMapFTL:
                 best_index = index
         if best is None:
             return None
-        key = self._full_blocks[best_index]
-        del self._full_blocks[best_index]
+        key = self._victim = self._full_blocks.pop(best_index)
         return best[0], key
 
     def _kick_background_gc(self) -> None:
@@ -582,6 +603,7 @@ class PageMapFTL:
             else:
                 self._invalidate(new_ppn)
         yield from self.flash.erase_block(channel, die, block)
+        self._victim = None
         self._valid.pop(key, None)
         self._stranded.discard(key)
         owner = self._dies[channel * geometry.dies_per_channel + die]

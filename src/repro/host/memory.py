@@ -104,6 +104,15 @@ class ByteRegion:
             return bytes(nbytes)
         return self._data[offset:offset + nbytes]
 
+    def view(self, offset: int, nbytes: int) -> memoryview:
+        """:meth:`read` without the copy: a read-only view of the bytes.
+        It shows later writes too, so the caller releases it before
+        anything else can run (before its next ``yield``)."""
+        self._check(offset, nbytes)
+        if self._inbound is not None:
+            self._settle_inbound()
+        return memoryview(self._backing())[offset:offset + nbytes].toreadonly()
+
     def snapshot(self) -> bytes:
         if self._inbound is not None:
             self._settle_inbound()
@@ -111,23 +120,28 @@ class ByteRegion:
             return bytes(self.size)
         return self._data[:]
 
-    def restore(self, image: bytes) -> None:
-        """Adopt ``image`` whole.  Only its OS pages that hold data are
-        written; every other page is handed back as :meth:`zero` does, so
-        a restored region is resident where the image holds data."""
-        if len(image) != self.size:
-            raise ValueError(
-                f"restore image of {len(image)} bytes does not match region size {self.size}"
-            )
+    def page_image(self) -> dict[int, bytes]:
+        """The OS pages that hold data, offset -> bytes: the image
+        :meth:`restore` adopts, as small as what was written."""
         if self._inbound is not None:
             self._settle_inbound()
-        if self._data is not None:
-            self._data.madvise(mmap.MADV_DONTNEED)
-        view = memoryview(image)
-        for offset in range(0, self.size, _OS_PAGE):
-            if not image.startswith(_ZERO_PAGE, offset):
-                self._backing()[offset:offset + _OS_PAGE] = \
-                    view[offset:offset + _OS_PAGE]
+        image: dict[int, bytes] = {}
+        data = self._data
+        if data is not None:
+            for offset in range(0, self.size, _OS_PAGE):
+                page = data[offset:offset + _OS_PAGE]
+                if page != _ZERO_PAGE[:len(page)]:
+                    image[offset] = page
+        return image
+
+    def restore(self, image: dict[int, bytes]) -> None:
+        """Adopt a :meth:`page_image`: exactly its pages are written, and
+        every other byte reads as zeros and costs nothing."""
+        for offset, page in image.items():
+            self._check(offset, len(page))
+        self.clear()
+        for offset, page in image.items():
+            self._backing()[offset:offset + len(page)] = page
 
     def clear(self) -> None:
         if self._inbound is not None:

@@ -27,13 +27,7 @@ from repro.sim.engine import Event
 from repro.wal.base import (
     LogFullError, PartialAppendError, WalStats, WriteAheadLog)
 from repro.wal.record import (
-    RECORD_HEADER_BYTES,
-    RecordFormatError,
-    decode_record,
-    encode_record,
-    peek_header,
-    scan_records,
-)
+    RECORD_HEADER_BYTES, encode_record, peek_header, scan_run)
 
 
 class _Half:
@@ -388,9 +382,11 @@ class BaWAL(WriteAheadLog):
         record at LSN ``n * segment_bytes`` (records never span segments;
         ``_switch_halves`` pads a sealed tail), so the log is followed
         from ``start_lsn``'s segment, one slot at a time, until a slot
-        does not anchor at its expected base.  A pinned slot is read from
-        the BA-buffer (it holds the newer bytes); any other is probed one
-        page before its body is read.  When no record sits at
+        does not anchor at its expected base.  A pinned slot is scanned
+        where it lies in the BA-buffer (it holds the newer bytes); any
+        other is probed one page before its body is read.  Every record
+        is CRC-checked, but only those at or above ``start_lsn`` are
+        copied out: nothing below it is returned.  When no record sits at
         ``start_lsn`` — the area wrapped over it, or it is the tail —
         every slot is scanned instead and :meth:`_stitch` re-anchors at
         the oldest surviving segment.
@@ -402,8 +398,8 @@ class BaWAL(WriteAheadLog):
             for number in range(first, first + segments):
                 base = number * self.segment_bytes
                 lpn = self.start_lpn + number % segments * self.segment_pages
-                image = self._pinned_image(lpn)
-                if image is not None:
+                anchored = self._scan_pinned(collected, lpn, base, start_lsn)
+                if anchored is not None:
                     yield self.engine.timeout(self.api.params.entry_info_latency)
                 else:
                     image = yield from self._read(
@@ -412,52 +408,55 @@ class BaWAL(WriteAheadLog):
                         break
                     # A background recycle may have re-pinned the slot
                     # while the probe was in flight.
-                    pinned = self._pinned_image(lpn)
-                    if pinned is not None:
-                        image = pinned
-                    elif self.segment_pages > 1:
-                        image += yield from self._read(
-                            lpn + 1, self.segment_bytes - self.page_size,
-                            "wal.ba.recover.segments_read")
-                records = self._scan_anchored(image)
-                if not records or records[0][0] != base:
+                    anchored = self._scan_pinned(collected, lpn, base,
+                                                 start_lsn)
+                    if anchored is None:
+                        if self.segment_pages > 1:
+                            image += yield from self._read(
+                                lpn + 1, self.segment_bytes - self.page_size,
+                                "wal.ba.recover.segments_read")
+                        anchored = self._scan_anchored(collected, image, base,
+                                                       start_lsn)
+                if not anchored:
                     break
-                collected.extend(records)
             if all(lsn != start_lsn for lsn, _p in collected):
                 if tracing.enabled:
                     tracing.count("wal.ba.recover.fallback_scans")
-                collected = yield from self._scan_every_slot()
+                collected = yield from self._scan_every_slot(start_lsn)
         return self._stitch(collected, start_lsn)
 
-    def _scan_every_slot(self) -> Iterator[Event]:
-        """Process: the anchored records of every slot of the log area,
-        whatever was written, in LSN order."""
+    def _scan_every_slot(self, keep_from: int) -> Iterator[Event]:
+        """Process: the anchored records at or above ``keep_from`` of every
+        slot of the log area, whatever was written, in LSN order."""
         collected: list[tuple[int, bytes]] = []
         for slot in range(self.area_pages // self.segment_pages):
             lpn = self.start_lpn + slot * self.segment_pages
-            image = self._pinned_image(lpn)
-            if image is not None:
+            if self._scan_pinned(collected, lpn, None, keep_from) is not None:
                 yield self.engine.timeout(self.api.params.entry_info_latency)
             else:
                 image = yield from self._read(
                     lpn, self.segment_bytes, "wal.ba.recover.segments_read")
-            collected.extend(self._scan_anchored(image))
+                self._scan_anchored(collected, image, None, keep_from)
         collected.sort(key=lambda item: item[0])
         return collected
 
-    def _pinned_image(self, lpn: int) -> Optional[bytes]:
-        """The BA-buffer bytes of the segment pinned at ``lpn``, if one is.
+    def _scan_pinned(self, records: list, lpn: int, base: Optional[int],
+                     keep_from: int) -> Optional[bool]:
+        """:meth:`_scan_anchored` of the segment pinned at ``lpn``, where it
+        lies in the BA-buffer; ``None`` when no segment is pinned there.
 
         The overlay is resolved at access time (a background flush+re-pin
-        may move entries while recovery is reading) and the buffer read
-        synchronously, so lookup and read are atomic with respect to the
-        mapping table.
+        may move entries while recovery is reading) and the buffer scanned
+        synchronously, so lookup and scan are atomic with respect to the
+        mapping table and to every later write.
         """
         overlay = self.device.mapping_table.pinned_lba_overlap(
             lpn, self.segment_pages)
-        if overlay is not None and overlay.lba == lpn:
-            return self.device.ba_dram.read(overlay.offset, self.segment_bytes)
-        return None
+        if overlay is None or overlay.lba != lpn:
+            return None
+        with self.device.ba_dram.view(overlay.offset,
+                                      self.segment_bytes) as image:
+            return self._scan_anchored(records, image, base, keep_from)
 
     def _read(self, lpn: int, nbytes: int, counter: str) -> Iterator[Event]:
         """Process: one block read of recovery, tallied when traced."""
@@ -466,12 +465,17 @@ class BaWAL(WriteAheadLog):
             tracing.count("wal.ba.recover.bytes_read", nbytes)
         return (yield from self.device.read(lpn, nbytes))
 
-    def _scan_anchored(self, image: bytes) -> list[tuple[int, bytes]]:
-        try:
-            first_lsn, _payload, _next = decode_record(image, 0)
-        except RecordFormatError:
-            return []
-        return scan_records(image, start_lsn=first_lsn)
+    @staticmethod
+    def _scan_anchored(records: list, image, base: Optional[int],
+                       keep_from: int) -> bool:
+        """Append to ``records`` those at or above ``keep_from`` of the run
+        that opens ``image`` at LSN ``base`` (at whatever LSN its first
+        header claims when ``base`` is None); True if the run holds any."""
+        if base is None:
+            base = peek_header(image)
+            if base is None:
+                return False
+        return scan_run(records, image, base, keep_from) != base
 
     def _stitch(self, records: list[tuple[int, bytes]], start_lsn: int) -> list:
         result: list[tuple[int, bytes]] = []

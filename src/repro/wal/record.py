@@ -70,16 +70,34 @@ def scan_records(buffer: bytes, start_lsn: int = 0) -> list[tuple[int, bytes]]:
     unreachable, exactly as in ARIES-style recovery.
     """
     records: list[tuple[int, bytes]] = []
+    scan_run(records, buffer, start_lsn, 0)
+    return records
+
+
+def scan_run(records: list, buffer, start_lsn: int, keep_from: int) -> int:
+    """:func:`scan_records` appending to ``records`` only the records at or
+    above ``keep_from``; returns the stream offset where the run ends
+    (``start_lsn`` when no record is valid).
+
+    Every record is checked where it lies in ``buffer`` (any bytes-like
+    object, a ``memoryview`` of device memory included); only the payloads
+    kept are copied, each once.
+    """
     offset = 0
     expected_lsn = start_lsn
-    while offset + RECORD_HEADER_BYTES <= len(buffer):
-        try:
-            lsn, payload, next_offset = decode_record(buffer, offset)
-        except RecordFormatError:
-            break
-        if lsn != expected_lsn:
-            break
-        records.append((lsn, payload))
-        expected_lsn = start_lsn + next_offset
-        offset = next_offset
-    return records
+    with memoryview(buffer) as view:
+        size = len(view)
+        while offset + RECORD_HEADER_BYTES <= size:
+            magic, length, lsn, crc = _HEADER.unpack_from(view, offset)
+            start = offset + RECORD_HEADER_BYTES
+            end = start + length
+            if magic != _MAGIC or end > size or lsn != expected_lsn:
+                break
+            if crc != zlib.crc32(view[start:end],
+                                 zlib.crc32(lsn.to_bytes(8, "little"))):
+                break  # torn
+            if lsn >= keep_from:
+                records.append((lsn, view[start:end].tobytes()))
+            offset = end
+            expected_lsn = start_lsn + end
+    return expected_lsn

@@ -180,7 +180,8 @@ class TestByteRegion:
     def test_snapshot_restore_roundtrip(self):
         region = ByteRegion("r", 16)
         region.write(0, b"0123456789abcdef")
-        image = region.snapshot()
+        image = region.page_image()
+        assert image == {0: b"0123456789abcdef"}
         region.clear()
         assert region.read(0, 16) == bytes(16)
         region.restore(image)
@@ -188,5 +189,7 @@ class TestByteRegion:
 
     def test_restore_size_mismatch_rejected(self):
         region = ByteRegion("r", 16)
+        region.write(0, b"kept")
         with pytest.raises(ValueError):
-            region.restore(b"short")
+            region.restore({8: b"past the end"})
+        assert region.read(0, 4) == b"kept"  # checked before anything moved

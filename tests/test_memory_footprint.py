@@ -7,11 +7,12 @@ all-zero programmed page as its one shared zero page.
 
 ``OracleRegion`` is the ``bytearray`` region this replaced, kept verbatim.
 The property drives the same operations — writes, zeros of ragged ends,
-page-aligned runs and the whole region, reads, snapshots, restores of
-sparse images (``restore`` writes only the image's pages that hold data
-and hands the rest back), clears, and posted bursts landing between
-them — through both, each on its own engine and link, and demands every
-read and snapshot agree.
+page-aligned runs and the whole region, reads, snapshots (with the
+sparse ``page_image`` checked against each), restores of sparse page
+images (``restore`` writes exactly the image's pages and drops the
+rest), clears, and posted bursts landing between them — through both,
+each on its own engine and link, and demands every read and snapshot
+agree.
 The budget tests read the page table (``scripts/_meter.py``'s
 ``resident_kib``) and skip where Linux's ``/proc`` is absent.
 """
@@ -176,13 +177,24 @@ class _Twin:
             self.seen.append(region.read(offset,
                                          min(length, REGION_BYTES - offset)))
         elif kind == "snapshot":
-            self.seen.append(region.snapshot())
+            image = region.snapshot()
+            if isinstance(region, ByteRegion):  # the same bytes, sparse
+                pages = region.page_image()
+                assert all(any(page) for page in pages.values())
+                assert b"".join(pages.get(offset, bytes(PAGE)) for offset
+                                in range(0, REGION_BYTES, PAGE)) == image
+            self.seen.append(image)
         elif kind == "restore":
             _kind, fill, mask, start = op
-            region.restore(b"".join(
-                bytes(start) + bytes([fill]) * (PAGE - start)
-                if mask >> page & 1 else bytes(PAGE)
-                for page in range(REGION_BYTES // PAGE)))
+            pages = {page * PAGE: bytes(start) + bytes([fill]) * (PAGE - start)
+                     for page in range(REGION_BYTES // PAGE)
+                     if mask >> page & 1}
+            if isinstance(region, ByteRegion):
+                region.restore(pages)
+            else:  # the oracle adopts the same image flat
+                region.restore(b"".join(pages.get(offset, bytes(PAGE))
+                                        for offset in range(0, REGION_BYTES,
+                                                            PAGE)))
         elif kind == "clear":
             region.clear()
         else:

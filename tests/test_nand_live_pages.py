@@ -6,13 +6,13 @@ Two replacements, each held to the behaviour it replaced:
   ``FlashArray.discard``: after a host overwrite, a TRIM, a GC relocation
   or a stalled write, the array keeps no bytes for a page nothing maps.
   Its protocol state (programmed, write pointer, wear) stays.
-* ``ByteRegion.restore`` writes only the image's OS pages that hold data
-  and hands every other page back, so a power-cycled BA-buffer is
-  resident where it holds data.
+* A power cycle restores only the BA-buffer's OS pages that hold data,
+  so a power-cycled BA-buffer is resident where it holds data.
 
-The oracle is the parent's behaviour, installed on one of two twin
-2B-SSDs: a ``FlashArray`` whose ``discard`` is a no-op and the full-copy
-``restore`` (kept below, verbatim).  One derandomized Hypothesis op
+The oracle is the replaced behaviour, installed on one of two twin
+2B-SSDs: a ``FlashArray`` whose ``discard`` is a no-op and the
+full-image dump and full-copy restore
+(``tests/test_recovery_memory.py`` keeps them verbatim).  One derandomized Hypothesis op
 sequence drives both — block writes and overwrites, TRIMs (also while
 the page destages), BA_PIN / mmio + BA_SYNC / BA_FLUSH, timed FTL reads
 racing all of those and background GC, host block reads, and power cuts
@@ -26,7 +26,6 @@ import dataclasses
 import gc
 import os
 import sys
-import types
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -41,6 +40,7 @@ from repro.sim import Engine, RngStreams
 from repro.sim.units import USEC
 from repro.ssd.profiles import TWOB_BASE
 from tests.helpers import Platform, dual_path_lsm, small_ba_params
+from tests.test_recovery_memory import install_dump_oracle
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scripts"))
@@ -62,22 +62,11 @@ SLOTS = 4  # small_ba_params(16): a 16 KiB BA-buffer, one page per entry
 # -- the replaced behaviour, kept as the oracle -------------------------------------
 
 
-def full_copy_restore(self, image: bytes) -> None:
-    """``ByteRegion.restore`` before this change, verbatim."""
-    if len(image) != self.size:
-        raise ValueError(
-            f"restore image of {len(image)} bytes does not match region size {self.size}"
-        )
-    if self._inbound is not None:
-        self._settle_inbound()
-    self._backing()[:] = image
-
-
 def install_oracle(device) -> None:
-    """Make ``device`` keep every image and restore by full copy."""
+    """Make ``device`` keep every image and dump and restore whole
+    BA-buffer images."""
     device.flash.discard = lambda ppn: None
-    device.ba_dram.restore = types.MethodType(full_copy_restore,
-                                              device.ba_dram)
+    install_dump_oracle(device)
 
 
 # -- twin devices ---------------------------------------------------------------
@@ -146,11 +135,6 @@ class Twin:
         else:  # "power_cycle": cut power mid-flight, reboot, restore
             engine = self.engine
             engine.run(until=engine.now + run_us * USEC)
-            # Never mid-GC: the FTL's reboot does not hand an interrupted
-            # victim back to its block lists, and on this geometry the
-            # lost blocks would leave background GC relocating forever.
-            while device.ftl._gc_lock.in_use:
-                engine.run(until=engine.now + USEC)
             CrashHarness(self).crash_at(0.0)
             self.log.append((index, engine.now, engine._sequence,
                              "power_cycle"))
@@ -277,6 +261,47 @@ def test_the_races_the_property_relies_on_happen():
     assert lost and all(lost)  # each such read delivered the zero page
     ftl.check_consistency()
     check_twins(ops)
+
+
+def block_lists(ftl) -> list:
+    """Every block the FTL can hand out or collect: free, active, full."""
+    blocks = list(ftl._full_blocks)
+    for die in ftl._dies:
+        blocks += [(die.channel, die.die, block) for block in
+                   [*die.free_blocks, die.active_block] if block is not None]
+    return sorted(blocks)
+
+
+def test_a_power_cut_mid_gc_hands_the_victim_back():
+    """GC takes its victim off the full list before relocating it; a cut
+    before the erase completes left the block in no list at all, so it
+    was never collected again and background GC could spin on the rest.
+    The rebooted FTL returns it, still programmed, to the full list."""
+    twin = Twin(oracle=False)
+    engine, ftl = twin.engine, twin.device.ftl
+    every_block = block_lists(ftl)
+    assert len(every_block) == 10
+
+    def victim_taken():  # a GC after the first holds a block off the lists
+        return ftl.stats.gc_pages_written > 0 and len(block_lists(ftl)) < 10
+
+    round_ = 0
+    while not victim_taken():  # overwrite every page until then
+        round_ += 1
+        assert round_ < 30
+        twin.spawn(round_, twin.device.write(0, fill(round_, LPNS)))
+        deadline = engine.now + 400 * USEC
+        while engine.now < deadline and not victim_taken():
+            engine.run(until=engine.now + USEC)
+    assert ftl._gc_lock.in_use
+    CrashHarness(twin).crash_at(0.0)
+    assert block_lists(ftl) == every_block
+    twin.spawn(99, twin.device.write(0, fill(7, LPNS)))
+    engine.run(until=engine.now + 0.05)
+    assert engine.quiescent()  # background GC is not spinning
+    ftl.check_consistency()
+    assert [engine.run_process(twin.device.read(lpn, PAGE))
+            for lpn in range(LPNS)] == [fill(7)] * LPNS
 
 
 # -- directed NAND cases ----------------------------------------------------------
@@ -428,7 +453,7 @@ def test_the_full_copy_restore_made_the_whole_buffer_resident():
 def test_a_restore_over_a_resident_region_hands_zero_pages_back():
     region = ByteRegion("ba-dram", 8 * MiB)
     region.write(0, b"\xab" * (2 * MiB))
-    image = bytes(MiB) + b"\xcd" * PAGE + bytes(7 * MiB - PAGE)
-    region.restore(image)
-    assert region.snapshot() == image
+    region.restore({MiB: b"\xcd" * PAGE})
+    assert region.snapshot() == \
+        bytes(MiB) + b"\xcd" * PAGE + bytes(7 * MiB - PAGE)
     assert _resident_or_skip(region._data) <= 8

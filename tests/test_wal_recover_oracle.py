@@ -1,14 +1,23 @@
-"""``BaWAL.recover`` against the every-slot scan it replaced.
+"""``BaWAL.recover`` against the two implementations it replaced.
 
 Recovery used to block-read every segment slot of the log area whatever
-was written; it now follows the segment chain from ``start_lsn`` and
-stops at the first slot that does not anchor at its expected base, with
-the every-slot scan kept only as the fallback for a ``start_lsn`` nothing
-sits at.  ``oracle_recover`` below is the replaced implementation kept
-verbatim (as functions of a ``BaWAL``, with the ``_stitch`` boundary fix
-written out independently); every test drives both over the same device
-state and demands equal record lists — same LSNs, same payloads, same
-stopping point.
+was written; it then followed the segment chain from ``start_lsn`` and
+stopped at the first slot that does not anchor at its expected base,
+with the every-slot scan kept only as the fallback for a ``start_lsn``
+nothing sits at, copying each pinned half out of the BA-buffer and every
+record's payload before it scanned.  It now scans a pinned half where it
+lies and copies only the payloads it returns.
+
+``oracle_recover`` below is the every-slot scan kept verbatim (as
+functions of a ``BaWAL``, with the ``_stitch`` boundary fix written out
+independently), and ``copy_recover`` the copy-based chain follower, also
+verbatim; both scan with ``scan_records`` as it was.  Every test drives
+all three over the same device state and demands equal record lists —
+same LSNs, same payloads, same stopping point — and the copy-based one
+the same simulated time.  The race property runs the change and the
+copy-based scan on twin platforms while the writer keeps appending into
+the BA-buffer: a view read after the scan instant would return bytes the
+copy never held.
 
 The stitcher's boundary rule is unit-tested first: a record that ends
 exactly on a segment boundary leaves no padding to jump over, so the
@@ -23,13 +32,13 @@ from hypothesis import strategies as st
 
 from repro.core import CrashHarness
 from repro.obs import tracing
-from repro.sim.units import USEC
+from repro.sim.units import NSEC, USEC
 from repro.wal import BaWAL
 from repro.wal.record import (
     RECORD_HEADER_BYTES,
     RecordFormatError,
     decode_record,
-    scan_records,
+    peek_header,
 )
 from tests.helpers import Platform, small_ba_params
 
@@ -59,6 +68,24 @@ def oracle_recover(wal, start_lsn=0):
         collected.extend(oracle_scan_anchored(image))
     collected.sort(key=lambda item: item[0])
     return oracle_stitch(collected, start_lsn, wal.segment_bytes)
+
+
+def scan_records(buffer, start_lsn=0):
+    """``repro.wal.record.scan_records`` as it was: every payload copied."""
+    records = []
+    offset = 0
+    expected_lsn = start_lsn
+    while offset + HEADER <= len(buffer):
+        try:
+            lsn, payload, next_offset = decode_record(buffer, offset)
+        except RecordFormatError:
+            break
+        if lsn != expected_lsn:
+            break
+        records.append((lsn, payload))
+        expected_lsn = start_lsn + next_offset
+        offset = next_offset
+    return records
 
 
 def oracle_scan_anchored(image):
@@ -92,6 +119,89 @@ def oracle_stitch(records, start_lsn, segment_bytes):
             break
         result.append((lsn, payload))
         expected = lsn + HEADER + len(payload)
+    return result
+
+
+def copy_recover(wal, start_lsn=0):
+    """Process: ``BaWAL.recover`` before it scanned in place, verbatim —
+    each pinned half copied out of the BA-buffer, every payload copied."""
+    segments = wal.area_pages // wal.segment_pages
+    first = start_lsn // wal.segment_bytes
+    collected = []
+    for number in range(first, first + segments):
+        base = number * wal.segment_bytes
+        lpn = wal.start_lpn + number % segments * wal.segment_pages
+        image = copy_pinned_image(wal, lpn)
+        if image is not None:
+            yield wal.engine.timeout(wal.api.params.entry_info_latency)
+        else:
+            image = yield from wal._read(
+                lpn, wal.page_size, "wal.ba.recover.slots_probed")
+            if peek_header(image) != base:
+                break
+            # A background recycle may have re-pinned the slot
+            # while the probe was in flight.
+            pinned = copy_pinned_image(wal, lpn)
+            if pinned is not None:
+                image = pinned
+            elif wal.segment_pages > 1:
+                image += yield from wal._read(
+                    lpn + 1, wal.segment_bytes - wal.page_size,
+                    "wal.ba.recover.segments_read")
+        records = oracle_scan_anchored(image)
+        if not records or records[0][0] != base:
+            break
+        collected.extend(records)
+    if all(lsn != start_lsn for lsn, _p in collected):
+        collected = yield from copy_scan_every_slot(wal)
+    return copy_stitch(wal, collected, start_lsn)
+
+
+def copy_scan_every_slot(wal):
+    collected = []
+    for slot in range(wal.area_pages // wal.segment_pages):
+        lpn = wal.start_lpn + slot * wal.segment_pages
+        image = copy_pinned_image(wal, lpn)
+        if image is not None:
+            yield wal.engine.timeout(wal.api.params.entry_info_latency)
+        else:
+            image = yield from wal._read(
+                lpn, wal.segment_bytes, "wal.ba.recover.segments_read")
+        collected.extend(oracle_scan_anchored(image))
+    collected.sort(key=lambda item: item[0])
+    return collected
+
+
+def copy_pinned_image(wal, lpn):
+    overlay = wal.device.mapping_table.pinned_lba_overlap(
+        lpn, wal.segment_pages)
+    if overlay is not None and overlay.lba == lpn:
+        return wal.device.ba_dram.read(overlay.offset, wal.segment_bytes)
+    return None
+
+
+def copy_stitch(wal, records, start_lsn):
+    result = []
+    expected = start_lsn
+    if records and all(lsn != start_lsn for lsn, _p in records):
+        boundaries = [lsn for lsn, _p in records
+                      if lsn >= start_lsn and lsn % wal.segment_bytes == 0]
+        if boundaries:
+            expected = min(boundaries)
+    for lsn, payload in records:
+        if lsn < expected:
+            continue
+        if lsn == expected:
+            result.append((lsn, payload))
+            expected = lsn + HEADER + len(payload)
+            continue
+        next_segment_base = (
+            -(-expected // wal.segment_bytes) * wal.segment_bytes)
+        if lsn == next_segment_base:
+            result.append((lsn, payload))
+            expected = lsn + HEADER + len(payload)
+        else:
+            break
     return result
 
 
@@ -137,10 +247,16 @@ def agree(platform, wal, start_lsn=0):
     engine = platform.engine
     fresh = BaWAL(engine, platform.api, start_lpn=wal.start_lpn,
                   area_pages=wal.area_pages)
+    began = engine.now
     with tracing.activated() as tracer:
         got = engine.run_process(fresh.recover(start_lsn))
+    took, began = engine.now - began, engine.now
+    copied = engine.run_process(copy_recover(fresh, start_lsn))
+    # Equal up to the rounding of two different start instants (the race
+    # property below compares instants from the same start exactly).
+    assert abs(engine.now - began - took) < 1e-15
     want = engine.run_process(oracle_recover(fresh, start_lsn))
-    assert got == want
+    assert got == copied == want
     return got, tracer.counters
 
 
@@ -355,7 +471,8 @@ OPS = st.lists(
 )
 STARTS = st.tuples(
     st.sampled_from(["zero", "record", "record", "record", "segment",
-                     "segment", "inside", "tail", "past"]),
+                     "segment", "inside", "tail", "past", "pinned",
+                     "pinned"]),
     st.integers(0, 10_000))
 # Pages: two slots (both always pinned, every seal wraps), four, eight.
 AREAS = st.sampled_from([SMALL_AREA // 2, SMALL_AREA, 2 * SMALL_AREA])
@@ -395,8 +512,14 @@ def run_ops(ops, area_pages):
     return platform, wal, starts
 
 
-def resolve(start, starts, tail):
+def resolve(start, starts, wal):
     kind, pick = start
+    tail = wal.tail_lsn
+    pinned = [lsn for lsn in starts for half in wal._halves
+              if half.stream_base <= lsn < half.stream_base + SEGMENT]
+    if kind == "pinned" and pinned:
+        # A record in a half the BA-buffer holds, or a byte inside one.
+        return pinned[pick % len(pinned)] + pick // 7 % 2 * (1 + pick % HEADER)
     if kind == "record" and starts:
         return starts[pick % len(starts)]
     if kind == "inside" and starts:
@@ -416,10 +539,10 @@ def resolve(start, starts, tail):
 def test_any_sequence_matches_the_oracle(ops, start_picks, area_pages):
     platform, wal, starts = run_ops(ops, area_pages)
     for pick in start_picks:
-        agree(platform, wal, resolve(pick, starts, wal.tail_lsn))
+        agree(platform, wal, resolve(pick, starts, wal))
     platform.power.power_cycle()
     for pick in start_picks:
-        agree(platform, wal, resolve(pick, starts, wal.tail_lsn))
+        agree(platform, wal, resolve(pick, starts, wal))
 
 
 @pytest.mark.soak
@@ -428,3 +551,64 @@ def test_any_sequence_matches_the_oracle_over_3000_examples():
     settings(max_examples=3000, deadline=None, derandomize=True,
              suppress_health_check=[HealthCheck.too_slow])(
         given(OPS, st.lists(STARTS, min_size=1, max_size=4), AREAS)(check))()
+
+
+# -- writes after the scan instant ---------------------------------------------------
+
+
+def race(ops, area_pages, pick, lead_ns, sizes):
+    """Twin platforms reach the same state; on one the change recovers, on
+    the other the copy-based scan, ``lead_ns`` after the writer began
+    appending ``sizes``: its stores land in the BA-buffer before, during
+    or after the scan of the half they land in.  Returns what each saw."""
+    return [recover_racing(recover, ops, area_pages, pick, lead_ns, sizes)
+            for recover in (BaWAL.recover, copy_recover)]
+
+
+def recover_racing(recover, ops, area_pages, pick, lead_ns, sizes):
+    platform, wal, starts = run_ops(ops, area_pages)
+    engine = platform.engine
+    fresh = BaWAL(engine, platform.api, start_lpn=wal.start_lpn,
+                  area_pages=wal.area_pages)
+    start_lsn = resolve(pick, starts, wal)
+
+    def writer():
+        ends = yield from wal.append_batch(
+            [bytes([0xEE]) * size for size in sizes])
+        yield from wal.commit(ends[-1])
+        return ends
+
+    def recovery():
+        yield engine.timeout(lead_ns * NSEC)
+        return (yield from recover(fresh, start_lsn))
+
+    wrote = engine.process(writer())
+    got = engine.run_process(recovery())
+    finished = engine.now
+    engine.run()
+    return got, finished, wrote.value, engine.now
+
+
+SIZES = st.lists(st.integers(0, 3000), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(OPS, STARTS, AREAS, st.integers(0, 3000), SIZES)
+def test_writes_after_the_scan_instant_stay_out(ops, pick, area_pages,
+                                                lead_ns, sizes):
+    changed, copied = race(ops, area_pages, pick, lead_ns, sizes)
+    assert changed == copied
+
+
+def test_a_write_landing_inside_the_wait_is_not_seen():
+    """Recovery scans the active half at once, then waits out its entry
+    lookup; the writer's record lands inside that wait.  The copy never
+    held it, and neither does the scan; begun 200 ns later, both see it."""
+    ops = [("append", 700)] * 5 + [("commit",)]
+    changed, copied = race(ops, WIDE_AREA, ("zero", 0), 500, [500])
+    assert changed == copied
+    assert len(changed[0]) == 5
+    changed, copied = race(ops, WIDE_AREA, ("zero", 0), 700, [500])
+    assert changed == copied
+    assert len(changed[0]) == 6
