@@ -100,7 +100,8 @@ step "device cost smoke (scripts/device_cost.py --smoke)" \
 
 # Host memory, one fresh child per row (~2 s): 4 096 SETs of 64 B leaving
 # more than 512 KiB of a node's 8 MiB BA-buffer resident, or a compacted
-# LSM whose NAND keeps page images nothing maps, breaks a ceiling and
+# LSM whose NAND keeps page images nothing maps, or a gateway recover()
+# holding more than its values and three segments, breaks a ceiling and
 # exits non-zero.
 step "memory cost smoke (scripts/memory_cost.py --smoke)" \
     python3 scripts/memory_cost.py --smoke

@@ -34,7 +34,11 @@ Rows:
    across the power cycle and across recovery (the peak is reset
    before each, ``/proc/self/clear_refs``), the KiB the dump held against
    the buffer's pages that hold data, and ``tracemalloc``'s peak inside
-   ``BaWAL.recover`` against the payload bytes it returned.
+   the tree's log read (``BaWAL.replay``; ``BaWAL.recover`` on a tree
+   older than "One replay contract") against the payload bytes it read;
+8. a default 3-node gateway after 1 500 unique 2 KiB SETs, then
+   ``server.recover()`` as ``gw-set`` runs it: ``tracemalloc``'s peak
+   inside it against the bytes of the values it rebuilt.
 
 Read-only use of ``src/``: the same script runs on any commit (on a tree
 whose BA-DRAM is a ``bytearray``, the resident column reports the pages
@@ -43,13 +47,16 @@ written", "Device memory follows the live data" and "Recovery holds only
 what it returns", has the before and after.  Ceilings: row 2's BA-DRAM
 at most ``ROW2_CEILING_KIB`` resident on any node; row 5's images exactly
 the mapped pages; row 6's resident at most the written pages; row 7's
-recovery peak at most the bytes it returned plus ``ROW7_SLACK_KIB``.  The
-script exits non-zero when one is broken or a row fails (on a tree older
-than "Device memory follows the live data", row 5 prints the stale images
-and row 6 a whole resident buffer; on one older than "Recovery holds only
-what it returns", row 7 prints an 8 MiB dump and a recovery peak of two
-copied halves; each ceiling is reported broken).  ``--smoke`` runs rows
-1, 2 and smaller rows 5 and 7 (~3 s); ``scripts/check.sh`` and CI run it.
+recovery peak at most the bytes it read plus ``ROW7_SLACK_KIB``; row 8's
+at most the values plus three segments (one per shard in flight) plus
+``ROW8_SLACK_KIB``.  The script exits non-zero when one is broken or a
+row fails (on a tree older than "Device memory follows the live data",
+row 5 prints the stale images and row 6 a whole resident buffer; on one
+older than "Recovery holds only what it returns", row 7 prints an 8 MiB
+dump and a recovery peak of two copied halves; on one older than "One
+replay contract", row 8 prints every shard's payload list on top of the
+values; each ceiling is reported broken).  ``--smoke`` runs rows 1, 2, 8
+and smaller rows 5 and 7 (~4 s); ``scripts/check.sh`` and CI run it.
 Without Linux's ``/proc`` the resident and growth columns read ``n/a``
 and their ceilings are not checked.
 """
@@ -86,6 +93,8 @@ LSM_AREA_PAGES = 4096     # the WAL's log area; SSTables follow it
 LSM_PUTS = 6000           # of 256 B over 1 000 keys, 8 KiB memtables
 SMOKE_LSM_PUTS = 1500
 ROW7_SLACK_KIB = 256      # recovery's peak above the payloads it returned
+GATEWAY_SETS = 1500       # unique keys, 2 KiB values, over 10 connections
+ROW8_SLACK_KIB = 256      # recover()'s peak above the values and 3 segments
 PAGE = 4096
 
 
@@ -218,29 +227,70 @@ def lsm_power_cycle_and_recover(puts: int):
     replayed, recover_mib = peak_above_resident(
         lambda: engine.run_process(fresh_tree().recover()))
     # Once more on another fresh tree (recovery only reads the device),
-    # tracing allocations inside BaWAL.recover alone.
+    # tracing allocations inside the log read alone: ``BaWAL.replay``
+    # against the payload bytes it handed over (on a tree older than "One
+    # replay contract", ``BaWAL.recover`` against those it returned).
     traced = fresh_tree()
-    recover = traced.wal.recover
+    name = "replay" if hasattr(traced.wal, "replay") else "recover"
+    read = getattr(traced.wal, name)
     inside = {}
 
-    def measured(start_lsn=0):
+    def measured(*args):
         tracemalloc.start()
         try:
-            records = yield from recover(start_lsn)
+            result = yield from read(*args)
             inside["peak"] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        inside["returned"] = sum(len(payload) for _lsn, payload in records)
-        inside["records"] = len(records)
-        return records
+        return result
 
-    traced.wal.recover = measured
+    setattr(traced.wal, name, measured)
     engine.run_process(traced.recover())
+    records = engine.run_process(fresh_tree().wal.recover(traced._wal_start))
+    inside["returned"] = sum(len(payload) for _lsn, payload in records)
+    inside["records"] = len(records)
     return {"cycle_mib": cycle_mib, "recover_mib": recover_mib,
             "dump_kib": held[0] // 1024, "nonzero_kib": nonzero * PAGE // 1024,
             "replayed": replayed, "peak_kib": inside["peak"] / 1024,
             "returned_kib": inside["returned"] / 1024,
             "records": inside["records"]}, tree
+
+
+def gateway_recover(_smoke: bool):
+    """Row 8: a default 3-node gateway after ``GATEWAY_SETS`` unique 2 KiB
+    SETs, then ``server.recover()`` as ``gw-set`` runs it:
+    ``tracemalloc``'s peak inside it against the bytes of the values it
+    rebuilt, and the pool's segment size (a shard reads at most one
+    segment at a time)."""
+    pool = DevicePool(devices=3, seed=1)
+    engine = pool.engine
+    server = GatewayServer(pool, GatewayConfig())
+    engine.run_process(server.start())
+
+    def client(index: int):
+        conn = yield from server.accept()
+        decoder = FrameDecoder()
+        for seq in range(GATEWAY_SETS // 10):
+            conn.c2s.send(encode_request(Command.SET, f"c{index}-k{seq}",
+                                         bytes([seq % 251]) * 2048))
+            while not decoder.feed((yield conn.s2c.recv(4096))):
+                pass
+
+    engine.run(until=engine.all_of(
+        [engine.process(client(index)) for index in range(10)]))
+    engine.run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        server.recover()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    values = sum(len(value) for shard in server.shards
+                 for value in shard.data.values())
+    return {"gw_peak_kib": peak / 1024, "values_kib": values / 1024,
+            "segment_kib": pool.segment_bytes // 1024,
+            "keys": sum(len(shard.data) for shard in server.shards)}, server
 
 
 ROWS = {
@@ -255,6 +305,7 @@ ROWS = {
     "7": ("row 5 + power_cycle() + recover()",
           lambda smoke: lsm_power_cycle_and_recover(
               SMOKE_LSM_PUTS if smoke else LSM_PUTS)),
+    "8": ("gateway + 1 500 SETs of 2 KiB", gateway_recover),
 }
 
 
@@ -311,9 +362,14 @@ def ceilings(key: str, row: dict) -> list:
         return [f"row 5: {row['images']} NAND page images for "
                 f"{row['mapped']} mapped pages"]
     if key == "7" and row["peak_kib"] > row["returned_kib"] + ROW7_SLACK_KIB:
-        return [f"row 7: BaWAL.recover peaked at {row['peak_kib']:.0f} KiB "
-                f"returning {row['returned_kib']:.0f} KiB, ceiling "
+        return [f"row 7: the BaWAL log read peaked at {row['peak_kib']:.0f} "
+                f"KiB for {row['returned_kib']:.0f} KiB of payloads, ceiling "
                 f"+{ROW7_SLACK_KIB}"]
+    if key == "8" and row["gw_peak_kib"] > (
+            row["values_kib"] + 3 * row["segment_kib"] + ROW8_SLACK_KIB):
+        return [f"row 8: server.recover() peaked at {row['gw_peak_kib']:.0f} "
+                f"KiB rebuilding {row['values_kib']:.0f} KiB of values, "
+                f"ceiling + 3 x {row['segment_kib']} + {ROW8_SLACK_KIB}"]
     if key == "6" and measured and resident[0] > row["written_kib"]:
         return [f"row 6: {resident[0]} KiB of BA-DRAM resident after a power "
                 f"cycle, {row['written_kib']} KiB of it written"]
@@ -324,9 +380,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(
         description="Host memory growth, BA-DRAM residency and NAND page "
                     "images of a gateway pool, a bare BaWAL and an LSM "
-                    "tree, one child per row.")
+                    "tree, and what recovery holds, one child per row.")
     parser.add_argument("--smoke", action="store_true",
-                        help="rows 1, 2 and smaller rows 5 and 7")
+                        help="rows 1, 2, 8 and smaller rows 5 and 7")
     parser.add_argument("--row", choices=sorted(ROWS), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.row:
@@ -338,11 +394,19 @@ def main() -> int:
     print(f"  {'':<34}{'VmRSS MiB':>10}{'VmHWM MiB':>10}"
           f"   BA-DRAM resident KiB per node / NAND images")
     broken = []
-    for key in ("1", "2", "5", "7") if args.smoke else sorted(ROWS):
+    for key in ("1", "2", "5", "7", "8") if args.smoke else sorted(ROWS):
         try:
             row = child(key, args.smoke)
         except subprocess.CalledProcessError as exc:
             broken.append(f"row {key} failed: {exc.stderr.strip()[-300:]}")
+            continue
+        if "gw_peak_kib" in row:
+            print(f"  {key} {ROWS[key][0]:<32}{mib(row['VmRSS']):>10}"
+                  f"{mib(row['VmHWM']):>10}   server.recover() peak "
+                  f"{row['gw_peak_kib']:.0f} KiB for {row['values_kib']:.0f} "
+                  f"KiB of values ({row['keys']} keys, "
+                  f"{row['segment_kib']} KiB segments)")
+            broken += ceilings(key, row)
             continue
         if "peak_kib" in row:
             print(f"  {key} {ROWS[key][0]:<32}{'':>10}{'':>10}   "
@@ -352,8 +416,8 @@ def main() -> int:
                   f"{mib(row['recover_mib'])} MiB")
             print(f"      dump holds {row['dump_kib']} KiB for "
                   f"{row['nonzero_kib']} KiB of pages holding data")
-            print(f"      BaWAL.recover peak {row['peak_kib']:.0f} KiB for "
-                  f"{row['returned_kib']:.0f} KiB returned "
+            print(f"      BaWAL log read peak {row['peak_kib']:.0f} KiB for "
+                  f"{row['returned_kib']:.0f} KiB of payloads "
                   f"({row['records']} records)")
             broken += ceilings(key, row)
             continue

@@ -155,8 +155,9 @@ class FailoverManager:
             # Recovery reads only device state (NAND + any still-pinned
             # BA-buffer overlay), so the old leg's WAL object can scan even
             # though its host-side processes died with the crash.
-            recovered_pairs = yield from survivor_leg.wal.recover()
-            recovered = [payload for _lsn, payload in recovered_pairs]
+            recovered: list[bytes] = []
+            yield from survivor_leg.wal.replay(
+                0, lambda _lsn, payload: recovered.append(payload.tobytes()))
             spare_node = self._pick_spare(stream, spare)
             new_stream = yield from pool.open_stream(
                 staging,

@@ -288,8 +288,7 @@ class ReplicatedBaWAL(WriteAheadLog):
         yield done
         return None
 
-    def recover(self, start_lsn: int = 0) -> Iterator[Event]:
-        """Process: recover from the *primary* leg (failover recovers a
-        surviving replica leg instead; see ``FailoverManager``)."""
-        records = yield from self.primary.wal.recover(start_lsn)
-        return records
+    def replay(self, start_lsn: int, apply) -> Iterator[Event]:
+        """Process: replay the *primary* leg (failover replays a surviving
+        replica leg instead; see ``FailoverManager``)."""
+        return (yield from self.primary.wal.replay(start_lsn, apply))

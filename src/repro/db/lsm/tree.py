@@ -50,7 +50,7 @@ def encode_kv(key: str, value: Optional[bytes]) -> bytes:
 def decode_kv(payload: bytes) -> tuple[str, Optional[bytes]]:
     tombstone, key_len = _KV_HEADER.unpack_from(payload)
     key_end = _KV_HEADER.size + key_len
-    key = payload[_KV_HEADER.size:key_end].decode()
+    key = str(payload[_KV_HEADER.size:key_end], "utf-8")
     if tombstone:
         return key, None
     return key, bytes(payload[key_end:])
@@ -327,13 +327,13 @@ class LSMTree:
                 self._l0.append(SSTable.decode(blob, file_id=file_id))
             for file_id, blob in zip(l1_ids, blobs[len(l0_ids):]):
                 self._l1.append(SSTable.decode(blob, file_id=file_id))
-        records = yield from self.wal.recover(self._wal_start)
         replayed = 0
-        for lsn, payload in records:
-            if lsn < self._wal_start:
-                continue
-            key, value = decode_kv(payload)
-            self._active.insert(key, value)
+
+        def insert(_lsn, payload):
+            nonlocal replayed
+            self._active.insert(*decode_kv(payload))
             replayed += 1
+
+        yield from self.wal.replay(self._wal_start, insert)
         self.wal.low_water_lsn = self._wal_start
         return replayed

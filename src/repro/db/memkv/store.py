@@ -98,12 +98,17 @@ class MemKV:
 
     def recover(self, start_lsn: int = 0) -> Iterator[Event]:
         """Process: rebuild the dataset by replaying the AOF."""
-        records = yield from self.aof.recover(start_lsn)
-        self._data.clear()
-        for _lsn, payload in records:
-            command, key, value = decode_command(payload)
-            apply(self._data, command, key, value)
-        return len(records)
+        data = self._data
+        data.clear()
+        replayed = 0
+
+        def redo(_lsn, payload):
+            nonlocal replayed
+            apply(data, *decode_command(bytes(payload)))
+            replayed += 1
+
+        yield from self.aof.replay(start_lsn, redo)
+        return replayed
 
     def snapshot(self) -> dict[str, bytes]:
         """Copy of the current dataset (assertion helper)."""

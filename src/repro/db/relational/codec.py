@@ -111,7 +111,7 @@ def _unpack_from(data: bytes, offset: int) -> tuple[Any, int]:
             raise CodecError("truncated body")
         body = data[offset:offset + length]
         offset += length
-        return (body.decode() if tag == _TAG_STR else bytes(body)), offset
+        return (str(body, "utf-8") if tag == _TAG_STR else bytes(body)), offset
     if tag in (_TAG_TUPLE, _TAG_LIST):
         if offset + 4 > len(data):
             raise CodecError("truncated length")

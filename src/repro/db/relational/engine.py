@@ -259,20 +259,22 @@ class RelationalEngine:
 
     def recover(self, start_lsn: int = 0) -> Iterator[Event]:
         """Process: redo replay of committed transactions from the WAL."""
-        records = yield from self.wal.recover(start_lsn)
         pending: dict[int, list[dict]] = {}
-        committed: list[tuple[int, list[dict]]] = []
-        for lsn, payload in records:
+        committed: list[list[dict]] = []
+
+        def redo(_lsn, payload):
             entry = unpack_obj(payload)
             kind = entry["t"]
             if kind in ("put", "del"):
                 pending.setdefault(entry["x"], []).append(entry)
             elif kind == "commit":
-                committed.append((lsn, pending.pop(entry["x"], [])))
+                committed.append(pending.pop(entry["x"], []))
             elif kind == "abort":
                 pending.pop(entry["x"], None)
+
+        yield from self.wal.replay(start_lsn, redo)
         replayed = 0
-        for _lsn, ops in committed:
+        for ops in committed:
             for entry in ops:
                 table = self._tables.get(entry["tb"])
                 if table is None:

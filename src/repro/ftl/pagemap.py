@@ -211,10 +211,12 @@ class PageMapFTL:
         return self._free_block_count
 
     def peek(self, lpn: int) -> bytes:
-        """Read logical page contents without timing (assertion helper)."""
+        """Read logical page contents without timing (assertion helper).
+        An unmapped page reads as the flash's one shared zero page: a
+        block read over never-written pages allocates nothing per page."""
         ppn = self.map.lookup(lpn)
         if ppn is None:
-            return bytes(self.page_size)
+            return self.flash._zero_page
         return self.flash.peek(ppn)
 
     def check_consistency(self) -> None:

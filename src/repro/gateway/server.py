@@ -973,8 +973,9 @@ class GatewayServer:
         if tracing.enabled:
             tracing.count("gateway.shard.degraded")
         with tracing.span("gateway.shard.degrade", engine):
-            recovered_pairs = yield from old.primary.wal.recover()
-            recovered = [payload for _lsn, payload in recovered_pairs]
+            recovered: list[bytes] = []
+            yield from old.primary.wal.replay(
+                0, lambda _lsn, payload: recovered.append(payload.tobytes()))
             nodes = [leg.node.name for leg in old.legs() if leg.node.up]
             staging = f"{shard.stream_name}@degrade"
             if staging in pool.streams:
@@ -1022,24 +1023,33 @@ class GatewayServer:
         for shard in self.shards:
             shard.stream = self.pool.streams[shard.stream_name]
             shard.stream.respawn_workers()
-        logs = engine.run(until=engine.all_of([
-            engine.process(shard.stream.recover(), name="gw-recover")
+        replayed = engine.run(until=engine.all_of([
+            engine.process(self._rebuild(shard), name="gw-recover")
             for shard in self.shards]))
-        for shard, records in zip(self.shards, logs):
-            shard.data = {}
-            applied = 0
-            for lsn, payload in records:
-                command, key, value = decode_command(bytes(payload))
-                apply(shard.data, command, key, value)
-                applied = lsn + RECORD_HEADER_BYTES + len(payload)
-            shard.applied_lsn = applied
+        for shard in self.shards:
             self._spawn_shard_pipeline(shard)
         if events.enabled:
             events.emit("gateway.recovered", engine.now,
-                        shards=len(self.shards),
-                        records=tuple(len(records) for records in logs),
+                        shards=len(self.shards), records=tuple(replayed),
                         seconds=engine.now - started)
         return len(self.shards)
+
+    @staticmethod
+    def _rebuild(shard: _Shard) -> Iterator[Event]:
+        """Process: replay the shard's log into a fresh dict, each record
+        applied while its segment is live; returns the records replayed."""
+        data = shard.data = {}
+        replayed = applied = 0
+
+        def redo(lsn, payload):
+            nonlocal replayed, applied
+            apply(data, *decode_command(bytes(payload)))
+            replayed += 1
+            applied = lsn + RECORD_HEADER_BYTES + len(payload)
+
+        yield from shard.stream.replay(0, redo)
+        shard.applied_lsn = applied
+        return replayed
 
     # -- observability ------------------------------------------------------
 

@@ -161,22 +161,21 @@ class StreamingAnalyzer:
                         f"stream {name!r} with {len(acked_payloads)} acked "
                         "records has vanished from the pool")
                 continue
-            recovered_pairs = engine.run_process(survivor.wal.recover())
-            recovered = [payload for _lsn, payload in recovered_pairs]
-            if decode is not None:
-                recovered = [decode(payload) for payload in recovered]
-            torn = 0
-            seqs: dict[int, set] = {}
+            torn = recovered = 0
             recovered_set = set()
-            for payload in recovered:
-                parsed = (parse_payload(bytes(payload))
-                          if payload is not None else None)
-                if parsed is None:
+
+            def check(_lsn, record):
+                # One copy per record: the stamp itself, or what decode
+                # copies out of the record.
+                nonlocal torn, recovered
+                recovered += 1
+                payload = record.tobytes() if decode is None else decode(record)
+                if payload is None or parse_payload(payload) is None:
                     torn += 1
-                    continue
-                _stream, client, seq = parsed
-                seqs.setdefault(client, set()).add(seq)
-                recovered_set.add(bytes(payload))
+                else:
+                    recovered_set.add(payload)
+
+            engine.run_process(survivor.wal.replay(0, check))
             missing = [payload for payload in set(acked_payloads)
                        if bytes(payload) not in recovered_set]
             if torn:
@@ -213,7 +212,7 @@ class StreamingAnalyzer:
                 "leg": survivor.node.name,
                 "kind": survivor.kind,
                 "acked": len(acked_payloads),
-                "recovered": len(recovered),
+                "recovered": recovered,
                 "torn": torn,
                 "missing": len(missing),
             }

@@ -27,7 +27,7 @@ from repro.sim.engine import Event
 from repro.wal.base import (
     LogFullError, PartialAppendError, WalStats, WriteAheadLog)
 from repro.wal.record import (
-    RECORD_HEADER_BYTES, encode_record, peek_header, scan_run)
+    RECORD_HEADER_BYTES, encode_record, lent, peek_header, scan_run)
 
 
 class _Half:
@@ -167,7 +167,7 @@ class BaWAL(WriteAheadLog):
         counts as appended only once its MMIO lands, so a half switch
         failing mid-batch (mapping-table pressure stealing the recycle's
         pin, or a recycle refused by low water) reports exactly the
-        prefix :meth:`recover` would see.
+        prefix :meth:`replay` would see.
         """
         if not self._started:
             raise RuntimeError("call start() before appending")
@@ -374,7 +374,7 @@ class BaWAL(WriteAheadLog):
 
     # -- recovery --------------------------------------------------------------------
 
-    def recover(self, start_lsn: int = 0) -> Iterator[Event]:
+    def replay(self, start_lsn: int, apply) -> Iterator[Event]:
         """Process: post-crash read of the live log — the restored
         BA-buffer and the NAND segments behind it.
 
@@ -385,63 +385,76 @@ class BaWAL(WriteAheadLog):
         does not anchor at its expected base.  A pinned slot is scanned
         where it lies in the BA-buffer (it holds the newer bytes); any
         other is probed one page before its body is read.  Every record
-        is CRC-checked, but only those at or above ``start_lsn`` are
-        copied out: nothing below it is returned.  When no record sits at
-        ``start_lsn`` — the area wrapped over it, or it is the tail —
-        every slot is scanned instead and :meth:`_stitch` re-anchors at
-        the oldest surviving segment.
+        is CRC-checked where it lies and goes through :class:`_Chain`,
+        which hands those from ``start_lsn`` on to ``apply`` while their
+        segment is live.
+
+        The record at ``start_lsn``, if there is one, sits in the first
+        slot.  When it is not there — the area wrapped over it, or it is
+        the tail — the slots are still followed (the same reads) with
+        nothing applied, and then :meth:`_replay_every_slot` scans every
+        slot and re-anchors at the oldest surviving segment.
         """
         segments = self.area_pages // self.segment_pages
         first = start_lsn // self.segment_bytes
+        chain = _Chain(start_lsn, self.segment_bytes, apply)
         with tracing.span("wal.ba.recover", self.engine):
-            collected: list[tuple[int, bytes]] = []
             for number in range(first, first + segments):
                 base = number * self.segment_bytes
                 lpn = self.start_lpn + number % segments * self.segment_pages
-                anchored = self._scan_pinned(collected, lpn, base, start_lsn)
+                anchored = self._scan_pinned(chain, lpn, base)
                 if anchored is not None:
                     yield self.engine.timeout(self.api.params.entry_info_latency)
                 else:
-                    image = yield from self._read(
-                        lpn, self.page_size, "wal.ba.recover.slots_probed")
-                    if peek_header(image) != base:
-                        break
-                    # A background recycle may have re-pinned the slot
-                    # while the probe was in flight.
-                    anchored = self._scan_pinned(collected, lpn, base,
-                                                 start_lsn)
-                    if anchored is None:
-                        if self.segment_pages > 1:
-                            image += yield from self._read(
-                                lpn + 1, self.segment_bytes - self.page_size,
-                                "wal.ba.recover.segments_read")
-                        anchored = self._scan_anchored(collected, image, base,
-                                                       start_lsn)
+                    anchored = yield from self._scan_stored(chain, lpn, base)
                 if not anchored:
                     break
-            if all(lsn != start_lsn for lsn, _p in collected):
-                if tracing.enabled:
-                    tracing.count("wal.ba.recover.fallback_scans")
-                collected = yield from self._scan_every_slot(start_lsn)
-        return self._stitch(collected, start_lsn)
+                if chain.expected == start_lsn:
+                    chain.ended = True  # nothing at start_lsn: read on, apply none
+            if chain.expected == start_lsn:
+                yield from self._replay_every_slot(start_lsn, apply)
+        return None
 
-    def _scan_every_slot(self, keep_from: int) -> Iterator[Event]:
-        """Process: the anchored records at or above ``keep_from`` of every
-        slot of the log area, whatever was written, in LSN order."""
-        collected: list[tuple[int, bytes]] = []
+    def _replay_every_slot(self, start_lsn: int, apply) -> Iterator[Event]:
+        """Process: the fallback — the anchored records at or above
+        ``start_lsn`` of every slot of the log area, whatever was written,
+        sorted and handed to :meth:`_chain_sorted`.  The only path that
+        collects."""
+        if tracing.enabled:
+            tracing.count("wal.ba.recover.fallback_scans")
+        records: list[tuple[int, bytes]] = []
+
+        def keep(lsn, payload):
+            if lsn >= start_lsn:
+                records.append((lsn, payload.tobytes()))
+
         for slot in range(self.area_pages // self.segment_pages):
             lpn = self.start_lpn + slot * self.segment_pages
-            if self._scan_pinned(collected, lpn, None, keep_from) is not None:
+            if self._scan_pinned(keep, lpn, None) is not None:
                 yield self.engine.timeout(self.api.params.entry_info_latency)
             else:
-                image = yield from self._read(
-                    lpn, self.segment_bytes, "wal.ba.recover.segments_read")
-                self._scan_anchored(collected, image, None, keep_from)
-        collected.sort(key=lambda item: item[0])
-        return collected
+                self._scan_anchored(keep, (yield from self._read(
+                    lpn, self.segment_bytes, "wal.ba.recover.segments_read")),
+                    None)
+        records.sort(key=lambda item: item[0])
+        self._chain_sorted(records, start_lsn, apply)
+        return None
 
-    def _scan_pinned(self, records: list, lpn: int, base: Optional[int],
-                     keep_from: int) -> Optional[bool]:
+    def _chain_sorted(self, records: list[tuple[int, bytes]], start_lsn: int,
+                      apply) -> None:
+        """:class:`_Chain` through the sorted ``records`` from ``start_lsn``
+        or, when the circular area wrapped over it, from the oldest
+        surviving segment boundary (the most recent generation)."""
+        anchor = start_lsn
+        if all(lsn != start_lsn for lsn, _p in records):
+            anchor = min((lsn for lsn, _p in records if lsn >= start_lsn
+                          and lsn % self.segment_bytes == 0), default=start_lsn)
+        chain = _Chain(anchor, self.segment_bytes, apply)
+        for lsn, payload in records:
+            chain(lsn, memoryview(payload))
+
+    def _scan_pinned(self, apply, lpn: int,
+                     base: Optional[int]) -> Optional[bool]:
         """:meth:`_scan_anchored` of the segment pinned at ``lpn``, where it
         lies in the BA-buffer; ``None`` when no segment is pinned there.
 
@@ -456,7 +469,26 @@ class BaWAL(WriteAheadLog):
             return None
         with self.device.ba_dram.view(overlay.offset,
                                       self.segment_bytes) as image:
-            return self._scan_anchored(records, image, base, keep_from)
+            return self._scan_anchored(apply, image, base)
+
+    def _scan_stored(self, apply, lpn: int, base: int) -> Iterator[Event]:
+        """Process: :meth:`_scan_anchored` of the segment stored at ``lpn``,
+        probed one page before its body is read; ``None`` when the probe
+        finds no record of ``base`` there.  The image dies on return."""
+        image = yield from self._read(
+            lpn, self.page_size, "wal.ba.recover.slots_probed")
+        if peek_header(image) != base:
+            return None
+        # A background recycle may have re-pinned the slot while the probe
+        # was in flight.
+        anchored = self._scan_pinned(apply, lpn, base)
+        if anchored is None:
+            if self.segment_pages > 1:
+                image += yield from self._read(
+                    lpn + 1, self.segment_bytes - self.page_size,
+                    "wal.ba.recover.segments_read")
+            anchored = self._scan_anchored(apply, image, base)
+        return anchored
 
     def _read(self, lpn: int, nbytes: int, counter: str) -> Iterator[Event]:
         """Process: one block read of recovery, tallied when traced."""
@@ -466,43 +498,44 @@ class BaWAL(WriteAheadLog):
         return (yield from self.device.read(lpn, nbytes))
 
     @staticmethod
-    def _scan_anchored(records: list, image, base: Optional[int],
-                       keep_from: int) -> bool:
-        """Append to ``records`` those at or above ``keep_from`` of the run
-        that opens ``image`` at LSN ``base`` (at whatever LSN its first
-        header claims when ``base`` is None); True if the run holds any."""
+    def _scan_anchored(apply, image, base: Optional[int]) -> bool:
+        """:func:`~repro.wal.record.scan_run` of the run that opens ``image``
+        at LSN ``base`` (at whatever LSN its first header claims when
+        ``base`` is None); True if the run holds any record."""
         if base is None:
             base = peek_header(image)
             if base is None:
                 return False
-        return scan_run(records, image, base, keep_from) != base
+        with lent(image) as view:
+            return scan_run(apply, view, 0, base)[1] != base
 
-    def _stitch(self, records: list[tuple[int, bytes]], start_lsn: int) -> list:
-        result: list[tuple[int, bytes]] = []
-        expected = start_lsn
-        if records and all(lsn != start_lsn for lsn, _p in records):
-            # The record at start_lsn no longer exists — the circular area
-            # wrapped over it.  Re-anchor at the oldest surviving segment
-            # boundary (recovery then returns the most recent generation).
-            boundaries = [lsn for lsn, _p in records
-                          if lsn >= start_lsn and lsn % self.segment_bytes == 0]
-            if boundaries:
-                expected = min(boundaries)
-        for lsn, payload in records:
-            if lsn < expected:
-                continue
-            if lsn == expected:
-                result.append((lsn, payload))
-                expected = lsn + RECORD_HEADER_BYTES + len(payload)
-                continue
-            # Allow one segment-boundary jump (the sealed segment's padding)
-            # — from inside a segment only: a record ending exactly on a
-            # boundary leaves no padding, so nothing but ``expected`` fits.
-            next_segment_base = (
-                -(-expected // self.segment_bytes) * self.segment_bytes)
-            if lsn == next_segment_base:
-                result.append((lsn, payload))
-                expected = lsn + RECORD_HEADER_BYTES + len(payload)
-            else:
-                break
-        return result
+
+class _Chain:
+    """Recovery's contiguity rule, applied as records arrive in LSN order.
+
+    A record goes to ``apply`` when it starts where the last one ended,
+    or — when that was inside a segment — at the next segment's base (the
+    one legal jump, over a sealed segment's padding; a record ending
+    exactly on a boundary leaves none).  Records below ``expected`` are
+    passed over, and the first gap ends the chain: nothing after a hole
+    is reachable.
+    """
+
+    __slots__ = ("expected", "segment_bytes", "apply", "ended")
+
+    def __init__(self, expected: int, segment_bytes: int, apply) -> None:
+        self.expected = expected
+        self.segment_bytes = segment_bytes
+        self.apply = apply
+        self.ended = False
+
+    def __call__(self, lsn: int, payload: memoryview) -> None:
+        expected = self.expected
+        if lsn < expected or self.ended:
+            return
+        if (lsn != expected and lsn != -(-expected // self.segment_bytes)
+                * self.segment_bytes):
+            self.ended = True  # a gap
+            return
+        self.apply(lsn, payload)
+        self.expected = lsn + RECORD_HEADER_BYTES + len(payload)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.sim.engine import Event
 
@@ -65,7 +65,7 @@ class WriteAheadLog(abc.ABC):
     ``append_batch`` places records in the stream and returns their
     *end* LSNs; ``commit(lsn)`` returns once the stream is durable at
     least up to ``lsn``.  ``durable_lsn`` is the crash-survivable
-    horizon — after a power cycle, :meth:`recover` returns exactly the
+    horizon — after a power cycle, :meth:`replay` hands over exactly the
     contiguous records below it (and possibly a few more that made it
     out by luck).
 
@@ -103,8 +103,23 @@ class WriteAheadLog(abc.ABC):
         """Process: make the stream durable up to ``lsn``."""
 
     @abc.abstractmethod
-    def recover(self) -> Iterator[Event]:
-        """Process: post-crash scan; returns ``[(lsn, payload), ...]``."""
+    def replay(self, start_lsn: int,
+               apply: Callable[[int, memoryview], None]) -> Iterator[Event]:
+        """Process: the post-crash read of the log — ``apply(lsn, payload)``
+        for each record of the contiguous run from ``start_lsn``, in LSN
+        order, while the segment holding it is live.
+
+        ``payload`` is a read-only view valid only during the call: copy
+        what you keep.  A view kept past it makes the replay raise
+        ``BufferError`` instead of aliasing device memory.
+        """
+
+    def recover(self, start_lsn: int = 0) -> Iterator[Event]:
+        """Process: :meth:`replay` collected into ``[(lsn, payload), ...]``."""
+        records: list[tuple[int, bytes]] = []
+        yield from self.replay(start_lsn, lambda lsn, payload: records.append(
+            (lsn, payload.tobytes())))
+        return records
 
     @property
     @abc.abstractmethod

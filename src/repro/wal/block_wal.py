@@ -32,7 +32,7 @@ from repro.wal.base import (
     WriteAheadLog,
 )
 from repro.wal.record import (
-    RECORD_HEADER_BYTES, RecordFormatError, decode_record, encode_record)
+    RECORD_HEADER_BYTES, encode_record, lent, record_size, scan_run)
 
 
 class BlockWAL(WriteAheadLog):
@@ -185,43 +185,50 @@ class BlockWAL(WriteAheadLog):
             self._writer = self.engine.process(self._writer_loop(),
                                                name="block-wal-writer")
 
-    def recover(self, start_lsn: int = 0) -> Iterator[Event]:
+    def replay(self, start_lsn: int, apply) -> Iterator[Event]:
         """Process: scan the on-device log from ``start_lsn`` for the
-        contiguous run of valid records (host buffers died with the crash)."""
-        records: list[tuple[int, bytes]] = []
-        buffer = bytearray()
-        scan_offset = 0
+        contiguous run of valid records (host buffers died with the crash),
+        32 pages a read, handing each to ``apply`` where it lies in the
+        chunk.  A record the chunk's end cuts is carried, and completed
+        from just the bytes of the next chunk it lacks: the scan holds one
+        chunk, under 16 pages carried and one record.
+
+        A whole record that is not the next one ends the log; one that
+        does not parse ends it only with 16 pages or more behind it — with
+        fewer it may be cut by the chunk's end, so read more and retry.
+        """
+        gap = 16 * self.page_size
         expected = start_lsn
+        offset = start_lsn % self.page_size  # of ``expected`` in the chunk
+        carry = b""  # bytes from ``expected`` on that the last chunk cut
         page = start_lsn // self.page_size
-        chunk_pages = 32
-        stopped = False
-        while not stopped and page < start_lsn // self.page_size + self.area_pages:
-            npages = min(chunk_pages, self.area_pages - page % self.area_pages)
-            data = yield from self.device.read(self._page_lpn(page), npages * self.page_size)
-            buffer.extend(data)
+        last = page + self.area_pages
+        while page < last:
+            npages = min(32, self.area_pages - page % self.area_pages)
+            lpn = self._page_lpn(page)
             page += npages
-            base = start_lsn - (start_lsn % self.page_size)
-            while True:
-                absolute = base + scan_offset
-                if absolute < expected:
-                    scan_offset = expected - base
-                    continue
-                try:
-                    lsn, payload, next_offset = decode_record(buffer, scan_offset)
-                except RecordFormatError:
-                    # A parse failure with plenty of bytes left is a real
-                    # gap; with few bytes it may be a record truncated at
-                    # the chunk boundary — read more and retry.
-                    if len(buffer) - scan_offset >= 16 * self.page_size:
-                        stopped = True
-                    break
-                if lsn != expected:
-                    stopped = True
-                    break
-                records.append((lsn, payload))
-                expected = base + next_offset
-                scan_offset = next_offset
-        return records
+            # No name holds the chunk: it goes with the view.
+            with lent((yield from self.device.read(
+                    lpn, npages * self.page_size))) as view:
+                if carry:
+                    size = record_size(carry + view[:RECORD_HEADER_BYTES])
+                    offset = min(len(view), max(0, (size or 0) - len(carry)))
+                    with lent(carry + view[:offset]) as record:
+                        done, expected, foreign = scan_run(
+                            apply, record, 0, expected, 1)
+                    if done != size:  # still cut short, or the log ends
+                        if foreign or len(carry) + len(view) >= gap:
+                            return None
+                        carry += view
+                        continue
+                    carry = b""
+                offset, expected, foreign = scan_run(apply, view, offset,
+                                                     expected)
+                if foreign or len(view) - offset >= gap:
+                    return None
+                carry = bytes(view[offset:])
+            offset = 0
+        return None
 
     # -- internals ----------------------------------------------------------------
 

@@ -21,8 +21,7 @@ from repro.sim.engine import Event
 from repro.ssd.device import BlockSSD
 from repro.wal.base import (
     LogFullError, PartialAppendError, WalStats, WriteAheadLog)
-from repro.wal.record import (
-    RECORD_HEADER_BYTES, RecordFormatError, decode_record, encode_record)
+from repro.wal.record import RECORD_HEADER_BYTES, encode_record, lent, scan_run
 
 
 class PmWAL(WriteAheadLog):
@@ -120,49 +119,41 @@ class PmWAL(WriteAheadLog):
             yield self.engine.timeout(0.0)
         return None
 
-    def recover(self, start_lsn: int = 0) -> Iterator[Event]:
+    def replay(self, start_lsn: int, apply) -> Iterator[Event]:
         """Process: replay from the device up to the drain point, then from
-        the surviving PM buffer.
+        the surviving PM buffer, handing each record to ``apply`` where it
+        lies in the source just read.
 
         A record can straddle the drain boundary (head already on the
         device, tail still in PM); the two sources are spliced so such
-        records recover intact.
+        records recover intact.  A source is one 32-page device chunk, the
+        PM bytes past the drain point, or both: bounded by the PM buffer,
+        not by the log.
         """
-        records: list[tuple[int, bytes]] = []
         expected = start_lsn
         drained = self._drained
         tail = self._tail
         while expected < tail:
+            offset = 0
             if expected >= drained:
                 source = self._ring_read(expected, tail - expected)
             else:
                 stream_page = expected // self.page_size
                 lpn = self.start_lpn + stream_page % self.area_pages
                 npages = min(32, self.area_pages - stream_page % self.area_pages)
-                raw = yield from self.device.read(lpn, npages * self.page_size)
-                source = raw[expected % self.page_size:]
-                chunk_end = (stream_page + npages) * self.page_size
-                if chunk_end > drained:
+                source = yield from self.device.read(lpn, npages * self.page_size)
+                offset = expected % self.page_size
+                if stream_page * self.page_size + len(source) > drained:
                     # Device content beyond the drain point is stale;
                     # substitute the authoritative PM copy.
-                    source = (source[:drained - expected]
+                    source = (source[offset:drained - stream_page * self.page_size]
                               + self._ring_read(drained, tail - drained))
-            progressed = False
-            offset = 0
-            while True:
-                try:
-                    lsn, payload, next_offset = decode_record(source, offset)
-                except RecordFormatError:
-                    break
-                if lsn != expected:
-                    break
-                records.append((lsn, payload))
-                expected += next_offset - offset
-                offset = next_offset
-                progressed = True
-            if not progressed:
+                    offset = 0
+            with lent(source) as view:
+                end, expected, _foreign = scan_run(apply, view, offset, expected)
+            if end == offset:
                 break
-        return records
+        return None
 
     # -- internals -------------------------------------------------------------------
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import struct
 import zlib
+from contextlib import contextmanager
+from pickle import PickleBuffer
 from typing import Optional
 
 _HEADER = struct.Struct("<HIQI")
@@ -20,6 +22,25 @@ _MAGIC = 0xB10C
 
 class RecordFormatError(Exception):
     """Raised when bytes do not parse as a valid log record."""
+
+
+@contextmanager
+def lent(buffer):
+    """A read-only view of ``buffer`` whose slices are lent to a replay's
+    ``apply``: each is valid only inside the ``with``.  A slice still alive
+    when it ends makes the exit raise ``BufferError`` — a consumer that
+    kept a payload view fails loudly, where a view of device memory would
+    silently show whatever is written there next.
+
+    The view exports ``owner`` (a ``PickleBuffer`` holds a buffer of it)
+    and every slice keeps that export alive, so ``owner.release()`` is the
+    check.  On an exception the views are left to the collector.
+    """
+    owner = memoryview(buffer).toreadonly()
+    view = memoryview(PickleBuffer(owner))
+    yield view
+    view.release()
+    owner.release()
 
 
 def encode_record(lsn: int, payload: bytes) -> bytes:
@@ -40,25 +61,44 @@ def peek_header(buffer: bytes, offset: int = 0) -> Optional[int]:
     return lsn if magic == _MAGIC else None
 
 
-def decode_record(buffer: bytes, offset: int = 0) -> tuple[int, bytes, int]:
-    """Parse one record at ``offset``; returns ``(lsn, payload, next_offset)``.
+def record_size(buffer) -> Optional[int]:
+    """Header plus payload bytes of the record whose header opens
+    ``buffer``, or ``None`` when that header is truncated or its magic is
+    wrong.  Nothing is CRC-checked."""
+    if RECORD_HEADER_BYTES > len(buffer):
+        return None
+    magic, length, _lsn, _crc = _HEADER.unpack_from(buffer)
+    return RECORD_HEADER_BYTES + length if magic == _MAGIC else None
+
+
+def check_record(view, offset: int = 0) -> tuple[int, int]:
+    """Check one record at ``offset`` where it lies in ``view`` (a
+    ``memoryview``: nothing is copied); returns ``(lsn, next_offset)``, the
+    payload being ``view[offset + RECORD_HEADER_BYTES:next_offset]``.
 
     Raises :class:`RecordFormatError` on bad magic, truncation, or CRC
     mismatch (a torn write).
     """
-    if offset + RECORD_HEADER_BYTES > len(buffer):
+    if offset + RECORD_HEADER_BYTES > len(view):
         raise RecordFormatError("truncated header")
-    magic, length, lsn, crc = _HEADER.unpack_from(buffer, offset)
+    magic, length, lsn, crc = _HEADER.unpack_from(view, offset)
     if magic != _MAGIC:
         raise RecordFormatError(f"bad magic {magic:#x} at offset {offset}")
     start = offset + RECORD_HEADER_BYTES
-    if start + length > len(buffer):
+    end = start + length
+    if end > len(view):
         raise RecordFormatError("truncated payload")
-    payload = bytes(buffer[start:start + length])
-    expected = zlib.crc32(payload, zlib.crc32(lsn.to_bytes(8, "little")))
-    if crc != expected:
+    if crc != zlib.crc32(view[start:end], zlib.crc32(lsn.to_bytes(8, "little"))):
         raise RecordFormatError(f"crc mismatch at offset {offset} (torn write)")
-    return lsn, payload, start + length
+    return lsn, end
+
+
+def decode_record(buffer: bytes, offset: int = 0) -> tuple[int, bytes, int]:
+    """:func:`check_record` with a copy of the payload:
+    ``(lsn, payload, next_offset)``."""
+    with memoryview(buffer) as view:
+        lsn, end = check_record(view, offset)
+        return lsn, view[offset + RECORD_HEADER_BYTES:end].tobytes(), end
 
 
 def scan_records(buffer: bytes, start_lsn: int = 0) -> list[tuple[int, bytes]]:
@@ -70,34 +110,34 @@ def scan_records(buffer: bytes, start_lsn: int = 0) -> list[tuple[int, bytes]]:
     unreachable, exactly as in ARIES-style recovery.
     """
     records: list[tuple[int, bytes]] = []
-    scan_run(records, buffer, start_lsn, 0)
+    with lent(buffer) as view:
+        scan_run(lambda lsn, payload: records.append((lsn, payload.tobytes())),
+                 view, 0, start_lsn)
     return records
 
 
-def scan_run(records: list, buffer, start_lsn: int, keep_from: int) -> int:
-    """:func:`scan_records` appending to ``records`` only the records at or
-    above ``keep_from``; returns the stream offset where the run ends
-    (``start_lsn`` when no record is valid).
+def scan_run(apply, view, offset: int, expected: int,
+             limit: int = -1) -> tuple[int, int, bool]:
+    """The one record loop of every replay: ``apply(lsn, payload)`` for
+    the contiguous run of valid records in ``view`` (a :func:`lent` view)
+    from ``offset``, the first at LSN ``expected``, at most ``limit`` of
+    them (all when negative).  Every record is checked where it lies and
+    ``payload`` is a view of it: nothing is copied.
 
-    Every record is checked where it lies in ``buffer`` (any bytes-like
-    object, a ``memoryview`` of device memory included); only the payloads
-    kept are copied, each once.
+    Returns ``(offset, expected, foreign)`` where the run stopped:
+    ``foreign`` when a whole valid record sits there but is not the next
+    one (an older generation); otherwise nothing parses there (torn,
+    truncated or never written).
     """
-    offset = 0
-    expected_lsn = start_lsn
-    with memoryview(buffer) as view:
-        size = len(view)
-        while offset + RECORD_HEADER_BYTES <= size:
-            magic, length, lsn, crc = _HEADER.unpack_from(view, offset)
-            start = offset + RECORD_HEADER_BYTES
-            end = start + length
-            if magic != _MAGIC or end > size or lsn != expected_lsn:
-                break
-            if crc != zlib.crc32(view[start:end],
-                                 zlib.crc32(lsn.to_bytes(8, "little"))):
-                break  # torn
-            if lsn >= keep_from:
-                records.append((lsn, view[start:end].tobytes()))
-            offset = end
-            expected_lsn = start_lsn + end
-    return expected_lsn
+    while limit:
+        try:
+            lsn, end = check_record(view, offset)
+        except RecordFormatError:
+            return offset, expected, False
+        if lsn != expected:
+            return offset, expected, True
+        apply(lsn, view[offset + RECORD_HEADER_BYTES:end])
+        expected += end - offset
+        offset = end
+        limit -= 1
+    return offset, expected, False

@@ -379,6 +379,14 @@ class TestBaWalStitch:
         return wal
 
     @staticmethod
+    def stitch(wal, records, start_lsn):
+        """What the fallback's chain hands over from sorted ``records``."""
+        out = []
+        wal._chain_sorted(records, start_lsn,
+                          lambda lsn, payload: out.append((lsn, bytes(payload))))
+        return out
+
+    @staticmethod
     def records_from(lsn, payloads, seg):
         from repro.wal.record import RECORD_HEADER_BYTES
         out = []
@@ -393,7 +401,7 @@ class TestBaWalStitch:
         wal = self.make_wal()
         seg = wal.segment_bytes
         records = self.records_from(0, [bytes(3000)] * 6, seg)
-        assert wal._stitch(records, 0) == records
+        assert self.stitch(wal, records, 0) == records
         # There was at least one jump in this stream.
         lsns = [l for l, _ in records]
         assert any(l % seg == 0 for l in lsns[1:])
@@ -403,18 +411,18 @@ class TestBaWalStitch:
         records = self.records_from(0, [b"a" * 100] * 3, wal.segment_bytes)
         # Introduce a mid-segment gap after the first record.
         broken = [records[0], (records[1][0] + 64, records[1][1])]
-        assert wal._stitch(broken, 0) == [records[0]]
+        assert self.stitch(wal, broken, 0) == [records[0]]
 
     def test_reanchors_after_wrap(self):
         wal = self.make_wal()
         seg = wal.segment_bytes
         # Oldest surviving data starts at segment 40; nothing at LSN 0.
         records = self.records_from(40 * seg, [b"x" * 500] * 10, seg)
-        assert wal._stitch(records, 0) == records
+        assert self.stitch(wal, records, 0) == records
 
     def test_start_lsn_mid_segment(self):
         wal = self.make_wal()
         seg = wal.segment_bytes
         records = self.records_from(0, [b"y" * 200] * 10, seg)
         start = records[4][0]
-        assert wal._stitch(records, start) == records[4:]
+        assert self.stitch(wal, records, start) == records[4:]

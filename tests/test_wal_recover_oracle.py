@@ -267,6 +267,14 @@ def lsns(records):
 # -- satellite 1: the stitcher's boundary rule -------------------------------------
 
 
+def stitch(wal, records, start_lsn):
+    """What ``BaWAL``'s chain hands over from the sorted ``records``."""
+    out = []
+    wal._chain_sorted(records, start_lsn,
+                      lambda lsn, payload: out.append((lsn, bytes(payload))))
+    return out
+
+
 class TestStitchBoundary:
     def wal(self):
         return make(start=False)[1]
@@ -274,25 +282,25 @@ class TestStitchBoundary:
     def test_exact_fill_then_hole_stops_at_the_boundary(self):
         wal = self.wal()
         records = [(0, b"x" * (SEGMENT - HEADER)), (2 * SEGMENT, b"later")]
-        assert wal._stitch(records, 0) == records[:1]
+        assert stitch(wal, records, 0) == records[:1]
         assert oracle_stitch(records, 0, SEGMENT) == records[:1]
 
     def test_exact_fill_then_next_segment_present(self):
         wal = self.wal()
         records = [(0, b"x" * (SEGMENT - HEADER)), (SEGMENT, b"next")]
-        assert wal._stitch(records, 0) == records
+        assert stitch(wal, records, 0) == records
         assert oracle_stitch(records, 0, SEGMENT) == records
 
     def test_mid_segment_end_jumps_the_padding(self):
         wal = self.wal()
         records = [(0, b"x" * (SEGMENT // 2)), (SEGMENT, b"after the padding")]
-        assert wal._stitch(records, 0) == records
+        assert stitch(wal, records, 0) == records
         assert oracle_stitch(records, 0, SEGMENT) == records
 
     def test_mid_segment_end_never_jumps_two(self):
         wal = self.wal()
         records = [(0, b"x" * (SEGMENT // 2)), (2 * SEGMENT, b"too far")]
-        assert wal._stitch(records, 0) == records[:1]
+        assert stitch(wal, records, 0) == records[:1]
         assert oracle_stitch(records, 0, SEGMENT) == records[:1]
 
 
