@@ -2,7 +2,7 @@
 
 The percentiles reported (and asserted on) here are produced by the
 observability layer's bucketed latency histograms
-(:class:`repro.bench.metrics.HistogramRecorder`), not an exact sample
+(:class:`repro.obs.LatencyHistogram`), not an exact sample
 reservoir — the assertions' margins comfortably cover the ~7.5% bucket
 width.
 """

@@ -213,15 +213,15 @@ def run_tail_latency_ablation(commits: int = 1500,
     flush, while BA commits stay flat.
 
     Percentiles come from the observability layer's bucketed histograms
-    (:class:`repro.bench.metrics.HistogramRecorder`), the same machinery
+    (:class:`repro.obs.LatencyHistogram`), the same machinery
     ``repro trace`` reports.
     """
-    from repro.bench.metrics import HistogramRecorder
+    from repro.obs import LatencyHistogram
 
     def run(wal_factory, platform) -> dict:
         engine = platform.engine
         wal = wal_factory()
-        recorder = HistogramRecorder()
+        recorder = LatencyHistogram()
 
         def producer() -> Iterator:
             for _ in range(commits):

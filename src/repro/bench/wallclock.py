@@ -68,20 +68,6 @@ TARGETS = {
     # single-barrier storage writes measure ~704 MB/s vs ~479 MB/s for
     # per-table write+fsync; the floor keeps most of that win.
     "compaction_mb_per_sec_min": 650.0,
-    # Gateway saturation sweep: every leg — including the 2048-client
-    # point — must finish inside this wall-clock budget (measured ~2.5 s
-    # at the sweep's largest point on the committing machine).  The
-    # saturated throughput (simulated, deterministic) must hold the
-    # group-commit ratchet: >= 1.5x the old 172.7k per-command plateau
-    # (measured ~527k with the coalescer, so the floor keeps most of the
-    # win while leaving headroom for workload tweaks).  The p999 ceiling
-    # is the other half of the trade: client RTT tail at the largest
-    # sweep point must stay below the PR-9 curve's 0.0475 s — measured
-    # 0.0160 s with group commit, gated at 0.020 s so batching can never
-    # buy throughput with invisible tail-latency regressions.
-    "gateway_leg_wall_max_seconds": 30.0,
-    "gateway_throughput_min": 260_000.0,
-    "gateway_p999_rtt_max_seconds": 0.020,
 }
 
 #: The fixed client load the cluster-scaling section applies to every
@@ -258,80 +244,6 @@ def run_runner_section(jobs: int = 4,
     }
 
 
-def run_gateway_section(snapshot_cache: str | pathlib.Path | None = None) -> dict:
-    """The gateway saturation sweep: clients x pipeline-depth, per-leg gated.
-
-    Each sweep point runs as its own single-leg matrix on the run-matrix
-    executor so the executor's own ``wall_seconds`` is the per-leg wall
-    clock; all points share one :class:`SnapshotCache`, so the warm
-    3-device ``DevicePool`` snapshot is built exactly once and every leg
-    forks from it.  Throughput and stage percentiles are simulated time
-    (deterministic); the per-leg gate is wall time (machine-dependent,
-    ceiling set with headroom).
-    """
-    from repro.bench.runner import SnapshotCache, run_legs
-    from repro.gateway.legs import gateway_matrix
-
-    cache = SnapshotCache(snapshot_cache)
-    legs = {}
-    curve = []
-    gates = []
-    max_clients = 0
-    for entry in gateway_matrix():
-        report = run_legs([entry], jobs=1, snapshot_cache=cache)
-        result = report.results[entry.leg_id]
-        wall = round(report.wall_seconds, 3)
-        max_clients = max(max_clients, result["clients"])
-        legs[entry.leg_id] = {
-            "clients": result["clients"],
-            "pipeline_depth": result["pipeline_depth"],
-            "commands": result["commands"],
-            "throughput": round(result["throughput"], 1),
-            "sim_seconds": result["sim_seconds"],
-            "wall_seconds": wall,
-            "stages": result["stages"],
-            "server": result["server"],
-        }
-        curve.append({
-            "clients": result["clients"],
-            "pipeline_depth": result["pipeline_depth"],
-            "throughput": round(result["throughput"], 1),
-        })
-        gates.append({
-            "leg": entry.leg_id,
-            "observed": wall,
-            "max": TARGETS["gateway_leg_wall_max_seconds"],
-            "ok": wall <= TARGETS["gateway_leg_wall_max_seconds"],
-        })
-    saturated = max(point["throughput"] for point in curve)
-    gates.append({
-        "leg": "gateway:throughput",
-        "observed": saturated,
-        "min": TARGETS["gateway_throughput_min"],
-        "ok": saturated >= TARGETS["gateway_throughput_min"],
-    })
-    # Tail-latency ceiling at the largest sweep point (simulated, so
-    # deterministic): group commit must not trade p999 for throughput.
-    rtt_p999 = max(
-        entry["stages"].get("gateway.client.rtt", {}).get("p999", 0.0)
-        for entry in legs.values() if entry["clients"] == max_clients)
-    gates.append({
-        "leg": "gateway:p999",
-        "observed": round(rtt_p999, 6),
-        "max": TARGETS["gateway_p999_rtt_max_seconds"],
-        "ok": rtt_p999 <= TARGETS["gateway_p999_rtt_max_seconds"],
-    })
-    return {
-        "legs": legs,
-        "curve": curve,
-        "max_clients": max_clients,
-        "saturated_throughput": saturated,
-        "snapshot_cache": cache.counters(),
-        "leg_gates": gates,
-        "pass": all(gate["ok"] for gate in gates),
-    }
-
-
 def run_harness(skip_figs: bool = False, jobs: int = 4,
                 snapshot_cache: str | pathlib.Path | None = None) -> dict:
     """Measure everything; returns the BENCH_wallclock.json payload."""
@@ -400,24 +312,6 @@ def run_harness(skip_figs: bool = False, jobs: int = 4,
             and runner["sweep"]["speedup"] >= TARGETS["runner_sweep_speedup_min"]
             and runner["deterministic"]
         )
-        gateway = run_gateway_section(snapshot_cache=snapshot_cache)
-        results["gateway"] = gateway
-        passed = passed and gateway["pass"]
-        # Promote the gateway ratchet and p999 ceiling to the top-level
-        # leg_gates so the serving plateau is gated alongside the figure
-        # legs (not just inside its own section).
-        results["leg_gates"].append({
-            "leg": "gateway",
-            "observed": gateway["saturated_throughput"],
-            "min": TARGETS["gateway_throughput_min"],
-            "ok": (gateway["saturated_throughput"]
-                   >= TARGETS["gateway_throughput_min"]),
-        })
-        tail_gate = next(gate for gate in gateway["leg_gates"]
-                         if gate["leg"] == "gateway:p999")
-        results["leg_gates"].append(dict(tail_gate))
-        passed = passed and all(
-            gate["ok"] for gate in results["leg_gates"][-2:])
     results["cluster"] = run_cluster_scaling()
     passed = passed and (
         results["cluster"]["scaling_1_to_4"] >= TARGETS["cluster_scaling_min"]
@@ -464,30 +358,13 @@ def validate_report(payload: dict) -> None:
                 raise ValueError(
                     f"leg_gates[{gate.get('leg')!r}].observed missing or "
                     "non-numeric")
-            # A gate is either a floor ('min', e.g. a throughput ratchet)
-            # or a ceiling ('max', e.g. the gateway p999 bound).
-            if not (isinstance(gate.get("min"), (int, float))
-                    or isinstance(gate.get("max"), (int, float))):
+            if not isinstance(gate.get("min"), (int, float)):
                 raise ValueError(
-                    f"leg_gates[{gate.get('leg')!r}] needs a numeric "
-                    "'min' floor or 'max' ceiling")
+                    f"leg_gates[{gate.get('leg')!r}].min floor missing or "
+                    "non-numeric")
             if not isinstance(gate.get("ok"), bool):
                 raise ValueError(
                     f"leg_gates[{gate.get('leg')!r}].ok missing or non-bool")
-    gateway = payload["results"].get("gateway")
-    if gateway is not None:
-        for key in ("max_clients", "saturated_throughput"):
-            if not isinstance(gateway.get(key), (int, float)):
-                raise ValueError(f"results.gateway.{key} missing or non-numeric")
-        if not isinstance(gateway.get("curve"), list) or not gateway["curve"]:
-            raise ValueError("results.gateway.curve missing or empty")
-        if not isinstance(gateway.get("pass"), bool):
-            raise ValueError("results.gateway.pass missing or non-bool")
-        for gate in gateway.get("leg_gates", ()):
-            if not isinstance(gate.get("ok"), bool):
-                raise ValueError(
-                    f"gateway leg_gates[{gate.get('leg')!r}].ok missing "
-                    "or non-bool")
     runner = payload["results"].get("runner")
     if runner is not None:
         for key in ("matrix_speedup", "serial_seconds", "parallel_seconds"):
@@ -538,43 +415,11 @@ def format_report(payload: dict) -> str:
             f"({compaction['compactions']} compactions, "
             f"{compaction['flushes']} flushes)")
     for gate in payload["results"].get("leg_gates", ()):
-        if gate["leg"] == "compaction":
-            unit = " MB/s"
-        elif gate["leg"] == "gateway":
-            unit = " cmd/s"
-        elif gate["leg"] == "gateway:p999":
-            unit = " s"
-        else:
-            unit = "x"
-        if gate.get("min") is not None:
-            lines.append(
-                f"gate       : {gate['leg']} {gate['observed']:,.3f}{unit} vs "
-                f"{gate['min']:,.2f}{unit} floor "
-                f"({'ok' if gate['ok'] else 'FAIL'})")
-        else:
-            lines.append(
-                f"gate       : {gate['leg']} {gate['observed']:g}{unit} vs "
-                f"{gate['max']:g}{unit} ceiling "
-                f"({'ok' if gate['ok'] else 'FAIL'})")
-    gateway = payload["results"].get("gateway")
-    if gateway:
+        unit = " MB/s" if gate["leg"] == "compaction" else "x"
         lines.append(
-            f"gateway    : {gateway['saturated_throughput']:>12,.0f} "
-            f"commands/s simulated at saturation "
-            f"({gateway['max_clients']} clients max, "
-            f"{len(gateway['curve'])} sweep points, "
-            f"gates {'ok' if gateway['pass'] else 'FAIL'})")
-        for gate in gateway["leg_gates"]:
-            floor = gate.get("min")
-            if floor is not None:
-                lines.append(
-                    f"gate       : {gate['leg']} {gate['observed']:,.0f}/s vs "
-                    f"{floor:,.0f}/s floor ({'ok' if gate['ok'] else 'FAIL'})")
-            else:
-                lines.append(
-                    f"gate       : {gate['leg']} {gate['observed']:g}s "
-                    f"vs {gate['max']:g}s ceiling "
-                    f"({'ok' if gate['ok'] else 'FAIL'})")
+            f"gate       : {gate['leg']} {gate['observed']:,.3f}{unit} vs "
+            f"{gate['min']:,.2f}{unit} floor "
+            f"({'ok' if gate['ok'] else 'FAIL'})")
     runner = payload["results"].get("runner")
     if runner:
         lines.append(

@@ -293,14 +293,9 @@ def _profile_leg(leg_id: str, top: int) -> int:
 
     from repro.bench import legs as legs_module
     from repro.bench.runner import resolve
-    from repro.gateway.legs import gateway_matrix
 
     matrix = {entry.leg_id: entry for entry in legs_module.full_matrix()}
     for entry in legs_module.golden_matrix():
-        matrix.setdefault(entry.leg_id, entry)
-    # The gateway saturation legs profile too — the coalescer hot path
-    # is exactly the kind of wall-clock regression this exists to find.
-    for entry in gateway_matrix():
         matrix.setdefault(entry.leg_id, entry)
     selected = matrix.get(leg_id)
     if selected is None:
@@ -360,53 +355,6 @@ def _cmd_serve(args) -> int:
                          max_conns=args.max_conns, seed=args.seed)
 
 
-def _cmd_gateway_bench(args) -> int:
-    """Run the gateway saturation sweep: one leg, or the gated section."""
-    import json
-
-    from repro.bench import wallclock
-    from repro.gateway.legs import gateway_matrix
-
-    if args.list_legs:
-        rows = [
-            (entry.leg_id, kwargs["clients"], kwargs["pipeline_depth"],
-             kwargs["commands"])
-            for entry in gateway_matrix()
-            for kwargs in (dict(entry.kwargs),)
-        ]
-        print(format_table("Gateway saturation legs",
-                           ["leg", "clients", "depth", "cmds/client"], rows))
-        return 0
-    if args.leg is not None:
-        from repro.bench.runner import SnapshotCache, run_legs
-
-        matrix = {entry.leg_id: entry for entry in gateway_matrix()}
-        if args.leg not in matrix:
-            print(f"unknown leg {args.leg!r}; --list shows the sweep")
-            return 2
-        report = run_legs([matrix[args.leg]], jobs=1,
-                          snapshot_cache=SnapshotCache(args.snapshot_cache))
-        print(json.dumps(report.results[args.leg], sort_keys=True, indent=1))
-        return 0
-    section = wallclock.run_gateway_section(snapshot_cache=args.snapshot_cache)
-    rows = [
-        (leg_id, info["clients"], info["pipeline_depth"],
-         f"{info['throughput']:,.0f}", f"{info['wall_seconds']:.2f}")
-        for leg_id, info in section["legs"].items()
-    ]
-    print(format_table(
-        f"Gateway saturation sweep (max {section['max_clients']} clients)",
-        ["leg", "clients", "depth", "cmds/s (sim)", "wall s"], rows))
-    print()
-    for gate in section["leg_gates"]:
-        bound = (f">= {gate['min']:,.0f}/s" if "min" in gate
-                 else f"<= {gate['max']:.0f}s wall")
-        print(f"gate {gate['leg']}: {gate['observed']} ({bound}) "
-              f"{'ok' if gate['ok'] else 'FAIL'}")
-    print(f"gates: {'ok' if section['pass'] else 'FAIL'}")
-    return 0 if section["pass"] else 1
-
-
 def _cmd_report(args) -> None:
     """Run every experiment and write a single markdown report."""
     import contextlib
@@ -454,7 +402,6 @@ COMMANDS = {
                               "streaming analyzer"),
     "perf": (_cmd_perf, "measure wall-clock perf; write BENCH_wallclock.json"),
     "serve": (_cmd_serve, "serve the gateway protocol on a TCP socket"),
-    "gateway-bench": (_cmd_gateway_bench, "run the gateway saturation sweep"),
     "report": (_cmd_report, "run everything and write a markdown report"),
 }
 
@@ -530,14 +477,6 @@ def main(argv: list[str] | None = None) -> int:
                              help="connection limit (default 4096)")
             cmd.add_argument("--seed", type=int, default=11,
                              help="pool seed (default 11)")
-        if name == "gateway-bench":
-            cmd.add_argument("--list", dest="list_legs", action="store_true",
-                             help="list the sweep legs and exit")
-            cmd.add_argument("--leg", metavar="LEG", default=None,
-                             help="run one sweep leg and print its JSON "
-                                  "result")
-            cmd.add_argument("--snapshot-cache", metavar="DIR", default=None,
-                             help="persist the warm pool snapshot under DIR")
         if name == "cluster":
             cmd.add_argument("--devices", type=int, default=4,
                              help="pool size (default 4)")

@@ -14,7 +14,7 @@ Two workload shapes:
 * the default *mixed* load (``payload_stamps=False``): clients cycle
   through SET/APPEND/GET/INCR/DEL over a small shared key space —
   contention, cross-shard traffic, read/write mix.  Used by the golden
-  fixture and the saturation bench.
+  fixture and the group-commit tests.
 * the *stamped* load (``payload_stamps=True``): every command is a SET
   of the client's own key, its value a
   :func:`repro.cluster.driver.make_payload` stamp.  A fixed key pins the
@@ -213,9 +213,9 @@ def run_serving(pool, config: Optional[GatewayConfig] = None, *,
     """Build a gateway on ``pool`` (default :class:`GatewayConfig` when
     ``config`` is None), serve one full load, return the result.
 
-    The single entry point the golden scenario, the bench legs, and the
-    tests share.  Call from outside the kernel; the pool's engine runs to
-    completion of every client session.  The first ``slow_clients``
+    The single entry point the golden scenarios and the tests share.
+    Call from outside the kernel; the pool's engine runs to completion
+    of every client session.  The first ``slow_clients``
     clients read with ``slow_recv_delay`` think time between socket
     reads — slowloris readers that drive the backpressure chain from the
     reply side.

@@ -261,7 +261,7 @@ class BoundedQueue:
 
 @dataclass
 class GatewayConfig:
-    """Serving knobs; defaults match the saturation bench's base leg.
+    """Serving knobs; the defaults are what ``benchmarks/e2e`` serves with.
 
     Group-commit knobs (writers register their LSN with the shard's
     commit coalescer and park; one committer per shard covers every

@@ -24,8 +24,7 @@ def latency_sweep(
     mean latency per request size, in seconds.
 
     ``histogram`` may be anything with a ``record(seconds)`` method (a
-    :class:`repro.obs.LatencyHistogram` or a
-    :class:`repro.bench.metrics.HistogramRecorder`); every individual
+    :class:`repro.obs.LatencyHistogram`, say); every individual
     operation's latency is recorded into it, giving the sweep's full
     distribution alongside the per-size means."""
     results: dict[int, float] = {}

@@ -30,3 +30,8 @@ def pytest_configure(config):
         "markers",
         "perf: wall-clock performance measurements (deselect with -m \"not perf\")",
     )
+    config.addinivalue_line(
+        "markers",
+        "oracle: a changed path checked against the one it replaced, or a "
+        "cost budget; run whole, soak passes included, with -m oracle",
+    )

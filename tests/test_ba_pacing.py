@@ -37,6 +37,8 @@ from repro.obs.tracing import Tracer
 from repro.sim.engine import Event
 from tests.helpers import Platform
 
+pytestmark = pytest.mark.oracle
+
 PAGE = 4096
 MAX_PAGES = 512          # per job; three jobs fit the 8 MiB BA-buffer
 BLOCK_WRITER_LBA = 8192  # the concurrent block writer's range, clear of the jobs

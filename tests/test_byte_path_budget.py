@@ -31,6 +31,8 @@ from repro.pcie import PcieLink
 from repro.pcie.link import PostedRun
 from repro.sim import Engine
 
+pytestmark = pytest.mark.oracle
+
 RECORDS = 64
 
 

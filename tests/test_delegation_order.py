@@ -32,6 +32,8 @@ from repro.sim.units import KiB
 from repro.ssd import ULL_SSD
 from repro.wal import BaWAL, BlockWAL, CommitMode
 
+pytestmark = pytest.mark.oracle
+
 FIXTURE = Path(__file__).parent / "fixtures" / "delegation_order.json"
 SEED = 1234  # the sanitized_device fixture's platform seed
 

@@ -33,11 +33,15 @@ import enum
 import sys
 from collections import Counter
 
+import pytest
+
 from repro.cluster import DevicePool
 from repro.db.memkv.commands import Command, Reply, encode_value
 from repro.gateway import GatewayConfig, GatewayServer, encode_request
 from repro.gateway import server as server_module
 from repro.gateway.protocol import FrameDecoder, decode_reply_frame
+
+pytestmark = pytest.mark.oracle
 
 GETS = 16
 KEY = "k00042"

@@ -1,10 +1,8 @@
-"""CLI and TCP-face tests: ``repro serve`` and ``repro gateway-bench``."""
+"""CLI and TCP-face tests: ``repro serve``."""
 
 import socket
 import threading
 import time
-
-import pytest
 
 from repro.cli import main
 from repro.db.memkv.commands import Command, Reply
@@ -70,28 +68,3 @@ def test_serve_roundtrip_over_real_tcp():
     assert replies[1] == (Reply.VALUE, b"\x01hello")
     assert replies[2] == (Reply.OK, b"1")
 
-
-def test_gateway_bench_list(capsys):
-    assert main(["gateway-bench", "--list"]) == 0
-    out = capsys.readouterr().out
-    assert "gateway:c2048xd16" in out
-    assert "gateway:c4xd1" in out
-
-
-def test_gateway_bench_unknown_leg(capsys):
-    assert main(["gateway-bench", "--leg", "gateway:nope"]) == 2
-    assert "unknown leg" in capsys.readouterr().out
-
-
-def test_gateway_bench_single_leg_runs(capsys):
-    assert main(["gateway-bench", "--leg", "gateway:c4xd1"]) == 0
-    out = capsys.readouterr().out
-    assert '"throughput"' in out
-    assert '"stages"' in out
-
-
-@pytest.mark.perf
-def test_gateway_bench_section_gates_pass(capsys):
-    assert main(["gateway-bench"]) == 0
-    out = capsys.readouterr().out
-    assert "gates: ok" in out

@@ -16,6 +16,7 @@ from repro.gateway import (
     run_serving,
 )
 from repro.nemesis.analyzer import StreamingAnalyzer
+from repro.obs import tracing
 from repro.sim import Engine
 
 
@@ -65,6 +66,21 @@ def test_group_commit_beats_percommand_wall_clock():
                          clients=32, commands_per_client=12)
     assert grouped.replies == percmd.replies
     assert grouped.sim_seconds < percmd.sim_seconds
+    assert grouped.throughput >= 1.5 * percmd.throughput
+
+
+def test_2048_connections_hold_throughput_and_tail():
+    """2 048 concurrent connections are all answered, and coalescing
+    holds both halves of its trade at that load: throughput at least
+    1.5x the per-command plateau (~172k cmd/s) and a client RTT p999
+    under 20 ms (simulated time, so exact)."""
+    with tracing.activated() as tracer:
+        result = run_serving(_pool(seed=909),
+                             GatewayConfig(pipeline_depth=16),
+                             clients=2048, commands_per_client=4)
+    assert result.replies == result.commands == 2048 * 4
+    assert result.throughput >= 260_000
+    assert tracer.histograms["gateway.client.rtt"].percentile(99.9) <= 0.020
 
 
 def test_group_commit_is_deterministic():

@@ -10,6 +10,8 @@ connection's replies sent.  The gateway now judges every write against
 its shard stream's ``max_record_bytes`` before applying it.
 """
 
+import pytest
+
 from repro.cluster import DevicePool
 from repro.db.memkv.commands import Command, Reply, encode_value
 from repro.gateway import (
@@ -22,6 +24,8 @@ from repro.gateway import (
 from repro.gateway.protocol import FrameDecoder
 from repro.wal import BaWAL, BlockWAL, PmWAL
 from tests.helpers import Platform
+
+pytestmark = pytest.mark.oracle
 
 MiB = 1 << 20
 BIG = b"x" * (MAX_FRAME_BYTES - 16)

@@ -9,6 +9,8 @@ from repro.pcie import PcieLink
 from repro.sim import Engine
 from repro.sim.units import NSEC, USEC
 
+pytestmark = pytest.mark.oracle
+
 
 def make_cpu(params=None):
     engine = Engine()

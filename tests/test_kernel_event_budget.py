@@ -27,6 +27,8 @@ from repro.platform import Platform
 from repro.sim import RngStreams
 from repro.wal import BaWAL
 
+pytestmark = pytest.mark.oracle
+
 OPS = 6
 
 

@@ -31,6 +31,8 @@ from repro.workloads.ycsb import YcsbConfig, YcsbOp, YcsbWorkload
 from tests.helpers import Platform, dual_path_lsm
 from tests.test_lsm_compaction import random_stack
 
+pytestmark = pytest.mark.oracle
+
 YCSB_OPS = 2000
 YCSB_PROBES_PER_OP = 0.75  # measured: 0.710
 

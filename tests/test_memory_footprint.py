@@ -39,6 +39,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scripts"))
 from _meter import resident_kib  # noqa: E402  (scripts/_meter.py)
 
+pytestmark = pytest.mark.oracle
+
 PAGE = 4096
 MiB = 1 << 20
 REGION_BYTES = 8 * PAGE

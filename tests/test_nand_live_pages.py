@@ -46,6 +46,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scripts"))
 from _meter import resident_kib  # noqa: E402  (scripts/_meter.py)
 
+pytestmark = pytest.mark.oracle
+
 PAGE = 4096
 MiB = 1 << 20
 # 2 dies x 5 blocks x 4 pages = 40 physical pages.  Background GC runs

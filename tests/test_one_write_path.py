@@ -20,6 +20,8 @@ from repro.wal.base import PartialAppendError
 from repro.wal.record import RECORD_HEADER_BYTES
 from tests.helpers import Platform, small_ba_params
 
+pytestmark = pytest.mark.oracle
+
 # Sizes vary so BaWAL crosses 32 KiB segments and PmWAL's 16 KiB buffer
 # stalls on its drain.
 PAYLOADS = [bytes([index % 251]) * (100 + 97 * index % 1900)

@@ -35,6 +35,8 @@ from repro.sim import Engine
 from repro.sim.engine import Event
 from repro.sim.units import NSEC
 
+pytestmark = pytest.mark.oracle
+
 LINE = 64
 REGION_BYTES = 4096
 

@@ -12,6 +12,8 @@ import pytest
 
 from repro.bench import wallclock
 
+pytestmark = pytest.mark.oracle
+
 ARTIFACT = pathlib.Path(__file__).resolve().parents[1] / "BENCH_wallclock.json"
 
 

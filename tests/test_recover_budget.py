@@ -32,6 +32,8 @@ from repro.wal.record import RECORD_HEADER_BYTES
 from tests.helpers import Platform
 from tests.test_wal_recover_oracle import oracle_recover
 
+pytestmark = pytest.mark.oracle
+
 AREA_PAGES = 128
 PAYLOAD = 1000
 RECORD = RECORD_HEADER_BYTES + PAYLOAD

@@ -44,6 +44,8 @@ from repro.wal import BaWAL, BlockWAL
 from repro.wal.record import RECORD_HEADER_BYTES
 from tests.helpers import Platform
 
+pytestmark = pytest.mark.oracle
+
 PAGE = 4096
 MiB = 1 << 20
 KiB = 1024

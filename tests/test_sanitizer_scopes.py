@@ -13,6 +13,8 @@ from repro.analysis import sanitizer as simsan
 from repro.analysis.sanitizer import SanitizerError
 from repro.cluster import DevicePool
 
+pytestmark = pytest.mark.oracle
+
 PAGE = 4096
 
 

@@ -42,6 +42,8 @@ from repro.wal.record import (
 )
 from tests.helpers import Platform, small_ba_params
 
+pytestmark = pytest.mark.oracle
+
 HEADER = RECORD_HEADER_BYTES
 SEGMENT = 8 * 1024   # 16 KiB BA-buffer: two pages per segment
 SMALL_AREA = 8       # pages: four slots, wraps after 32 KiB

@@ -45,6 +45,8 @@ from tests.helpers import Platform, dual_path_lsm, small_ba_params
 from tests.test_wal_recover_oracle import (
     AREAS, OPS, SEGMENT, STARTS, make, resolve, run_ops)
 
+pytestmark = pytest.mark.oracle
+
 HEADER = RECORD_HEADER_BYTES
 PAGE = 4096
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,

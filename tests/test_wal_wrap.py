@@ -30,6 +30,8 @@ from repro.wal import BaWAL, BlockWAL, LogFullError, PartialAppendError, PmWAL
 from repro.wal.record import RECORD_HEADER_BYTES
 from tests.helpers import Platform, small_ba_params
 
+pytestmark = pytest.mark.oracle
+
 CONNECTIONS = 8
 SETS = 1400
 VALUE = 3 * 1024
