@@ -8,6 +8,7 @@ unchanged on any commit.
 
 from __future__ import annotations
 
+import builtins
 import ctypes
 import struct
 import sys
@@ -57,9 +58,10 @@ def wrapped(owner, name: str, before):
     """Until exit, every call of ``owner.name`` first shows its arguments
     to ``before`` — the counting wrapper.  ``owner`` is a class, a module
     or an instance with a ``__dict__``; what it held under ``name`` (a
-    staticmethod included) is put back afterwards."""
+    staticmethod included) is put back afterwards.  A builtin a module
+    calls by name (``bytearray``) is wrapped for that module alone."""
     held = vars(owner).get(name, _ABSENT)
-    call = getattr(owner, name)
+    call = getattr(owner, name, None) or getattr(builtins, name)
 
     def wrapper(*args, **kwargs):
         before(*args, **kwargs)

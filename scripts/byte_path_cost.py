@@ -2,6 +2,7 @@
 """What does one logged record cost the simulator on the byte path?
 
     python scripts/byte_path_cost.py [--records 1600] [--repeats 5] [--smoke]
+    (~25 s; ``--smoke`` < 1 s, on a 2-core box)
 
 Stores records of one size back to back through a bare ``Engine`` +
 ``PcieLink`` + ``WriteCombiningBuffer`` (no platform, no WAL, no gateway)
@@ -16,11 +17,17 @@ line), it prints
 * three exact counts per record, taken on a separate pass so the
   wrappers that count them are not inside the timed region: entries
   handed to ``posted_burst``, ``region.write`` deposits, and posted TLPs.
+  The same pass counts two things that must never happen on this shape:
+  a settle asking a ``PostedRun`` for its per-TLP ``keys``/``flights``
+  (every run is wholly landed or wholly in flight, so its first and last
+  keys decide), and a ``bytearray`` built in ``repro.host.wc`` (a log
+  append dirties one contiguous range, so no line needs a dirty mask).
 
 A second table puts what is *above* the byte path next to it: one record
 of the same size on the wire (20-byte header + payload) through a bare
 ``Platform`` as ``BaWAL.append_batch([payload])`` + ``commit`` — wall µs
-and kernel events per record, the unaligned WC + link row beside them.
+and kernel events per record (9 at 100 B, 10 at 2 100 B), the unaligned
+WC + link row beside them.
 A third goes one layer up again: a 64 B and a 2 KiB payload logged one
 record at a time on a ``ReplicatedBaWAL`` stream of a default
 ``DevicePool(devices=3)`` (RF 2), as ``append_batch([payload])`` +
@@ -31,9 +38,27 @@ Read-only use of ``src/``: everything is observed from outside, so the
 same script runs on any commit (docs/performance.md, "Ranges, not lines",
 has the before/after).  Entries and deposits have ceilings: one of each
 per record, two when the record overflows the WC buffer (the store's
-evictions, then the flush).  The script exits non-zero when one is broken
-or when landed bytes or TLP counts are wrong; ``--smoke`` is the small
-fixed-size pass that ``scripts/check.sh`` and CI run.
+evictions, then the flush) — a per-line loop costs more: the per-line
+tree 2.50 / 12.88 / 12.88 per 100 / 1060 / 2100 B record, whole-line
+runs with masked partial lines 2.50 / 4.82 / 4.82.  Replays and masks
+have a ceiling of zero.  TLPs are the model's — one per line a record
+touches — and must not move at all.  Lowering a ceiling after a real
+cut is the point; raising one needs the reason in the commit that does
+it.  The script exits non-zero when one is broken or when landed bytes or
+TLP counts are wrong; ``--smoke`` is the small fixed-size pass that
+tier-1 runs (``tests/test_meters.py``).
+
+For a before/after, copy it with ``scripts/_meter.py`` into a parent
+checkout; on a tree older than "Ranges, not lines" it prints its rows and
+then reports the ceilings as broken.  The third table's run-to-run
+spread is 5-10 us on a 2-core box (~70-85 us and ~115-145 us per record,
+both columns within a few us of each other), so compare medians of
+several alternating runs, not one; ``MISMATCH`` there means the quorum
+horizon did not reach the tail.
+
+Rows on this tree, burst entries / deposits per record: 1.00 / 1.00 at
+100 B, 2.00 / 2.00 at 1 060, 2 048 and 2 100 B (the store's evictions,
+then the flush); TLPs unaligned 2.50 / 17.50 / 32.00 / 33.75.
 """
 
 from __future__ import annotations
@@ -50,8 +75,9 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from _meter import best_of, exit_status, wrapped  # noqa: E402  (scripts/_meter.py)
 from repro.cluster import DevicePool  # noqa: E402
 from repro.host.memory import ByteRegion  # noqa: E402
+from repro.host import wc as wc_module  # noqa: E402
 from repro.host.wc import WriteCombiningBuffer  # noqa: E402
-from repro.pcie.link import PcieLink, PcieParams  # noqa: E402
+from repro.pcie.link import PcieLink, PcieParams, PostedRun  # noqa: E402
 from repro.platform import Platform  # noqa: E402
 from repro.sim import Engine  # noqa: E402
 from repro.wal.ba_wal import BaWAL  # noqa: E402
@@ -105,18 +131,28 @@ class BytePath:
             offset += self.stride
         return in_store, in_flush, in_settle
 
-    def counted(self) -> tuple[int, int, int]:
-        """Burst entries, ``region.write`` deposits and TLPs over all records."""
+    def counted(self) -> Counter:
+        """Burst entries, ``region.write`` deposits, TLPs, per-TLP replays
+        of a posted run and WC-buffer ``bytearray``s over all records."""
         counts = Counter()
         with (wrapped(self.link, "posted_burst",
                       lambda tlps: counts.update(entries=len(tlps))),
               wrapped(self.region, "write",
-                      lambda _offset, _data: counts.update(deposits=1))):
+                      lambda _offset, _data: counts.update(deposits=1)),
+              wrapped(PostedRun, "keys",
+                      lambda _run: counts.update(replays=1)),
+              wrapped(PostedRun, "flights",
+                      lambda _run: counts.update(replays=1)),
+              wrapped(wc_module, "bytearray",
+                      lambda *_args: counts.update(masks=1))):
             self.timed()
-        return (counts["entries"], counts["deposits"],
-                self.link.posted_writes_issued)
+        counts["tlps"] = self.link.posted_writes_issued
+        return counts
 
     def landed_image_ok(self) -> bool:
+        """Every record landed, and nothing is left buffered or in flight."""
+        if len(self.wc) or self.link.in_flight:
+            return False
         image = self.region.snapshot()
         return all(
             image[index * self.stride:index * self.stride + self.size]
@@ -185,15 +221,17 @@ def measure(size: int, aligned: bool, records: int, repeats: int) -> dict:
     best = best_of(repeats, lambda: BytePath(size, aligned, records).timed(),
                    key=sum)
     path = BytePath(size, aligned, records)
-    entries, deposits, tlps = path.counted()
+    counts = path.counted()
     return {
         "store_us": best[0] / records * 1e6,
         "flush_us": best[1] / records * 1e6,
         "settle_us": best[2] / records * 1e6,
-        "entries": entries / records,
-        "deposits": deposits / records,
-        "tlps": tlps / records,
-        "ok": tlps == path.expected_tlps() and path.landed_image_ok(),
+        "entries": counts["entries"] / records,
+        "deposits": counts["deposits"] / records,
+        "tlps": counts["tlps"] / records,
+        "replays": counts["replays"],
+        "masks": counts["masks"],
+        "ok": counts["tlps"] == path.expected_tlps() and path.landed_image_ok(),
     }
 
 
@@ -237,6 +275,12 @@ def main() -> int:
                     f"{row['entries']:.2f} burst entries and "
                     f"{row['deposits']:.2f} deposits per record, ceiling "
                     f"{run_ceiling(size)}")
+            if row["replays"] or row["masks"]:
+                broken.append(
+                    f"{size} B {'aligned' if aligned else 'unaligned'}: "
+                    f"{row['replays']} per-TLP replays of a posted run and "
+                    f"{row['masks']} bytearrays built in repro.host.wc, "
+                    "ceiling 0")
     print("\nabove the byte path: BaWAL.append_batch([payload]) + commit of "
           "one record\nof that size through a bare Platform; per record:")
     print(f"{'size':>6} {'wal':>10} {'byte path':>10} {'above it':>10} "

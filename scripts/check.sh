@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
-# The full local gate: domain lint -> whole-program scan -> generic
-# lint -> typing -> goldens -> e2e benchmark smoke -> byte-path, LSM,
-# gateway, recovery, device and memory cost smokes -> tests.
+# The full local gate, and the one list of checks CI runs: domain lint ->
+# whole-program scan -> generic lint -> typing -> goldens -> e2e
+# benchmark smoke -> runner determinism -> tests.  The tests include
+# every meter's smoke (tests/test_meters.py) and every oracle.
 #
 #   scripts/check.sh          # everything (tier-1 includes the soak tests)
-#   scripts/check.sh --fast   # deselect the soak tests (the system soak,
-#                             # the 3 000-example byte-path and WAL-recovery
-#                             # and the 2 000-example firmware-pacing,
-#                             # memory-backing and live-page oracle
-#                             # properties)
+#   scripts/check.sh --fast   # deselect the soak tests that are no oracle
+#                             # (the system soak); the oracles' 2 000- and
+#                             # 3 000-example properties still run
 #
 # ruff and mypy are optional in minimal images; they run when importable
 # and are reported as skipped otherwise (the configured baselines in
@@ -66,48 +65,15 @@ step "golden fixtures under the runtime sanitizer" \
 step "e2e benchmark smoke (benchmarks/e2e/run.py --smoke)" \
     python3 benchmarks/e2e/run.py --smoke
 
-# The byte path's own cost meter, at smoke size (< 1 s): checks the
-# landed bytes, the TLP counts and the entries/deposits ceilings (one per
-# record, two once it overflows the WC buffer), then prices BaWAL's
-# append_batch + commit above it and a replicated stream's above that.
-step "byte-path cost smoke (scripts/byte_path_cost.py --smoke)" \
-    python3 scripts/byte_path_cost.py --smoke
+# The run-matrix executor: jobs=1 output must be byte-identical to jobs=4.
+step "runner determinism (jobs 1 vs 4)" \
+    python -m repro.bench.runner --check-determinism --jobs 4
 
-# The LSM engine's bloom-filter work (< 1 s): a merge that probes
-# filters, a lookup that digests twice or probes a second L1 run, or a
-# filter built for a table no GET reached breaks a ceiling and exits
-# non-zero.
-step "LSM cost smoke (scripts/lsm_cost.py --smoke)" \
-    python3 scripts/lsm_cost.py --smoke
-
-# The gateway wire path's copies and allocations per GET (< 1 s): a
-# decoder that re-buffers whole frames, an Enum.__call__ in the codec or
-# an Event built per lane pass breaks a ceiling and exits non-zero.
-step "gateway cost smoke (scripts/gateway_cost.py --smoke)" \
-    python3 scripts/gateway_cost.py --smoke
-
-# What one BaWAL.recover asks of the device (~1 s): a scan that reads
-# slots the log never reached, or a server.recover() that costs the sum
-# of its shards' scans, breaks a ceiling and exits non-zero.
-step "recovery cost smoke (scripts/recover_cost.py --smoke)" \
-    python3 scripts/recover_cost.py --smoke
-
-# One BA_PIN / BA_FLUSH / TRIM / BaWAL.start() on a bare platform (< 2 s):
-# wrong landed bytes, or a never-written 1 MiB pin above 4 kernel events,
-# breaks a ceiling and exits non-zero.
-step "device cost smoke (scripts/device_cost.py --smoke)" \
-    python3 scripts/device_cost.py --smoke
-
-# Host memory, one fresh child per row (~2 s): 4 096 SETs of 64 B leaving
-# more than 512 KiB of a node's 8 MiB BA-buffer resident, or a compacted
-# LSM whose NAND keeps page images nothing maps, or a gateway recover()
-# holding more than its values and three segments, breaks a ceiling and
-# exits non-zero.
-step "memory cost smoke (scripts/memory_cost.py --smoke)" \
-    python3 scripts/memory_cost.py --smoke
-
+# --fast keeps the oracle-marked soak passes: each holds a changed path to
+# the one it replaced, so it runs whole, once, in this same call.
 if [ "$fast" = 1 ]; then
-    step "tier-1 tests (fast: no soak)" python -m pytest -x -q -m "not soak" tests/
+    step "tier-1 tests (fast: no soak but the oracles')" \
+        python -m pytest -x -q -m "not soak or oracle" tests/
 else
     step "tier-1 tests" python -m pytest -x -q tests/
 fi

@@ -2,6 +2,7 @@
 """What does one command cost the simulator on the gateway's wire path?
 
     python scripts/gateway_cost.py [--repeats 5] [--smoke]
+    (~10 s; ``--smoke`` < 1 s, on a 2-core box)
 
 None of this work carries a simulated cost — the model charges a flat
 ``PARSE_CPU`` + ``COMMAND_CPU`` per command — so it shows only on the
@@ -17,8 +18,8 @@ in the benchmark's own clients.  For one ``GET`` of a 6-byte key it prints
   included) on a bare default server: one idle connection, no WAL
   traffic (``perf_counter`` brackets; best of ``--repeats`` passes), and
 
-the exact counts ``tests/test_gateway_budget.py`` pins, per GET answered
-on an idle connection, taken on a separate pass so the wrappers that
+exact counts per GET answered on an idle connection (every chunk holds
+exactly one whole frame), taken on a separate pass so the wrappers that
 count them are not inside a timed region:
 
 * ``Event`` objects built in ``repro.gateway.server`` (pipes, queues and
@@ -29,9 +30,15 @@ count them are not inside a timed region:
 
 Read-only use of ``src/``: everything is observed from outside, so the
 same script runs on any commit (docs/performance.md, "Gateway wire
-path", has the before/after).  The counts have ceilings and the script
-exits non-zero when one is broken; ``--smoke`` is the counts alone
-(< 1 s), which ``scripts/check.sh`` and CI run.
+path", has the before/after).  The counts have ceilings: at most
+``EVENTS_BUILT`` Events, no byte added to a bytearray, at most the one
+key encode routing hashes, no ``EnumType.__call__``, and exactly
+``KERNEL_EVENTS`` kernel events (the hand-off wakes the receiver at the
+same sequence position).  Lowering a ceiling after a real cut is the
+point; raising one needs the reason in the commit that does it.  The
+script exits non-zero when one is broken; ``--smoke`` is the counts
+alone (< 1 s), which tier-1 runs (``tests/test_meters.py``).  Copy it
+with ``scripts/_meter.py`` into a parent checkout for a before/after.
 """
 
 from __future__ import annotations
@@ -63,9 +70,10 @@ VALUE = bytes(64)
 GETS = 32
 LOOPS = 20000
 # Measured on the tree that introduced this script; its parent built 7
-# (one admit event per lane pass), added 166 bytes to bytearrays, encoded
-# the key twice and went through EnumType.__call__ twice per GET.
-EVENTS_BUILT = 6
+# (one admit event per lane pass), added 166 bytes to bytearrays (each
+# frame entered one pipe buffer and one decoder buffer), encoded the key
+# twice and went through EnumType.__call__ twice per GET.
+EVENTS_BUILT = 6  # c2s send + reader recv, queue put + lane get, s2c send + client recv
 KERNEL_EVENTS = 13  # tests/test_kernel_event_budget.py, gateway_get
 
 

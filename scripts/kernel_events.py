@@ -2,6 +2,7 @@
 """Where do a workload's kernel events come from?
 
     python scripts/kernel_events.py gw-set [--seed 1] [--scale 0.05] [--top 8]
+    (~1 s at the default scale, on a 2-core box)
 
 Runs one round of a ``benchmarks/e2e`` workload (read-only use of its
 harness; ``tcp-mixed`` is its in-engine twin) with every increment of
@@ -20,6 +21,12 @@ the site is a ``yield engine.process(callee())`` it is the pair that
 ``yield from callee()`` does not pay (docs/performance.md, "Delegated
 calls").  The instrumentation patches the kernel from outside and walks
 Python frames on every event, so it is slow: keep ``--scale`` small.
+
+The script exits non-zero when its attributed count disagrees with the
+benchmark's ``kernel_events_per_op``.  ``gw-set --scale 0.5`` (~1 s)
+reaches log segment recycles, so the absolute-time wake-ups of
+``BA_PIN`` / ``BA_FLUSH`` (``engine.timeout_at``, in the ``timeout``
+bucket) are counted too; tier-1 runs it (``tests/test_meters.py``).
 """
 
 from __future__ import annotations

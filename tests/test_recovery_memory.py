@@ -17,10 +17,10 @@ Two replacements, each held to what it replaced:
   the BA-buffer and copies only the payloads it returns
   (``tests/test_wal_recover_oracle.py`` holds it to the copy-based scan).
 * ``replay`` hands each record over while its segment is live: a
-  ``BlockWAL`` log replays in one chunk and a record, and a gateway
-  rebuilds its shards holding little beyond the values it rebuilt
+  ``BlockWAL`` log replays in one chunk and a record
   (``tests/test_wal_replay.py`` holds every backend to the list it
-  replaced).
+  replaced; ``scripts/memory_cost.py`` row 8 holds a gateway's rebuild
+  to its values and one segment per shard).
 
 The budgets measure allocations with ``tracemalloc``, never the clock.
 """
@@ -33,12 +33,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import DevicePool
 from repro.core import BaParams, CrashHarness
 from repro.core.recovery import _SavedImage
-from repro.db.memkv.commands import Command
-from repro.gateway import GatewayConfig, GatewayServer
-from repro.gateway.protocol import FrameDecoder, encode_request
 from repro.sim.units import NSEC
 from repro.wal import BaWAL, BlockWAL
 from repro.wal.record import RECORD_HEADER_BYTES
@@ -413,33 +409,3 @@ def test_a_4_mib_block_log_replays_in_one_chunk_and_a_record():
     assert len(seen) == 4 * MiB // record
     assert peak <= CHUNK + record + 64 * KiB, peak
 
-
-def test_gateway_recovery_holds_the_values_and_three_segments():
-    """``GatewayServer.recover`` decodes each shard's records into its dict
-    while the segment is live: the values it rebuilds, at most one segment
-    per shard in flight, and 256 KiB (the list it replaced held every
-    shard's payloads besides: +3 MiB here)."""
-    pool = DevicePool(devices=3, seed=1)
-    engine = pool.engine
-    server = GatewayServer(pool, GatewayConfig())
-    engine.run_process(server.start())
-
-    def client(index):
-        conn = yield from server.accept()
-        decoder = FrameDecoder()
-        for seq in range(150):
-            conn.c2s.send(encode_request(Command.SET, f"c{index}-k{seq}",
-                                         bytes([seq % 251]) * 2048))
-            while not decoder.feed((yield conn.s2c.recv(4096))):
-                pass
-
-    engine.run(until=engine.all_of(
-        [engine.process(client(index)) for index in range(10)]))
-    engine.run()
-    live = [dict(shard.data) for shard in server.shards]
-    _none, _held, peak = traced(server.recover)
-    assert [shard.data for shard in server.shards] == live
-    values = sum(len(value) for shard in server.shards
-                 for value in shard.data.values())
-    assert values == 1500 * 2048
-    assert peak <= values + 3 * pool.segment_bytes + 256 * KiB, peak
