@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.analysis import sanitizer as simsan
 from repro.cluster.errors import ClusterError, NoSpareError
 from repro.cluster.pool import DevicePool, PoolNode, StreamLeg
 from repro.cluster.replicated import ReplicatedBaWAL
+from repro.core.faults import kill_in_flight
 from repro.core.power import PowerLossReport
 from repro.obs import events, tracing
 from repro.sim.engine import Event, Process
@@ -96,20 +96,13 @@ class ClusterCrashHarness:
         # The victim loses power: WC lines, in-flight posted writes, and
         # un-dumped BA-buffer bytes die; capacitors save what they can.
         report = node.platform.power.power_loss()
-        # Fence EVERY device before the global purge (shared engine): the
-        # purge finalizes all in-flight generators at once.
-        for pool_node in self.pool.nodes.values():
-            for device in pool_node.platform.power._devices:
-                device.halt()
-        discarded = engine.purge()
-        # Transfers parked on a partition barrier died in the purge; swap
+        # Transfers parked on a partition barrier die with the crash; swap
         # the barriers so a later heal cannot resurrect them.
         self.pool.net.fence_partitions()
-        if simsan.enabled:
-            simsan.crash_reset()
-        for pool_node in self.pool.nodes.values():
-            for device in pool_node.platform.power._devices:
-                device.reboot()
+        # EVERY device is fenced, purged and rebooted (shared engine).
+        discarded = kill_in_flight(
+            engine, [device for pool_node in self.pool.nodes.values()
+                     for device in pool_node.platform.power._devices])
         # The victim comes back up as hardware but stays fenced out of the
         # pool until an operator (or test) re-admits it.
         node.platform.power.power_on()
@@ -143,55 +136,24 @@ class FailoverManager:
         ``fail_over`` re-recovers the complete old log — the staged
         half-replay is discarded, never trusted.
         """
-        pool = self.pool
-        stream = pool.streams[stream_name]
-        staging = f"{stream_name}@promote"
+        stream = self.pool.streams[stream_name]
         with tracing.span("cluster.failover", self.engine):
-            # A retry after a crash mid-promotion: the stale staged stream
-            # holds a partial replay; release its budget and start over.
-            if staging in pool.streams:
-                yield from pool.close_stream(staging)
             survivor_leg = self._pick_survivor(stream)
-            # Recovery reads only device state (NAND + any still-pinned
-            # BA-buffer overlay), so the old leg's WAL object can scan even
-            # though its host-side processes died with the crash.
-            recovered: list[bytes] = []
-            yield from survivor_leg.wal.replay(
-                0, lambda _lsn, payload: recovered.append(payload.tobytes()))
             spare_node = self._pick_spare(stream, spare)
-            new_stream = yield from pool.open_stream(
-                staging,
-                replicas=1 + len(stream.replica_legs),
-                on_nodes=[survivor_leg.node.name, spare_node.name],
-                quorum=stream.quorum,
-            )
             if events.enabled:
                 events.emit("cluster.failover.staged", self.engine.now,
                             stream=stream_name,
                             survivor=survivor_leg.node.name,
-                            spare=spare_node.name,
-                            recovered=len(recovered))
-            # Replay: re-append the recovered log, then one quorum commit
-            # covering all of it.
-            lsn = 0
-            for payload in recovered:
-                lsn = yield from new_stream.append(payload)
-            if recovered:
-                yield from new_stream.commit(lsn)
-            # The swap point: from here the promoted stream owns the name.
-            new_stream.name = stream_name
-            pool.streams[stream_name] = new_stream
-            del pool.streams[staging]
+                            spare=spare_node.name)
+            new_stream, recovered = yield from self.pool.restage(
+                stream_name, survivor_leg,
+                [survivor_leg.node.name, spare_node.name], "promote")
             if events.enabled:
                 events.emit("cluster.failover.promoted", self.engine.now,
                             stream=stream_name,
                             nodes=tuple(leg.node.name
-                                        for leg in new_stream.legs()))
-            # Only now release the old legs' budget (flushing still-pinned
-            # entries); the downed node's budget is unreachable anyway.
-            for leg in stream.legs():
-                if leg.node.up:
-                    yield from pool.release_leg(leg)
+                                        for leg in new_stream.legs()),
+                            recovered=len(recovered))
         if tracing.enabled:
             tracing.count("cluster.failovers")
         return FailoverResult(

@@ -287,6 +287,45 @@ class DevicePool:
             yield from self.release_leg(leg)
         return None
 
+    def restage(self, name: str, source: StreamLeg, on_nodes: list[str],
+                suffix: str) -> Iterator[Event]:
+        """Process: move stream ``name``'s log onto a fresh stream on
+        ``on_nodes`` (the first is its primary) without losing an acked
+        record — failover and degrade.  Returns the new stream and the
+        payloads replayed into it.
+
+        The swap is staged, so a crash anywhere in it is harmless:
+        ``source``'s log is replayed (recovery reads only device state,
+        so a leg whose host-side processes died with a crash still
+        scans) onto a stream opened as ``name@suffix``, one record at a
+        time, and committed at quorum.  Only then does the new stream
+        take the name, and only then are the old stream's legs on up
+        nodes released (flushing still-pinned entries; a downed node's
+        budget is unreachable anyway).  Until the swap the old stream
+        stays registered, and a retry first discards the stale staging.
+        """
+        old = self.streams[name]
+        staging = f"{name}@{suffix}"
+        if staging in self.streams:
+            yield from self.close_stream(staging)
+        recovered: list[bytes] = []
+        yield from source.wal.replay(
+            0, lambda _lsn, payload: recovered.append(payload.tobytes()))
+        stream = yield from self.open_stream(staging, on_nodes=on_nodes,
+                                             quorum=old.quorum)
+        lsn = 0
+        for payload in recovered:
+            lsn = yield from stream.append(payload)
+        if recovered:
+            yield from stream.commit(lsn)
+        stream.name = name
+        self.streams[name] = stream
+        del self.streams[staging]
+        for leg in old.legs():
+            if leg.node.up:
+                yield from self.release_leg(leg)
+        return stream, recovered
+
     # -- warm-state snapshots -----------------------------------------------
 
     def _fingerprint(self) -> dict:

@@ -22,8 +22,9 @@ import gc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from repro.analysis import sanitizer as simsan
 from repro.core.power import PowerLossReport
-from repro.sim.engine import Event, Process
+from repro.sim.engine import Engine, Event, Process
 
 if TYPE_CHECKING:
     from repro.platform import Platform
@@ -38,6 +39,40 @@ class CrashOutcome:
     report: PowerLossReport
     restored: dict
     events_discarded: int
+
+
+def kill_in_flight(engine: Engine, devices: list) -> int:
+    """After a power cut, the crash every harness runs: fence ``devices``,
+    purge the kernel, finalise the dead, reboot.  Returns the events the
+    purge discarded.
+
+    Fence first: dropping the queue's references finalizes in-flight
+    generators immediately, and their cleanup must see the post-crash
+    epoch.  A purged process whose generator sits in a reference cycle is
+    finalized whenever the garbage collector gets to it; its finally
+    blocks release host-side locks, handing them to other dead processes,
+    which would then run on in the rebooted world.  So the dead are
+    finalized now, while the devices are fenced, and whatever their
+    cleanup scheduled is dropped too, until the kernel is quiescent.  The
+    sanitizer's in-flight bookkeeping belonged to the dead as well and is
+    voided before the reboot.
+    """
+    for device in devices:
+        halt = getattr(device, "halt", None)
+        if halt is not None:
+            halt()
+    discarded = engine.purge()
+    gc.collect()
+    while not engine.quiescent():
+        engine.purge()
+        gc.collect()
+    if simsan.enabled:
+        simsan.crash_reset()
+    for device in devices:
+        reboot = getattr(device, "reboot", None)
+        if reboot is not None:
+            reboot()
+    return discarded
 
 
 class CrashHarness:
@@ -59,28 +94,7 @@ class CrashHarness:
         engine.run(until=target)
         finished = process is None or process.processed
         report = self.platform.power.power_loss()
-        # Fence devices BEFORE purging: dropping the queue's references
-        # finalizes in-flight generators immediately, and their cleanup
-        # must see the post-crash epoch.
-        for device in self.platform.power._devices:
-            halt = getattr(device, "halt", None)
-            if halt is not None:
-                halt()
-        discarded = engine.purge()
-        # A purged process whose generator sits in a reference cycle is
-        # finalized whenever the garbage collector gets to it; its finally
-        # blocks release host-side locks, handing them to other dead
-        # processes, which would then run on in the rebooted world.
-        # Finalize the dead now, while the devices are fenced, and drop
-        # whatever their cleanup scheduled.
-        gc.collect()
-        while not engine.quiescent():
-            engine.purge()
-            gc.collect()
-        for device in self.platform.power._devices:
-            reboot = getattr(device, "reboot", None)
-            if reboot is not None:
-                reboot()
+        discarded = kill_in_flight(engine, self.platform.power._devices)
         restored = self.platform.power.power_on()
         return CrashOutcome(
             crash_time=target,

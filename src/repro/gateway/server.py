@@ -960,38 +960,18 @@ class GatewayServer:
     def _degrade_shard(self, shard: _Shard) -> Iterator[Event]:
         """Process: byte-path pressure — move the shard's log to a fresh
         stream on the same nodes (block legs once the mapping-table
-        budget is gone) without losing a single acked record.
-
-        Same staged-swap shape as ``FailoverManager.fail_over``: recover
-        the old primary, replay onto a staging stream, quorum-commit the
-        replay, and only then swap names and release the old legs.
+        budget is gone) without losing a single acked record: the pool's
+        staged swap (``DevicePool.restage``) from the old primary.
         """
-        pool = self.pool
         engine = self.engine
         old = shard.stream
         self.degrades += 1
         if tracing.enabled:
             tracing.count("gateway.shard.degraded")
         with tracing.span("gateway.shard.degrade", engine):
-            recovered: list[bytes] = []
-            yield from old.primary.wal.replay(
-                0, lambda _lsn, payload: recovered.append(payload.tobytes()))
             nodes = [leg.node.name for leg in old.legs() if leg.node.up]
-            staging = f"{shard.stream_name}@degrade"
-            if staging in pool.streams:
-                yield from pool.close_stream(staging)
-            new_stream = yield from pool.open_stream(
-                staging, replicas=len(nodes), on_nodes=nodes,
-                quorum=old.quorum)
-            lsn = 0
-            for payload in recovered:
-                lsn = yield from new_stream.append(payload)
-            if recovered:
-                yield from new_stream.commit(lsn)
-            yield from pool.close_stream(shard.stream_name)
-            new_stream.name = shard.stream_name
-            pool.streams[shard.stream_name] = new_stream
-            del pool.streams[staging]
+            new_stream, recovered = yield from self.pool.restage(
+                shard.stream_name, old.primary, nodes, "degrade")
             shard.stream = new_stream
         if events.enabled:
             events.emit("gateway.shard.degraded", engine.now,
