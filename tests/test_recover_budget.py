@@ -1,22 +1,31 @@
-"""Device reads of one ``BaWAL.recover``, held to the scan it replaced.
+"""Device reads of one ``BaWAL.recover``, pinned as exact counts.
 
-Recovery reads the log, not the log area.  ``scripts/recover_cost.py``
-states what the scan may ask of the device, as exact ceilings on block
-reads per fixed device state, and tier-1 runs it (``tests/test_meters.py``).
-What stays here is the comparison only a test can make: against
-``oracle_recover`` (``tests/test_wal_recover_oracle.py``), the copy of the
-scan before it, which reads every slot whatever was written.  On the same
-device states the two must return the same records, and the oracle's
-reads pin what the old scan cost.
+Recovery reads the log, not the log area: what it may ask of the device
+is fixed here as deltas of ``device.stats.reads`` / ``bytes_read`` across
+one ``recover`` on fixed device states, so a scan that drifts back to
+"every slot whatever was written" fails tier-1 instead of waiting for
+``sim_recover_ms`` (``scripts/recover_cost.py`` prints the same counts
+with the simulated milliseconds beside them).
 
-Shape, the meter's: a 64 KiB BA-buffer (32 KiB segments of eight pages)
-over a 16-slot log area, 1 000-byte records (32 to a segment),
-power-cycled before every recovery so only the device speaks.
+Shape: a 64 KiB BA-buffer (32 KiB segments of eight pages) over a 16-slot
+log area, 1 000-byte records (32 to a segment), power-cycled before every
+recovery so only the device speaks:
+
+* the live log sits in the two restored halves -> no device read at all;
+  with a half still mid-flush at the power cut, one probe of one page;
+* ``k`` sealed NAND segments + the halves -> ``k`` probes and ``k`` body
+  reads (never more than ``k + 1`` probes), ``k * segment_bytes`` bytes;
+* ``start_lsn`` in the last sealed segment -> one probe, one body;
+* a wrapped log asked for an LSN the wrap ate -> the every-slot fallback:
+  what the scan before cost, plus at most the one probe that found out.
+
+Ceilings are budgets: lowering one after a real cut is the point, raising
+one needs the reason in the commit that does it.
 """
 
 import pytest
 
-from repro.core import BaParams
+from repro.core import BaParams, CrashHarness
 from repro.sim.units import KiB
 from repro.wal import BaWAL
 from repro.wal.record import RECORD_HEADER_BYTES
@@ -31,7 +40,7 @@ RECORD = RECORD_HEADER_BYTES + PAYLOAD
 PER_SEGMENT = 32 * KiB // RECORD
 
 
-def logged(records):
+def logged(records, power_cycle=True):
     platform = Platform(ba_params=BaParams(buffer_bytes=64 * KiB), seed=1)
     engine = platform.engine
     wal = BaWAL(engine, platform.api, area_pages=AREA_PAGES)
@@ -47,7 +56,8 @@ def logged(records):
 
     engine.run_process(load())
     engine.run()
-    platform.power.power_cycle()
+    if power_cycle:
+        platform.power.power_cycle()
     return platform, wal
 
 
@@ -64,18 +74,49 @@ def cost(platform, recover, start_lsn=0):
 
 def test_log_in_the_restored_halves_reads_nothing():
     platform, wal = logged(PER_SEGMENT // 2)
-    records, _reads, _nbytes = cost(platform, BaWAL.recover)
+    assert cost(platform, BaWAL.recover) == (PER_SEGMENT // 2, 0, 0)
     assert cost(platform, oracle_recover) == (
-        records, 14, 14 * wal.segment_bytes)
+        PER_SEGMENT // 2, 14, 14 * wal.segment_bytes)
+
+
+def test_power_cut_mid_flush_probes_one_page():
+    platform, wal = logged(0, power_cycle=False)
+    engine = platform.engine
+
+    def load():
+        for index in range(2 * PER_SEGMENT):
+            end = yield from wal.append(bytes([index % 251]) * PAYLOAD)
+            yield from wal.commit(end)
+
+    # Cut the power while segment 0 is still flushing: both restored
+    # halves hold live records, the slot after them was never written.
+    engine.process(load())
+    while wal.durable_lsn <= wal.segment_bytes:
+        engine.step()
+    assert wal.stats.device_writes == 0
+    CrashHarness(platform).crash_at(0.0)
+    records, reads, nbytes = cost(platform, BaWAL.recover)
+    assert records == PER_SEGMENT + 1
+    assert (reads, nbytes) == (1, wal.page_size)
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_k_sealed_segments_cost_k_probes_and_k_bodies(k):
     platform, wal = logged(k * PER_SEGMENT + 5)
     assert wal.stats.device_writes == k
-    records, _reads, _nbytes = cost(platform, BaWAL.recover)
+    records, reads, nbytes = cost(platform, BaWAL.recover)
+    assert records == k * PER_SEGMENT + 5
+    assert (reads, nbytes) == (2 * k, k * wal.segment_bytes)
     assert cost(platform, oracle_recover) == (
         records, 14, 14 * wal.segment_bytes)
+
+
+def test_start_in_the_last_sealed_segment_reads_one_body():
+    platform, wal = logged(3 * PER_SEGMENT + 5)
+    start = 2 * wal.segment_bytes + 4 * RECORD
+    records, reads, nbytes = cost(platform, BaWAL.recover, start)
+    assert records == PER_SEGMENT - 4 + 5
+    assert (reads, nbytes) == (2, wal.segment_bytes)
 
 
 def test_wrapped_log_costs_the_old_scan_plus_one_probe_at_most():
@@ -90,3 +131,6 @@ def test_wrapped_log_costs_the_old_scan_plus_one_probe_at_most():
     assert new[0] == old[0] == 14 * PER_SEGMENT + 5
     # ... and slot 0 holds segment 16: one probe finds that out.
     assert new[1:] == (15, old[2] + wal.page_size)
+    # From the oldest surviving segment the chain needs no fallback.
+    assert cost(platform, BaWAL.recover, 5 * wal.segment_bytes) == (
+        new[0], 28, 14 * wal.segment_bytes)
