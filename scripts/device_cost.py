@@ -29,15 +29,19 @@ Read-only use of ``src/``: the same script runs on any commit
 (docs/performance.md, "Firmware pacing on a clock", has the before and
 after).  The landed bytes are checked, and a never-written 1 MiB pin
 above 4 kernel events, a 1 MiB flush above 1 733 or a ``BaWAL.start()``
-above 8 breaks a ceiling: the script then exits non-zero.  ``--smoke``
+above 8 breaks a ceiling, as does a written 1 MiB pin above 513 015
+opcodes or a 1 MiB flush above 536 443 (the NAND page path's cost,
+CPython 3.11): the script then exits non-zero.  ``--smoke``
 times one pass (< 2 s); tier-1 runs it (``tests/test_meters.py``).  Copy
 it with ``scripts/_meter.py`` into a parent checkout for a before/after:
 on a tree older than "Firmware pacing on a clock" it prints 514 / 1988 /
 1988 / 0 / 4099 events and reports those ceilings as broken.
 
-Rows on this tree, kernel events / simulated µs: 4 / 59.2, 1733 /
-500.114, 1733 / 596.058, 0 / 0, 7 / 425.6 (2-core box wall: ~0.11, ~5.5,
-~4.4, ~0.004, ~0.5 ms).
+Rows on this tree, kernel events / simulated µs / opcodes: 4 / 59.2 /
+28 174, 1733 / 500.114 / 513 015, 1733 / 596.058 / 536 443, 0 / 0 / 164,
+7 / 425.6 / 156 679 (2-core box wall: ~0.2, ~10, ~10, ~0.01, ~0.7 ms).
+Before the NAND page path had one timed body per operation the two
+NAND-heavy rows ran 508 043 and 529 615 opcodes.
 """
 
 from __future__ import annotations
@@ -131,6 +135,10 @@ CEILINGS = {                    # kernel events
     "BA_FLUSH 1 MiB": 1733,
     "BaWAL.start(), 2 048-page area": 8,
 }
+OPCODE_CEILINGS = {             # Python opcodes, CPython 3.11
+    "BA_PIN 1 MiB, written": 513015,
+    "BA_FLUSH 1 MiB": 536443,
+}
 
 
 def wall_ms(build) -> float:
@@ -176,6 +184,10 @@ def main() -> int:
         ceiling = CEILINGS.get(name)
         if ceiling is not None and row["events"] > ceiling:
             broken.append(f"{name}: {row['events']} kernel events, "
+                          f"ceiling {ceiling}")
+        ceiling = OPCODE_CEILINGS.get(name)
+        if ceiling is not None and row["opcodes"] > ceiling:
+            broken.append(f"{name}: {row['opcodes']} opcodes, "
                           f"ceiling {ceiling}")
     return exit_status(broken)
 

@@ -149,7 +149,7 @@ class BaBufferManager:
         Like :meth:`pin`, one driver holds one firmware-core claim for the
         job, wakes once per page (every page has work at its own instant)
         and streams the destage writes into a NAND program batch.  Pages
-        that must stall on foreground GC fall back to a per-page FTL write
+        that must stall on foreground GC become FTL ``write`` processes
         so the stall blocks only that page (see
         :meth:`repro.ftl.pagemap.PageMapFTL.write_submit`).
         """

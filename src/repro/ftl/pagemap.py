@@ -107,9 +107,8 @@ class PageMapFTL:
         self._bg_signal = Store(engine)
         self._bg_kicked = False
         self._generation = 0
-        # Shared program batch for foreground-GC-stalled submits, created
-        # lazily at the first stall and reused for every stalled page
-        # thereafter (see :meth:`write_submit`).
+        # The program batch :meth:`write` streams through, created lazily
+        # at its first call and reused for every page thereafter.
         self._fallback_batch = None
         engine.process(self._background_gc_loop(), name="ftl-background-gc")
 
@@ -296,7 +295,12 @@ class PageMapFTL:
 
         Background GC is nudged as the pool shrinks; only when it falls
         behind (below the low watermark) does the write stall on inline
-        foreground collection.
+        foreground collection.  The program streams through one shared
+        batch (``_fallback_batch``, made at the first call and dropped at
+        reboot), so a burst of writes — a flush or destage train stalling
+        under the low watermark, which :meth:`write_submit` hands here —
+        costs one GC plus O(dies) workers, not a process per page.  A
+        batched page completes when a per-page program would have.
         """
         self._check_lpn(lpn)
         if len(data) > self.page_size:
@@ -309,7 +313,13 @@ class PageMapFTL:
                 self.stats.foreground_gc_stalls += 1
                 yield from self._collect_garbage()
             ppn = self._allocate_page()
-            yield from self.flash.program_page(ppn, data)
+            batch = self._fallback_batch
+            if batch is None:
+                batch = self._fallback_batch = self.flash.program_batch()
+            done = self.engine.event()
+            batch.submit(ppn, data,
+                         on_done=lambda _token: done._succeed_processed())
+            yield done
             previous = self.map.bind(lpn, ppn)
             self._mark_valid(ppn)
             if previous is not None:
@@ -317,39 +327,36 @@ class PageMapFTL:
         self.stats.host_pages_written += 1
 
     def read(self, lpn: int) -> Iterator[Event]:
-        """Process: read one logical page; unmapped pages return zeros instantly.
+        """Process: read one logical page, a batch of one over
+        :meth:`read_submit`; an unmapped page returns zeros at once.
 
         If GC relocates the page mid-read (the mapping changed while the
         media access was in flight), the read retries against the new
         location, mirroring the read-retry path of production firmware.
+        A retry resubmits to this batch, so it drains only once the data
+        is in; a read that keeps racing fails the batch's worker, and
+        this process with it.
         """
-        self._check_lpn(lpn)
-        with tracing.span("ftl.pagemap.read", self.engine):
-            for _attempt in range(4):
-                if tracing.enabled:
-                    tracing.count("ftl.pagemap.lookups")
-                ppn = self.map.lookup(lpn)
-                if ppn is None:
-                    return bytes(self.page_size)
-                data = yield from self.flash.read_page(ppn)
-                if self.map.lookup(lpn) == ppn:
-                    return data
-        raise FtlCapacityError(f"read of logical page {lpn} kept racing with GC")
+        got = self.engine.event()
+        batch = self.flash.read_batch()
+        self.read_submit(lpn, batch, lambda _token, data: got._succeed_processed(data))
+        if not got.processed:
+            yield self.engine.any_of([got, *batch._workers])
+        yield from batch.drain()
+        return got._value
 
     # -- batched host operations ------------------------------------------------
     #
-    # Streaming counterparts of :meth:`read`/:meth:`write` for callers
-    # that drive many pages through a NAND batch (BA pin/flush, destage).
-    # They replicate the per-page semantics — unmapped fast path, GC-race
-    # read retry, watermark checks at issue time, map binding at program
-    # completion — without spawning a process per page.
+    # The logical-page steps for callers that drive many pages through a
+    # NAND batch (BA pin/flush, destage, and :meth:`read`'s batch of one):
+    # unmapped fast path, GC-race read retry, watermark checks at issue
+    # time, map binding at program completion — no process per page.
 
     def read_submit(self, lpn: int, batch, on_data, token=None) -> None:
         """Submit a logical-page read to a :class:`NandReadBatch`.
 
-        ``on_data(token, data)`` fires at the instant a per-page
-        :meth:`read` process issued now would have returned — synchronously
-        for unmapped pages, at media-read completion otherwise.
+        ``on_data(token, data)`` fires synchronously for unmapped pages,
+        at media-read completion otherwise.
         """
         self._check_lpn(lpn)
         t0 = self.engine.now if tracing.enabled else 0.0
@@ -369,9 +376,8 @@ class PageMapFTL:
             return
 
         def _sensed(_token, data: bytes) -> None:
-            # Same mid-read GC-relocation retry as :meth:`read`: the
-            # resubmission claims a fresh die slot at retry time, exactly
-            # when the per-page loop would respawn its media read.
+            # GC relocated the page mid-read: the resubmission claims a
+            # fresh die slot at retry time.
             if self.map.lookup(lpn) == ppn:
                 if tracing.enabled:
                     tracing.observe("ftl.pagemap.read", self.engine.now - t0)
@@ -393,21 +399,18 @@ class PageMapFTL:
         """Submit a logical-page write to a :class:`NandProgramBatch`.
 
         Returns ``None`` when the page was handed to the batch —
-        ``on_done(token)`` then fires at the instant a per-page
-        :meth:`write` process issued now would have completed.  When the
-        write must stall on foreground GC it falls back to a stalled-write
-        process (returned to the caller to await), so the stall blocks
-        only this page, exactly like the unbatched path — but all stalled
-        pages share one primed fallback batch instead of each spawning a
-        fresh per-page ``program_page`` process (see
-        :meth:`_stalled_write`).
+        ``on_done(token)`` then fires at the page's program completion.
+        When the write must stall on foreground GC it returns a
+        :meth:`write` process for the caller to await instead, so the
+        stall blocks only this page; every stalled page streams through
+        that method's one shared batch.
         """
         self._check_lpn(lpn)
         if len(data) > self.page_size:
             raise ValueError(f"page write of {len(data)} bytes exceeds {self.page_size}")
         free = self._free_block_count
         if free < self._gc_low_watermark:
-            return self.engine.process(self._stalled_write(lpn, data))
+            return self.engine.process(self.write(lpn, data))
         if free < self._bg_watermark:
             self._kick_background_gc()
         t0 = self.engine.now if tracing.enabled else 0.0
@@ -425,42 +428,6 @@ class PageMapFTL:
                 on_done(token)
 
         batch.submit(ppn, data, on_done=_programmed)
-        return None
-
-    def _stalled_write(self, lpn: int, data: bytes) -> Iterator[Event]:
-        """Process: the foreground-GC fallback for :meth:`write_submit`.
-
-        Mirrors :meth:`write` step for step — background kick, stall
-        accounting, inline collection, allocation, map binding — but
-        streams the program through one shared primed batch instead of
-        spawning a per-page ``program_page`` process.  During a stall
-        burst (a flush or destage train arriving under the low watermark)
-        the first stalled page creates the batch and every later one
-        reuses its parked die workers, so the burst costs one GC plus
-        O(dies) workers rather than three processes per page.  The batch
-        replays the per-page timed sequence verbatim, so completion
-        instants are identical to the old per-page fallback.
-        """
-        with tracing.span("ftl.pagemap.write", self.engine):
-            free = self._free_block_count
-            if free < self._bg_watermark:
-                self._kick_background_gc()
-            if free < self._gc_low_watermark:
-                self.stats.foreground_gc_stalls += 1
-                yield from self._collect_garbage()
-            ppn = self._allocate_page()
-            batch = self._fallback_batch
-            if batch is None:
-                batch = self._fallback_batch = self.flash.program_batch()
-            done = self.engine.event()
-            batch.submit(ppn, data,
-                         on_done=lambda _token: done._succeed_processed())
-            yield done
-            previous = self.map.bind(lpn, ppn)
-            self._mark_valid(ppn)
-            if previous is not None:
-                self._invalidate(previous)
-        self.stats.host_pages_written += 1
         return None
 
     def trim(self, lpn: int, npages: int = 1) -> None:

@@ -110,6 +110,14 @@ class FlashArray:
         # the verdict instead of re-hashing on every submit.
         self._retry_cache: dict[tuple[int, int], int] = {}
         self.stats = FlashStats()
+        # Geometry strides and a whole page's channel transfer time,
+        # hoisted out of the per-page reservations and bodies.
+        geometry = self.geometry
+        self._pages = geometry.pages
+        self._ppb = geometry.pages_per_block
+        self._bpd = geometry.blocks_per_die
+        self._dpc = geometry.dies_per_channel
+        self._page_transfer = geometry.page_size / self.CHANNEL_BYTES_PER_SEC
 
     # -- helpers -------------------------------------------------------------
 
@@ -262,10 +270,19 @@ class FlashArray:
             data = bytes(data)
         return self._zero_page if data == self._zero_page else data
 
-    def _transfer_time(self, nbytes: int) -> float:
-        return nbytes / self.CHANNEL_BYTES_PER_SEC
-
     # -- timed operations (simulation processes) ------------------------------
+    #
+    # Each page operation has one reservation step and one timed body, and
+    # both shapes run them.  The reservation checks the page, fixes what
+    # the operation will do (read retries, transfer time) and creates the
+    # die request, which claims the page's FIFO slot on its die at that
+    # instant.  The body holds the die for the timed sequence, then counts,
+    # traces and calls the completion callback.  ``read_page`` and
+    # ``program_page`` reserve and then ``yield from`` the body; a batch
+    # reserves at ``submit()`` and its die worker runs the body.
+    # ``yield from`` schedules no kernel event, so a batched page starts
+    # and completes when a per-page process spawned at its submission
+    # instant would — including against concurrent GC traffic.
 
     def read_page(self, ppn: int) -> Iterator[Event]:
         """Process: read one page; returns its contents (zeros if never written).
@@ -274,64 +291,104 @@ class FlashArray:
         pages beyond the retry budget raise
         :class:`~repro.nand.ecc.UncorrectableError`.
         """
-        channel, die, block, page = self.geometry.decompose(ppn)
-        state = self._block_state(channel, die, block)
+        return (yield from self._read(self._reserve_read(ppn)))
+
+    def program_page(self, ppn: int, data: bytes) -> Iterator[Event]:
+        """Process: program one page with ``data`` (must be <= page_size)."""
+        yield from self._program(self._reserve_program(ppn, data))
+
+    def _reserve_read(self, ppn: int, on_data=None, token=None) -> tuple:
+        """Check ``ppn``, look up its read retries (may raise UECC) and
+        claim its read slot on its die now: the item :meth:`_read` runs."""
+        if not 0 <= ppn < self._pages:
+            raise ValueError(f"ppn {ppn} out of range [0, {self._pages})")
+        block_index, page = divmod(ppn, self._ppb)
+        die_index, block = divmod(block_index, self._bpd)
+        state = self._block_state(die_index // self._dpc, die_index % self._dpc, block)
         retries = 0
         if page in state.programmed:
-            retries = self._retries_for(ppn, state.erase_count)  # may raise UECC
-        if tracing.enabled:
-            _t0 = self.engine.now
-        die_index = channel * self.geometry.dies_per_channel + die
-        die_res = self._dies[die_index]
-        die_req = die_res.request()
+            retries = self._retries_for(ppn, state.erase_count)
+        t0 = self.engine.now if tracing.enabled else 0.0
+        return (die_index, self._dies[die_index].request(), ppn, retries, t0,
+                on_data, token)
+
+    def _read(self, item: tuple) -> Iterator[Event]:
+        """The timed body of one page read: sense (one more tR per retry)
+        and transfer under the die hold, then stats, tracing and
+        ``on_data(token, data)``.  Returns the page's contents."""
+        die_index, die_req, ppn, retries, t0, on_data, token = item
+        engine = self.engine
+        die_res = die_req.resource
         yield die_req
-        _addr = None
+        addr = None
         if simsan.enabled:
-            _addr = PageAddress(channel, die, block, page)
-            simsan.die_op_begin(self, _addr, die_res, die_req, "read")
+            addr = self.address(ppn)
+            simsan.die_op_begin(self, addr, die_res, die_req, "read")
         try:
+            # Consult the slowdown map per op: a die can sicken or heal
+            # while a batch's pages wait for it.
             slow = self._die_slowdown
             factor = slow.get(die_index, 1.0) if slow else 1.0
             for _sense in range(1 + retries):
                 sense = self.timing.sample_read(self._rng)
                 if factor != 1.0:
                     sense *= factor
-                yield self.engine.timeout(sense)
-            channel_res = self._channels[channel]
+                yield Timeout(engine, sense)
+            channel_res = self._channels[die_index // self._dpc]
             chan_req = channel_res.request()
             yield chan_req
             try:
-                yield self.engine.timeout(self._transfer_time(self.geometry.page_size))
+                yield Timeout(engine, self._page_transfer)
             finally:
                 channel_res.release(chan_req)
         finally:
-            if _addr is not None:
-                simsan.die_op_end(self, _addr, die_res, die_req, "read")
+            if addr is not None:
+                simsan.die_op_end(self, addr, die_res, die_req, "read")
             die_res.release(die_req)
-        self.stats.page_reads += 1
-        self.stats.read_retries += retries
+        stats = self.stats
+        stats.page_reads += 1
+        if retries:
+            stats.read_retries += retries
         if tracing.enabled:
-            tracing.observe("nand.array.read", self.engine.now - _t0)
-        return self.peek(ppn)
+            tracing.observe("nand.array.read", engine.now - t0)
+        data = self._data.get(ppn, self._zero_page)
+        if on_data is not None:
+            on_data(token, data)
+        return data
 
-    def program_page(self, ppn: int, data: bytes) -> Iterator[Event]:
-        """Process: program one page with ``data`` (must be <= page_size)."""
-        if len(data) > self.geometry.page_size:
+    def _reserve_program(self, ppn: int, data: bytes, on_done=None,
+                         token=None) -> tuple:
+        """Check the payload and ``ppn`` and claim the program's slot on
+        its die now: the item :meth:`_program` runs."""
+        nbytes = len(data)
+        if nbytes > self.geometry.page_size:
             raise ValueError(
-                f"data of {len(data)} bytes exceeds page size {self.geometry.page_size}"
+                f"data of {nbytes} bytes exceeds page size {self.geometry.page_size}"
             )
-        channel, die, block, page = self.geometry.decompose(ppn)
+        if not 0 <= ppn < self._pages:
+            raise ValueError(f"ppn {ppn} out of range [0, {self._pages})")
+        block_index, page = divmod(ppn, self._ppb)
+        die_index, block = divmod(block_index, self._bpd)
+        t0 = self.engine.now if tracing.enabled else 0.0
+        return (die_index, self._dies[die_index].request(), ppn, block, page, data,
+                nbytes / self.CHANNEL_BYTES_PER_SEC, t0, on_done, token)
+
+    def _program(self, item: tuple) -> Iterator[Event]:
+        """The timed body of one page program: protocol checks, transfer
+        and tPROG under the die hold, then the page image, stats, tracing
+        and ``on_done(token)``."""
+        die_index, die_req, ppn, block, page, data, transfer, t0, on_done, token = item
+        engine = self.engine
+        channel, die = divmod(die_index, self._dpc)
+        # Looked up as the body starts, not at reservation: a batch first
+        # touches a block's state in the order its worker dequeues pages.
         state = self._block_state(channel, die, block)
-        if tracing.enabled:
-            _t0 = self.engine.now
-        die_index = channel * self.geometry.dies_per_channel + die
-        die_res = self._dies[die_index]
-        die_req = die_res.request()
+        die_res = die_req.resource
         yield die_req
-        _addr = None
+        addr = None
         if simsan.enabled:
-            _addr = PageAddress(channel, die, block, page)
-            simsan.die_op_begin(self, _addr, die_res, die_req, "program")
+            addr = PageAddress(channel, die, block, page)
+            simsan.die_op_begin(self, addr, die_res, die_req, "program")
         try:
             # Protocol checks run once the die is held, i.e. after every
             # earlier operation on this die has completed, so concurrent
@@ -349,43 +406,35 @@ class FlashArray:
             chan_req = channel_res.request()
             yield chan_req
             try:
-                yield self.engine.timeout(self._transfer_time(len(data)))
+                yield Timeout(engine, transfer)
             finally:
                 channel_res.release(chan_req)
             program = self.timing.sample_program(self._rng)
             slow = self._die_slowdown
             if slow:
                 program *= slow.get(die_index, 1.0)
-            yield self.engine.timeout(program)
+            yield Timeout(engine, program)
         finally:
-            if _addr is not None:
-                simsan.die_op_end(self, _addr, die_res, die_req, "program")
+            if addr is not None:
+                simsan.die_op_end(self, addr, die_res, die_req, "program")
             die_res.release(die_req)
         self._data[ppn] = self._page_image(data)
         state.programmed.add(page)
         state.write_pointer = page + 1
         self.stats.page_programs += 1
         if tracing.enabled:
-            tracing.observe("nand.array.program", self.engine.now - _t0)
+            tracing.observe("nand.array.program", engine.now - t0)
+        if on_done is not None:
+            on_done(token)
 
     # -- batched operations ---------------------------------------------------
     #
     # A batch replaces "one process per page" with "one worker process per
-    # die touched".  Timing equivalence rests on two invariants:
-    #
-    # * ``submit()`` creates the die request at submission time, so the
-    #   page claims the exact FIFO slot on its die that a per-page process
-    #   spawned at the same instant would claim (die arbitration order —
-    #   including against concurrent GC traffic — is unchanged);
-    # * the worker body replays the per-page operation's timed sequence
-    #   verbatim (same timeouts, same channel arbitration, same RNG draws
-    #   in the same order, same stats/tracing effects), so every page
-    #   starts and completes at the same simulated time as before.
-    #
-    # Completion values are delivered through ``on_data``/``on_done``
-    # callbacks invoked at each page's completion instant, which lets
-    # callers stream submissions (BA pin/flush pacing, destage) without
-    # one continuation process per page.
+    # die touched", running the same reservation and body as the per-page
+    # operations above.  Completion values are delivered through
+    # ``on_data``/``on_done`` callbacks invoked at each page's completion
+    # instant, which lets callers stream submissions (BA pin/flush pacing,
+    # destage) without one continuation process per page.
 
     def read_batch(self) -> "NandReadBatch":
         """Return a streaming batch for timed multi-page reads."""
@@ -394,36 +443,6 @@ class FlashArray:
     def program_batch(self) -> "NandProgramBatch":
         """Return a streaming batch for timed multi-page programs."""
         return NandProgramBatch(self)
-
-    def read_pages(self, ppns: "list[int]") -> Iterator[Event]:
-        """Process: read many pages concurrently, fanning out over dies.
-
-        Equivalent in simulated time to spawning one :meth:`read_page`
-        process per page at the call instant, but with O(dies) process
-        spawns.  Returns the page contents in ``ppns`` order.
-        """
-        batch = NandReadBatch(self)
-        results: list[Optional[bytes]] = [None] * len(ppns)
-
-        def sink(index: int, data: bytes) -> None:
-            results[index] = data
-
-        for index, ppn in enumerate(ppns):
-            batch.submit(ppn, on_data=sink, token=index)
-        yield from batch.drain()
-        return results
-
-    def program_pages(self, pages: "list[tuple[int, bytes]]") -> Iterator[Event]:
-        """Process: program many ``(ppn, data)`` pairs concurrently.
-
-        Equivalent in simulated time to spawning one :meth:`program_page`
-        process per page at the call instant, with O(dies) process spawns.
-        """
-        batch = NandProgramBatch(self)
-        for ppn, data in pages:
-            batch.submit(ppn, data)
-        yield from batch.drain()
-        return None
 
     def erase_block(self, channel: int, die: int, block: int) -> Iterator[Event]:
         """Process: erase a whole block, resetting its write pointer."""
@@ -467,47 +486,51 @@ class _NandBatch:
     """Shared fan-out plumbing for :class:`NandReadBatch`/:class:`NandProgramBatch`.
 
     One lazily spawned worker process per die touched; each worker drains
-    a per-die FIFO of submitted page operations.  Die slots are reserved
-    at :meth:`submit` time (see the invariant note in
-    :class:`FlashArray`), so a worker merely *consumes* an arbitration
-    position its page already holds.
+    a per-die FIFO of reserved page operations and runs the array's timed
+    body on each.  Die slots are reserved at :meth:`submit` time (see the
+    note above :meth:`FlashArray.read_page`), so a worker merely
+    *consumes* an arbitration position its page already holds.
     """
 
-    __slots__ = ("array", "engine", "_queues", "_workers", "_closed",
-                 "_pages", "_ppb", "_bpd", "_dpc")
+    __slots__ = ("engine", "_queues", "_workers", "_closed", "_reserve", "_body")
 
-    def __init__(self, array: FlashArray) -> None:
-        self.array = array
+    def __init__(self, array: FlashArray, reserve: Callable[..., tuple],
+                 body: Callable[[tuple], Iterator[Event]]) -> None:
         self.engine = array.engine
         self._queues: dict[int, Store] = {}
         self._workers: list[Process] = []
         self._closed = False
-        # Geometry strides, hoisted so submit() decomposes PPNs with
-        # plain integer arithmetic instead of per-page dataclass hops.
-        geometry = array.geometry
-        self._pages = geometry.pages
-        self._ppb = geometry.pages_per_block
-        self._bpd = geometry.blocks_per_die
-        self._dpc = geometry.dies_per_channel
+        self._reserve = reserve
+        self._body = body
 
-    def _enqueue(self, die_index: int, die_res: Resource, item: tuple) -> None:
+    def _enqueue(self, *args) -> None:
         if self._closed:
             raise SimulationBatchClosed("submit() on a closed NAND batch")
-        queue = self._queues.get(die_index)
+        item = self._reserve(*args)
+        queue = self._queues.get(item[0])
         if queue is None:
-            queue = Store(self.engine)
-            self._queues[die_index] = queue
-            self._workers.append(
-                self.engine.process(
-                    self._worker(die_res, queue, die_index),
-                    name=f"{type(self).__name__}[die{die_index}]",
-                )
-            )
+            queue = self._spawn(item[0])
         queue.put(item)
 
-    def _worker(self, die_res: Resource, queue: Store,
-                die_index: int) -> Iterator[Event]:
-        raise NotImplementedError
+    def _spawn(self, die_index: int) -> Store:
+        queue = self._queues[die_index] = Store(self.engine)
+        self._workers.append(self.engine.process(
+            self._worker(queue), name=f"{type(self).__name__}[die{die_index}]"))
+        return queue
+
+    def _worker(self, queue: Store) -> Iterator[Event]:
+        body = self._body
+        get = queue.get
+        while True:
+            item = yield get()
+            if item is None:
+                return
+            try:
+                yield from body(item)
+            except BaseException:
+                # The body failed or its completion callback raised.
+                self._abort(queue)
+                raise
 
     def prime(self, die_indices: "list[int]") -> None:
         """Recreate the per-die queue/worker pairs for ``die_indices``.
@@ -521,24 +544,17 @@ class _NandBatch:
         would have, keeping same-time event ordering identical.
         """
         for die_index in die_indices:
-            if die_index in self._queues:
-                continue
-            queue = Store(self.engine)
-            self._queues[die_index] = queue
-            self._workers.append(
-                self.engine.process(
-                    self._worker(self.array._dies[die_index], queue, die_index),
-                    name=f"{type(self).__name__}[die{die_index}]",
-                )
-            )
+            if die_index not in self._queues:
+                self._spawn(die_index)
 
-    def _abort(self, queue: Store, die_res: Resource) -> None:
+    def _abort(self, queue: Store) -> None:
         """Cancel the die reservations of not-yet-started items after a
         failure, so the die is not deadlocked for unrelated traffic."""
         while len(queue):
             item = queue.get()._value
             if item is not None:
-                die_res.release(item[0])
+                die_req = item[1]
+                die_req.resource.release(die_req)
 
     def close(self) -> None:
         """Signal the end of submissions; idle workers terminate."""
@@ -572,79 +588,12 @@ class NandReadBatch(_NandBatch):
 
     __slots__ = ()
 
+    def __init__(self, array: FlashArray) -> None:
+        super().__init__(array, array._reserve_read, array._read)
+
     def submit(self, ppn: int, on_data: Optional[Callable[[object, bytes], None]] = None,
                token: object = None) -> None:
-        array = self.array
-        if not 0 <= ppn < self._pages:
-            raise ValueError(f"ppn {ppn} out of range [0, {self._pages})")
-        block_index = ppn // self._ppb
-        page = ppn - block_index * self._ppb
-        die_index = block_index // self._bpd
-        block = block_index - die_index * self._bpd
-        state = array._block_state(die_index // self._dpc, die_index % self._dpc, block)
-        retries = 0
-        if page in state.programmed:
-            retries = array._retries_for(ppn, state.erase_count)  # may raise UECC
-        t0 = self.engine.now if tracing.enabled else 0.0
-        die_res = array._dies[die_index]
-        die_req = die_res.request()
-        self._enqueue(die_index, die_res,
-                      (die_req, ppn, block, page, retries, on_data, token, t0))
-
-    def _worker(self, die_res: Resource, queue: Store,
-                die_index: int) -> Iterator[Event]:
-        array = self.array
-        engine = self.engine
-        timeout = Timeout  # direct construction; engine.timeout is a thin wrapper
-        sample_read = array.timing.sample_read
-        rng = array._rng
-        stats = array.stats
-        transfer = array._transfer_time(array.geometry.page_size)
-        channel = die_index // self._dpc
-        die = die_index % self._dpc
-        get = queue.get
-        while True:
-            item = yield get()
-            if item is None:
-                return
-            die_req, ppn, block, page, retries, on_data, token, t0 = item
-            try:
-                yield die_req
-                _addr = None
-                if simsan.enabled:
-                    _addr = PageAddress(channel, die, block, page)
-                    simsan.die_op_begin(array, _addr, die_res, die_req, "read")
-                try:
-                    # Consult the slowdown map per op (not at worker
-                    # start): a die can sicken or heal mid-batch.
-                    slow = array._die_slowdown
-                    factor = slow.get(die_index, 1.0) if slow else 1.0
-                    for _sense in range(1 + retries):
-                        sense = sample_read(rng)
-                        if factor != 1.0:
-                            sense *= factor
-                        yield timeout(engine, sense)
-                    channel_res = array._channels[channel]
-                    chan_req = channel_res.request()
-                    yield chan_req
-                    try:
-                        yield timeout(engine, transfer)
-                    finally:
-                        channel_res.release(chan_req)
-                finally:
-                    if _addr is not None:
-                        simsan.die_op_end(array, _addr, die_res, die_req, "read")
-                    die_res.release(die_req)
-            except BaseException:
-                self._abort(queue, die_res)
-                raise
-            stats.page_reads += 1
-            if retries:
-                stats.read_retries += retries
-            if tracing.enabled:
-                tracing.observe("nand.array.read", engine.now - t0)
-            if on_data is not None:
-                on_data(token, array.peek(ppn))
+        self._enqueue(ppn, on_data, token)
 
 
 class NandProgramBatch(_NandBatch):
@@ -657,91 +606,10 @@ class NandProgramBatch(_NandBatch):
 
     __slots__ = ()
 
+    def __init__(self, array: FlashArray) -> None:
+        super().__init__(array, array._reserve_program, array._program)
+
     def submit(self, ppn: int, data: bytes,
                on_done: Optional[Callable[[object], None]] = None,
                token: object = None) -> None:
-        array = self.array
-        nbytes = len(data)
-        if nbytes > array.geometry.page_size:
-            raise ValueError(
-                f"data of {nbytes} bytes exceeds page size {array.geometry.page_size}"
-            )
-        if not 0 <= ppn < self._pages:
-            raise ValueError(f"ppn {ppn} out of range [0, {self._pages})")
-        block_index = ppn // self._ppb
-        page = ppn - block_index * self._ppb
-        die_index = block_index // self._bpd
-        block = block_index - die_index * self._bpd
-        # Channel transfer time depends only on the payload length, so it
-        # is precomputed here and carried in the item: the worker's timed
-        # pass stays pure event scheduling.
-        transfer = array._transfer_time(nbytes)
-        t0 = self.engine.now if tracing.enabled else 0.0
-        die_res = array._dies[die_index]
-        die_req = die_res.request()
-        self._enqueue(die_index, die_res,
-                      (die_req, ppn, block, page, data, transfer, on_done, token, t0))
-
-    def _worker(self, die_res: Resource, queue: Store,
-                die_index: int) -> Iterator[Event]:
-        array = self.array
-        engine = self.engine
-        timeout = Timeout  # direct construction; engine.timeout is a thin wrapper
-        sample_program = array.timing.sample_program
-        rng = array._rng
-        stats = array.stats
-        channel = die_index // self._dpc
-        die = die_index % self._dpc
-        get = queue.get
-        while True:
-            item = yield get()
-            if item is None:
-                return
-            die_req, ppn, block, page, data, transfer, on_done, token, t0 = item
-            state = array._block_state(channel, die, block)
-            try:
-                yield die_req
-                _addr = None
-                if simsan.enabled:
-                    _addr = PageAddress(channel, die, block, page)
-                    simsan.die_op_begin(array, _addr, die_res, die_req, "program")
-                try:
-                    if page in state.programmed:
-                        raise NandProtocolError(
-                            f"page {ppn} already programmed since last erase "
-                            "(erase-before-program)"
-                        )
-                    if page != state.write_pointer:
-                        raise NandProtocolError(
-                            f"out-of-order program in block "
-                            f"({channel},{die},{block}): "
-                            f"page {page} programmed while write pointer is "
-                            f"{state.write_pointer}"
-                        )
-                    channel_res = array._channels[channel]
-                    chan_req = channel_res.request()
-                    yield chan_req
-                    try:
-                        yield timeout(engine, transfer)
-                    finally:
-                        channel_res.release(chan_req)
-                    program = sample_program(rng)
-                    slow = array._die_slowdown
-                    if slow:
-                        program *= slow.get(die_index, 1.0)
-                    yield timeout(engine, program)
-                finally:
-                    if _addr is not None:
-                        simsan.die_op_end(array, _addr, die_res, die_req, "program")
-                    die_res.release(die_req)
-            except BaseException:
-                self._abort(queue, die_res)
-                raise
-            array._data[ppn] = array._page_image(data)
-            state.programmed.add(page)
-            state.write_pointer = page + 1
-            stats.page_programs += 1
-            if tracing.enabled:
-                tracing.observe("nand.array.program", engine.now - t0)
-            if on_done is not None:
-                on_done(token)
+        self._enqueue(ppn, data, on_done, token)

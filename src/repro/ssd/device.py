@@ -379,8 +379,8 @@ class BlockSSD:
         The common case streams the page into the shared NAND program
         batch (no per-page process).  When the FTL must stall on
         foreground GC, :meth:`~repro.ftl.pagemap.PageMapFTL.write_submit`
-        falls back to the per-page write process, which is returned
-        instead — stalling only this worker, as before.
+        returns a :meth:`~repro.ftl.pagemap.PageMapFTL.write` process
+        instead, stalling only this worker.
         """
         completion = self.engine.event()
         fallback = self.ftl.write_submit(

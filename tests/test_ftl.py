@@ -1,13 +1,19 @@
 """Unit and property tests for the mapping table and page-map FTL."""
 
+from typing import Iterator
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ftl import FtlStats, MappingTable, PageMapFTL
-from repro.nand import FlashArray, NandGeometry, NandTiming
+from repro.ftl.pagemap import FtlCapacityError
+from repro.nand import EccConfig, FlashArray, NandGeometry, NandTiming
+from repro.obs import tracing
 from repro.sim import Engine, RngStreams
+from repro.sim.engine import Event
 from repro.sim.units import USEC
+from tests.test_nand_batch import OracleArray
 
 FAST_NAND = NandTiming("fast", 1 * USEC, 2 * USEC, 10 * USEC,
                        jitter_fraction=0.0, endurance_cycles=10**9)
@@ -401,3 +407,191 @@ class TestScrubber:
         # after the patrol the data reads back intact.
         data = engine.run_process(scenario())
         assert data[:8] == b"precious"
+
+
+# -- the batch-of-one write and read against the per-page oracle ---------------
+
+
+class OracleFTL(PageMapFTL):
+    """The per-page ``write``/``read`` the batch-of-one bodies replaced,
+    verbatim; runs on :class:`~tests.test_nand_batch.OracleArray`."""
+
+    def write(self, lpn: int, data: bytes) -> Iterator[Event]:
+        """Process: write one logical page out-of-place.
+
+        Background GC is nudged as the pool shrinks; only when it falls
+        behind (below the low watermark) does the write stall on inline
+        foreground collection.
+        """
+        self._check_lpn(lpn)
+        if len(data) > self.page_size:
+            raise ValueError(f"page write of {len(data)} bytes exceeds {self.page_size}")
+        with tracing.span("ftl.pagemap.write", self.engine):
+            free = self._free_block_count
+            if free < self._bg_watermark:
+                self._kick_background_gc()
+            if free < self._gc_low_watermark:
+                self.stats.foreground_gc_stalls += 1
+                yield from self._collect_garbage()
+            ppn = self._allocate_page()
+            yield from self.flash.program_page(ppn, data)
+            previous = self.map.bind(lpn, ppn)
+            self._mark_valid(ppn)
+            if previous is not None:
+                self._invalidate(previous)
+        self.stats.host_pages_written += 1
+
+    def read(self, lpn: int) -> Iterator[Event]:
+        """Process: read one logical page; unmapped pages return zeros instantly.
+
+        If GC relocates the page mid-read (the mapping changed while the
+        media access was in flight), the read retries against the new
+        location, mirroring the read-retry path of production firmware.
+        """
+        self._check_lpn(lpn)
+        with tracing.span("ftl.pagemap.read", self.engine):
+            for _attempt in range(4):
+                if tracing.enabled:
+                    tracing.count("ftl.pagemap.lookups")
+                ppn = self.map.lookup(lpn)
+                if ppn is None:
+                    return bytes(self.page_size)
+                data = yield from self.flash.read_page(ppn)
+                if self.map.lookup(lpn) == ppn:
+                    return data
+        raise FtlCapacityError(f"read of logical page {lpn} kept racing with GC")
+
+
+JITTERED_NAND = NandTiming("jittered", 1 * USEC, 2 * USEC, 10 * USEC,
+                           endurance_cycles=10**9)
+
+
+def make_twin(oracle, timing=JITTERED_NAND, pages_per_block=8, channels=2,
+              ecc=None, seed=3):
+    engine = Engine()
+    geometry = NandGeometry(channels=channels, dies_per_channel=1, blocks_per_die=8,
+                            pages_per_block=pages_per_block, page_size=64)
+    flash = (OracleArray if oracle else FlashArray)(
+        engine, geometry, timing, RngStreams(seed), ecc=ecc)
+    ftl = (OracleFTL if oracle else PageMapFTL)(engine, flash, overprovision=0.25)
+    return engine, ftl
+
+
+def run_twin(oracle, scenario, **build):
+    """Run ``scenario(engine, ftl, op)`` on a fresh twin; ``op(work)``
+    spawns ``work`` and logs its completion instant and value (or error).
+    Returns the log, the final clock, both layers' stats and contents."""
+    engine, ftl = make_twin(oracle, **build)
+    log = []
+
+    def logged(index, work):
+        try:
+            value = yield from work
+        except FtlCapacityError as exc:
+            value = type(exc).__name__
+        log.append((index, engine.now, value))
+
+    def op(work):
+        op.count += 1
+        return engine.process(logged(op.count, work))
+
+    op.count = 0
+    engine.run_process(scenario(engine, ftl, op))
+    engine.run()
+    ftl.check_consistency()
+    return (sorted(log), engine.now, ftl.stats, ftl.flash.stats,
+            dict(ftl.map._l2p), ftl.flash._data)
+
+
+def racing_writes_and_reads(engine, ftl, op):
+    """Bursts of concurrent writes — eight hot pages, eight of 60 warm
+    ones — each with a read racing it: GC relocates warm pages under the
+    reads, and bursts stall on it."""
+    for round_ in range(40):
+        procs = []
+        for k in range(8):
+            warm = 20 + (round_ * 8 + k) * 7 % 60
+            procs.append(op(ftl.write(k, bytes([round_ % 251, k]) * 4)))
+            procs.append(op(ftl.write(warm, bytes([k, round_ % 251]) * 4)))
+            procs.append(op(ftl.read(warm + 7)))
+        yield engine.all_of(procs)
+
+
+def test_racing_writes_and_reads_match_the_oracle():
+    new = run_twin(False, racing_writes_and_reads)
+    old = run_twin(True, racing_writes_and_reads)
+    assert new[2].foreground_gc_stalls > 0 and new[2].gc_runs > 0
+    assert new == old  # exact float instants, bytes and stats
+
+
+def scrub_worn_media(engine, ftl, op):
+    for i in range(500):
+        yield op(ftl.write(i % 3, b"churn"))
+    for lpn in range(4, 8):
+        yield op(ftl.write(lpn, bytes([lpn]) * 8))
+    yield op(ftl.scrub())
+    procs = [op(ftl.read(lpn)) for lpn in range(9)]
+    yield engine.all_of(procs)
+
+
+def test_scrub_matches_the_oracle():
+    build = dict(timing=NandTiming("wearable", 1 * USEC, 2 * USEC, 10 * USEC,
+                                   endurance_cycles=24),
+                 channels=1, pages_per_block=4, seed=5,
+                 ecc=EccConfig(correctable_bits=40, wear_slope=60.0,
+                               max_read_retries=3, retry_gain_bits=12))
+    new = run_twin(False, scrub_worn_media, **build)
+    old = run_twin(True, scrub_worn_media, **build)
+    assert new[2].pages_scrubbed > 0
+    assert new == old
+
+
+def stall_storm(engine, ftl, op):
+    """Bursts of ``write_submit`` into one batch under the low watermark:
+    stalled pages fall back to ``write``, per page on the oracle."""
+    batch = ftl.flash.program_batch()
+    for round_ in range(30):
+        waits = []
+        for k in range(8):
+            done = engine.event()
+            fallback = ftl.write_submit(
+                (round_ * 8 + k) % 6, bytes([round_, k]) * 4, batch,
+                on_done=lambda _token, event=done: event._succeed_processed())
+            waits.append(done if fallback is None else fallback)
+        yield engine.all_of(waits)
+        yield op(ftl.read(round_ % 6))
+    yield from batch.drain()
+
+
+def test_stall_storm_through_write_submit_matches_the_oracle():
+    build = dict(channels=1, pages_per_block=4)
+    new = run_twin(False, stall_storm, **build)
+    old = run_twin(True, stall_storm, **build)
+    assert new[2].foreground_gc_stalls > 1
+    assert new == old
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_a_read_that_keeps_racing_gc_raises(oracle):
+    """Every media read of page 0 finds it moved (lookups alternate
+    between two live PPNs): after four attempts the read raises, and the
+    die it read from serves the next read."""
+    engine, ftl = make_twin(oracle, channels=1)
+
+    def fill():
+        yield from ftl.write(0, b"zero")
+        yield from ftl.write(1, b"one")
+
+    engine.run_process(fill())
+    first, second = ftl.map.lookup(0), ftl.map.lookup(1)
+    calls = []
+
+    def racing_lookup(_lpn):
+        calls.append(None)
+        return first if len(calls) // 2 % 2 == 0 else second
+
+    ftl.map.lookup = racing_lookup
+    with pytest.raises(FtlCapacityError, match="kept racing with GC"):
+        engine.run_process(ftl.read(0))
+    assert len(calls) == 8
+    assert engine.run_process(ftl.flash.read_page(second))[:3] == b"one"

@@ -40,6 +40,7 @@ from repro.sim import Engine, RngStreams
 from repro.sim.units import USEC
 from repro.ssd.profiles import TWOB_BASE
 from tests.helpers import Platform, dual_path_lsm, small_ba_params
+from tests.test_nand_batch import program_pages
 from tests.test_recovery_memory import install_dump_oracle
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -244,16 +245,16 @@ def test_the_races_the_property_relies_on_happen():
             ("power_cycle", 30), ("read", 3, 0), ("write", 3, 1, 9, 200)]
     new = Twin(oracle=False)
     flash, ftl = new.device.flash, new.device.ftl
-    read_page = flash.read_page
+    read = flash._read  # the one timed read body, per-page and batched
     lost = []  # media reads whose page was invalidated while in flight
 
-    def watched_read_page(ppn):
-        data = yield from read_page(ppn)
-        if not ftl.map.is_live(ppn):
+    def watched_read(item):
+        data = yield from read(item)
+        if not ftl.map.is_live(item[2]):
             lost.append(data is flash._zero_page)
         return data
 
-    flash.read_page = watched_read_page
+    flash._read = watched_read
     for index, op in enumerate(ops):
         new.step(index, op)
     new.engine.run()
@@ -332,8 +333,8 @@ def test_a_discarded_unerased_page_still_refuses_a_program():
 
 def test_erase_after_discards_resets_the_block():
     engine, flash = small_array()
-    engine.run_process(flash.program_pages([(ppn, fill(ppn + 1))
-                                            for ppn in range(4)]))
+    engine.run_process(program_pages(flash, [(ppn, fill(ppn + 1))
+                                             for ppn in range(4)]))
     flash.discard(1)
     flash.discard(3)
     flash.discard(3)  # discarding twice is harmless
@@ -346,8 +347,8 @@ def test_erase_after_discards_resets_the_block():
 
 def test_capture_and_restore_keep_discarded_pages_discarded():
     engine, flash = small_array()
-    engine.run_process(flash.program_pages([(ppn, fill(ppn + 1))
-                                            for ppn in range(6)]))
+    engine.run_process(program_pages(flash, [(ppn, fill(ppn + 1))
+                                             for ppn in range(6)]))
     flash.discard(2)
     flash.discard(4)
     state = flash.capture_state()
