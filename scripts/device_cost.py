@@ -38,10 +38,12 @@ on a tree older than "Firmware pacing on a clock" it prints 514 / 1988 /
 1988 / 0 / 4099 events and reports those ceilings as broken.
 
 Rows on this tree, kernel events / simulated µs / opcodes: 4 / 59.2 /
-28 174, 1733 / 500.114 / 513 015, 1733 / 596.058 / 536 443, 0 / 0 / 164,
-7 / 425.6 / 156 679 (2-core box wall: ~0.2, ~10, ~10, ~0.01, ~0.7 ms).
+27 982, 1733 / 500.114 / 510 074, 1733 / 596.058 / 533 502, 0 / 0 / 164,
+7 / 425.6 / 156 480 (2-core box wall: ~0.2, ~10, ~10, ~0.01, ~0.7 ms).
 Before the NAND page path had one timed body per operation the two
-NAND-heavy rows ran 508 043 and 529 615 opcodes.
+NAND-heavy rows ran 508 043 and 529 615 opcodes; before a purge became
+the one crash rule (no ``Resource`` retire check on every release, one
+registry insert and delete per process) they ran 513 015 and 536 443.
 """
 
 from __future__ import annotations

@@ -68,6 +68,8 @@ RULES: dict[str, str] = {
               "process bootstrap and a completion wake-up to await a callee "
               "nobody else sees; delegate with 'yield from callee()', or keep "
               "the process with a '# spawn: <what moves if delegated>' reason",
+    "SIM107": "garbage-collector call (collect, disable, freeze) in "
+              "simulation code; crash cleanup runs in Engine.purge",
     "OBS101": "BA_* API entry point emits no tracing span/observation",
     "OBS102": "tracing.observe/count call not guarded by 'if "
               "tracing.enabled' (costs allocations when tracing is off)",
@@ -86,9 +88,11 @@ SPAN_NAMESPACES: frozenset[str] = frozenset({
 })
 
 #: Path-pattern exemptions (fnmatch on the posix path), each justified:
-#: the wall-clock harness *measures* wall time — that is its job.
+#: the wall-clock harness *measures* wall time — that is its job; the
+#: bench harness collects between measurements for memory hygiene.
 DEFAULT_PER_PATH_IGNORES: tuple[tuple[str, frozenset[str]], ...] = (
     ("*/bench/wallclock.py", frozenset({"DET001"})),
+    ("*/bench/*", frozenset({"SIM107"})),
 )
 
 _WALLCLOCK_CALLS = frozenset({
@@ -101,6 +105,8 @@ _ENTROPY_CALLS = frozenset({
     "os.urandom", "uuid.uuid1", "uuid.uuid4", "random.SystemRandom",
 })
 _RANDOM_OK = frozenset({"random.Random", "random.SystemRandom"})
+_COLLECTOR_CALLS = frozenset(f"gc.{name}"
+                             for name in ("collect", "disable", "freeze"))
 _DISCARDABLE_EVENT_FACTORIES = frozenset({"timeout", "event", "all_of", "any_of"})
 _SCHEDULING_ATTRS = frozenset({
     "timeout", "process", "request", "release", "submit", "put",
@@ -237,6 +243,10 @@ class _FileLinter(ast.NodeVisitor):
             self._report(node, "SIM102",
                          "time.sleep() blocks the wall clock; yield "
                          "engine.timeout(delay) instead")
+        elif dotted in _COLLECTOR_CALLS:
+            self._report(node, "SIM107",
+                         f"{dotted}() in simulation code; crash cleanup runs "
+                         "in Engine.purge, not in the collector")
         elif dotted == "hash":
             self._report(node, "DET005",
                          "builtin hash() is salted per process; use hashlib "

@@ -178,9 +178,9 @@ def stats() -> dict[str, int]:
 def crash_reset() -> None:
     """Void all in-flight protocol state after a simulated crash.
 
-    A kernel ``purge()`` finalizes every in-flight generator at once, so
-    lockset entries, die-op counts, and open BA_SYNC scopes belong to
-    processes that no longer exist — a stale unflushed scope would flag
+    A kernel ``purge()`` cancels every live process at once, so lockset
+    entries, die-op counts, and open BA_SYNC scopes belong to processes
+    that no longer exist — a stale unflushed scope would flag
     the *next* write-verify read as reordered when the real protocol
     around it is sound.  Counters survive: the crash does not un-happen
     the checks that ran before it.
@@ -275,7 +275,8 @@ def sync_begin(entry_id: int, region: "ByteRegion", offset: int,
 
 def sync_end(scope: _SyncScope) -> None:
     """BA_SYNC finished: drop exactly ``scope`` — a no-op once a crash
-    reset or another sanitizer state (a GC-finalized generator) voided it."""
+    reset or another sanitizer state (a process closed after its
+    recording scope ended) voided it."""
     if scope in _state.syncs:
         _state.syncs.remove(scope)
         _state.op_stack.remove(scope.label)

@@ -4,12 +4,12 @@
 :class:`~repro.core.faults.CrashHarness` sequence to a shared engine:
 the *victim* node takes the full power-loss path (capacitor-backed
 BA-buffer dump, PLP destage, posted writes lost), while every node —
-healthy ones included — is fenced (``halt``) before the one global event
-purge and rebooted after it.  Fencing first matters: dropping the queue
-finalizes in-flight generators immediately, and their cleanup must see
-retired resources.  Healthy nodes keep their DRAM, mapping tables, and
-pinned BA-buffer contents; only their in-flight work dies, exactly like
-hosts that lost a peer, not power.
+healthy ones included — is fenced (``halt``) before the one global
+purge and rebooted after it.  Fencing first matters: the purge cancels
+every live process, and their cleanup runs against fenced devices.
+Healthy nodes keep their DRAM, mapping tables, and pinned BA-buffer
+contents; only their in-flight work dies, exactly like hosts that lost
+a peer, not power.
 
 :class:`FailoverManager` then runs the promotion: pick a surviving leg,
 replay its recovered log into a fresh stream placed on the survivor (as
@@ -96,9 +96,6 @@ class ClusterCrashHarness:
         # The victim loses power: WC lines, in-flight posted writes, and
         # un-dumped BA-buffer bytes die; capacitors save what they can.
         report = node.platform.power.power_loss()
-        # Transfers parked on a partition barrier die with the crash; swap
-        # the barriers so a later heal cannot resurrect them.
-        self.pool.net.fence_partitions()
         # EVERY device is fenced, purged and rebooted (shared engine).
         discarded = kill_in_flight(
             engine, [device for pool_node in self.pool.nodes.values()

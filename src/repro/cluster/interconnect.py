@@ -70,6 +70,7 @@ class Interconnect:
         # so the fast path is untouched.
         self._isolated: dict[str, Event] = {}
         self._degradation = 1.0
+        engine.on_purge(self._rearm_partitions)
 
     # -- fault hooks ---------------------------------------------------------
 
@@ -94,12 +95,11 @@ class Interconnect:
     def isolated_nodes(self) -> list[str]:
         return sorted(self._isolated)
 
-    def fence_partitions(self) -> None:
-        """Crash hook: abandon the old barriers (their parked senders died
-        with the purged in-flight work and must never resume) while the
-        partitions themselves — physical network state — persist for
-        post-crash traffic."""
-        for node in list(self._isolated):
+    def _rearm_partitions(self) -> None:
+        """Purge hook: the senders parked on a barrier were cancelled, so
+        a fresh barrier keeps a later heal from handing off to them; the
+        partitions themselves (physical network state) persist."""
+        for node in self._isolated:
             self._isolated[node] = self.engine.event()
 
     def set_degradation(self, factor: float) -> None:

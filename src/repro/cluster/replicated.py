@@ -12,11 +12,13 @@ Pipelining: appends stream ahead over the interconnect without waiting,
 so a commit's quorum wait overlaps replica apply work — the same overlap
 BA-WAL's double buffering buys inside one device, lifted to the pool.
 
-Crash semantics come from the kernel: a node crash purges in-flight
-events, which kills replica workers and drops queued-but-unapplied
-records exactly like a real host losing its socket buffers.  Whatever a
-commit acked was durable on a quorum before the ack — that is the
-contract :class:`~repro.cluster.failover.FailoverManager` leans on.
+Crash semantics come from the kernel: a node crash purges the shared
+engine, which cancels every replica worker, idle or mid-apply, and
+drops queued-but-unapplied records exactly like a real host losing its
+socket buffers; :meth:`ReplicatedBaWAL.respawn_workers` re-creates the
+pipelines.  Whatever a commit acked was durable on a quorum before the
+ack — that is the contract :class:`~repro.cluster.failover.FailoverManager`
+leans on.
 """
 
 from __future__ import annotations
@@ -45,14 +47,6 @@ class _ReplicaLeg:
         self.local_lsn = 0
         self.worker = engine.process(self._worker(),
                                      name=f"replica-{leg.node.name}")
-
-    def parked(self) -> bool:
-        """True while the worker is blocked on an *empty* queue — the only
-        worker state that survives a kernel purge, because the getter
-        event is Store bookkeeping, not scheduled work.  A worker caught
-        mid-apply (transfer, append, commit) dies with the purge and can
-        never be woken again."""
-        return self.worker._waiting_on in self.queue._getters
 
     def _worker(self) -> Iterator[Event]:
         while True:
@@ -114,18 +108,16 @@ class ReplicatedBaWAL(WriteAheadLog):
     def legs(self) -> list:
         return [self.primary, *self.replica_legs]
 
-    def respawn_workers(self) -> int:
-        """Re-create every replica pipeline whose worker died in a kernel
-        purge (any node crash purges the *shared* engine, so even streams
-        whose legs are all healthy can lose their pipelines mid-apply).
+    def respawn_workers(self) -> None:
+        """Re-create every replica pipeline after a kernel purge: any node
+        crash purges the *shared* engine, which cancels every worker,
+        idle or mid-apply, even on streams whose legs are all healthy.
 
         Records still queued to a dead worker are dropped with it — the
         socket-buffer semantics the module docstring promises — which is
         safe because nothing queued-but-unapplied was ever quorum-acked.
-        Idle workers (parked on an empty queue) survive purges and are
-        left alone.  Every leg's WAL host object is also repaired
-        (``crash_reset``): a purge strands insert locks and half-recycles
-        whose holders died.  Returns the number of pipelines re-created.
+        Every leg's WAL host object is also repaired (``crash_reset``): a
+        purge strands insert locks and half-recycles whose holders died.
 
         Call from *outside* the kernel only (WAL repair drives the engine
         through ``run_process``).
@@ -134,15 +126,11 @@ class ReplicatedBaWAL(WriteAheadLog):
             reset = getattr(leg.wal, "crash_reset", None)
             if reset is not None:
                 reset()
-        respawned = 0
-        for index, replica in enumerate(self._replicas):
-            if replica.parked():
-                continue
-            self._replicas[index] = _ReplicaLeg(
-                self.engine, self.net, self.primary.node.name, replica.leg
-            )
-            respawned += 1
-        return respawned
+        self._replicas = [
+            _ReplicaLeg(self.engine, self.net, self.primary.node.name,
+                        replica.leg)
+            for replica in self._replicas
+        ]
 
     # -- WriteAheadLog interface --------------------------------------------
 

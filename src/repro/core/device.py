@@ -130,12 +130,6 @@ class TwoBSSD(BlockSSD):
         emergency image exists.  Returns True when an image was restored."""
         return self.recovery.restore()
 
-    def halt(self) -> None:
-        """Fence off the byte-path engines along with the block path."""
-        super().halt()
-        self.ba_manager._firmware_core.retire()
-        self.read_dma._channel.retire()
-
     def reboot(self) -> None:
         """Restart firmware: block-path state plus the byte-path engines
         (firmware core / DMA channel whose holders died with the crash)."""

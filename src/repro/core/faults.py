@@ -6,7 +6,7 @@ clock lands.  Crash semantics:
 
 * the host CPU's write-combining buffer and all in-flight PCIe posted
   writes are lost;
-* every in-flight process dies (the event queue is purged);
+* every live process is cancelled and the event queue purged;
 * devices take their power-loss path (PLP destage guarantee, BA-buffer
   emergency dump), then reboot with firmware state rebuilt.
 
@@ -18,7 +18,6 @@ and assert the durability contract at every single point.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -43,35 +42,22 @@ class CrashOutcome:
 
 def kill_in_flight(engine: Engine, devices: list) -> int:
     """After a power cut, the crash every harness runs: fence ``devices``,
-    purge the kernel, finalise the dead, reboot.  Returns the events the
-    purge discarded.
+    purge the kernel, reboot.  Returns the events the purge discarded.
 
-    Fence first: dropping the queue's references finalizes in-flight
-    generators immediately, and their cleanup must see the post-crash
-    epoch.  A purged process whose generator sits in a reference cycle is
-    finalized whenever the garbage collector gets to it; its finally
-    blocks release host-side locks, handing them to other dead processes,
-    which would then run on in the rebooted world.  So the dead are
-    finalized now, while the devices are fenced, and whatever their
-    cleanup scheduled is dropped too, until the kernel is quiescent.  The
-    sanitizer's in-flight bookkeeping belonged to the dead as well and is
-    voided before the reboot.
+    Fence first: each device's ``halt`` takes back its in-flight work
+    (a destage falls back into the dirty set), so the cleanup of the
+    processes the purge cancels, which runs next, in spawn order, at this
+    instant, finds nothing left to undo.  After the purge no process from
+    before the cut is live.  The sanitizer's in-flight bookkeeping
+    belonged to the dead as well and is voided before the reboot.
     """
     for device in devices:
-        halt = getattr(device, "halt", None)
-        if halt is not None:
-            halt()
+        device.halt()
     discarded = engine.purge()
-    gc.collect()
-    while not engine.quiescent():
-        engine.purge()
-        gc.collect()
     if simsan.enabled:
         simsan.crash_reset()
     for device in devices:
-        reboot = getattr(device, "reboot", None)
-        if reboot is not None:
-            reboot()
+        device.reboot()
     return discarded
 
 

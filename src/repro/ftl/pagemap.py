@@ -106,7 +106,6 @@ class PageMapFTL:
         self._bg_watermark = self._gc_high_watermark + len(self._dies)
         self._bg_signal = Store(engine)
         self._bg_kicked = False
-        self._generation = 0
         # The program batch :meth:`write` streams through, created lazily
         # at its first call and reused for every page thereafter.
         self._fallback_batch = None
@@ -124,8 +123,6 @@ class PageMapFTL:
         GC victim whose erase never completed is full again: its valid
         set is intact, since each relocated page moves in one step.
         """
-        self._generation += 1
-        self._gc_lock.retire()
         self._gc_lock = Resource(self.engine)
         self._bg_signal = Store(self.engine)
         self._bg_kicked = False
@@ -180,16 +177,11 @@ class PageMapFTL:
                 for die in self._dies
             ],
             "next_die": self._next_die,
-            "generation": self._generation,
         }
 
     def restore_state(self, state: dict) -> None:
         """Restore the state captured by :meth:`capture_state` onto a
         freshly constructed FTL (same geometry, background loop parked)."""
-        if state["generation"] != self._generation:
-            raise RuntimeError(
-                f"FTL generation mismatch: snapshot {state['generation']}, "
-                f"this instance {self._generation}")
         self.map._l2p = dict(state["l2p"])
         self.map._p2l = dict(state["p2l"])
         for name, value in state["stats"].items():
@@ -515,18 +507,13 @@ class PageMapFTL:
     def _background_gc_loop(self) -> Iterator[Event]:
         """Process: reclaim blocks opportunistically, one victim at a time,
         whenever the free pool dips below the background watermark."""
-        generation = self._generation
         while True:
             yield self._bg_signal.get()
-            if generation != self._generation:
-                return  # a crash/reboot replaced this loop
             self._bg_kicked = False
             while self.total_free_blocks < self._bg_watermark:
                 lock = self._gc_lock.request()
                 yield lock
                 try:
-                    if generation != self._generation:
-                        return
                     victim = self._pick_victim()
                     if victim is None:
                         break

@@ -33,11 +33,12 @@ instead of wrapping over acknowledged ones; reads keep being served.  A
 write whose record exceeds the stream's ``max_record_bytes`` answers
 ``ERR toolarge`` and is never applied.
 
-Crash semantics are the kernel's: a node crash purges in-flight work.
-Parked waiters (empty-queue getters, empty-pipe receivers) survive a
-purge exactly like :class:`~repro.sim.resources.Store` getters do;
-everything mid-command dies.  :meth:`GatewayServer.recover` rebuilds the
-serving state from the WAL — the only state the gateway trusts.
+Crash semantics are the kernel's: a node crash purges the shared engine,
+which cancels every connection, lane and committer process, parked or
+mid-command.  :meth:`GatewayServer.recover` rebuilds the serving state
+from the WAL — the only state the gateway trusts — on fresh pipelines;
+a command sent to a crashed server before ``recover`` raises
+:class:`~repro.sim.engine.SimulationError` naming the dead lane.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class SimPipe:
     while the pipe is full the sender stays parked and later sends queue
     FIFO behind it.  ``recv`` returns an event firing with up to
     ``max_bytes`` (``b""`` means EOF).  Parked waiter events live in pipe
-    bookkeeping, not the scheduler, so — like ``Store`` getters — they
-    survive a kernel purge.
+    bookkeeping, not the scheduler; hand-offs to them take the kernel's
+    deferred fast path, like ``Store`` getters.
     """
 
     def __init__(self, engine: Engine, capacity: int) -> None:
@@ -210,9 +211,8 @@ class BoundedQueue:
     """A ``Store`` with a capacity: ``put`` returns an event that stays
     parked while the queue is full — the backpressure primitive.
 
-    Parked getters *and* parked putters are queue bookkeeping (they
-    survive purges); hand-offs take the same deferred fast path the
-    kernel's resources use.
+    Parked getters *and* parked putters are queue bookkeeping; hand-offs
+    take the same deferred fast path the kernel's resources use.
     """
 
     def __init__(self, engine: Engine, capacity: int) -> None:

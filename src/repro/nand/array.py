@@ -155,8 +155,6 @@ class FlashArray:
     def reboot(self) -> None:
         """Reset transient controller state after a crash (bus/die arbiters
         whose holders died with the purged event queue)."""
-        for resource in self._channels + self._dies:
-            resource.retire()
         self._channels = [Resource(self.engine) for _ in range(self.geometry.channels)]
         self._dies = [
             Resource(self.engine)

@@ -168,12 +168,12 @@ class _Span:
         return self
 
     def __exit__(self, exc_type, *_exc) -> None:
-        # A killed process (kernel purge, or garbage collection of an
-        # abandoned generator) unwinds through the span via GeneratorExit:
-        # the interval never completed, and by GC time the recording
-        # scope may be gone — observing then would write a garbage sample
-        # into whoever owns the tracer *now*.  Record only completed
-        # spans, and only while tracing is still on.
+        # A killed process (cancelled by a kernel purge, or an abandoned
+        # generator closed when it is dropped) unwinds through the span
+        # via GeneratorExit: the interval never completed, and by then
+        # the recording scope may be gone — observing would write a
+        # garbage sample into whoever owns the tracer *now*.  Record only
+        # completed spans, and only while tracing is still on.
         if exc_type is not GeneratorExit and enabled:
             _tracer.observe(self.name, self.engine.now - self._start)
 

@@ -45,6 +45,10 @@ class SimulationError(Exception):
     """Raised for misuse of the simulation kernel (e.g. re-triggering an event)."""
 
 
+class _Cancelled(SimulationError):
+    """A hand-off reached a process that a purge cancelled."""
+
+
 def _past_continuation(engine: "Engine", when: float) -> BaseException:
     """The error for a deferred continuation that sits behind ``now``."""
     if simsan.enabled:
@@ -182,6 +186,8 @@ class Process(Event):
     or to :meth:`Engine.run` if nobody waits).  ``KeyboardInterrupt`` and
     ``SystemExit`` are not failures of the model: they leave
     :meth:`Engine.run`/:meth:`Engine.step` at once, clock where it was.
+    The engine owns every process until it completes or fails; a
+    :meth:`Engine.purge` cancels the ones still live.
     """
 
     __slots__ = ("_generator", "_send", "_throw", "_waiting_on", "name")
@@ -206,13 +212,24 @@ class Process(Event):
         self._throw = generator.throw
         self._waiting_on: Optional[Event] = None
         self.name = name or generator.__name__
+        engine._live[self] = None
         # First resume goes through the deferred queue directly; no
         # bootstrap Event, no heap trip.
         engine._defer(self._resume, engine._init_event)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
+    def _cancel(self) -> None:
+        """Close the generator where it stands (``GeneratorExit``: its
+        ``finally`` bodies run now) and mark the process triggered
+        without scheduling it, so it never completes and never resumes."""
+        del self.engine._live[self]
+        self._triggered = True
+        self._send = self._throw = self._cancelled
+        self._generator.close()
+
+    def _cancelled(self, _value: Any) -> Any:
+        raise _Cancelled(
+            f"process {self.name!r} was cancelled by a purge, but a "
+            "hand-off reached it after the crash")
 
     def _resume(self, trigger: Event) -> None:
         self._waiting_on = None
@@ -226,14 +243,17 @@ class Process(Event):
             # Fast completion: mark processed in place; waiters resume via
             # the deferred queue at the same (time, sequence) position a
             # heap round-trip would have given them.
+            del self.engine._live[self]
             self._succeed_processed(stop.value)
             return
-        except (KeyboardInterrupt, SystemExit):
+        except (KeyboardInterrupt, SystemExit, _Cancelled):
             # Not a model failure: the user (or the interpreter) wants out
             # now, not after whoever awaits this process has had a chance
-            # to swallow it or the run has drained.
+            # to swallow it or the run has drained — and a hand-off to a
+            # cancelled process is a bug in whoever kept it after a crash.
             raise
         except BaseException as exc:  # noqa: BLE001 - failure propagates via the event
+            del self.engine._live[self]
             self.fail(exc)
             return
 
@@ -251,10 +271,12 @@ class Process(Event):
             try:
                 self._generator.throw(exc)
             except StopIteration as stop:
+                del self.engine._live[self]
                 self.succeed(stop.value)
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as inner:  # noqa: BLE001
+                del self.engine._live[self]
                 self.fail(inner)
             return
 
@@ -341,6 +363,8 @@ class Engine:
         self._init_event = Event(self)
         self._init_event._triggered = True
         self._init_event._processed = True
+        # Every process not yet completed or failed, in spawn order.
+        self._live: dict[Process, None] = {}
         # Components holding in-flight state outside the queues (PCIe
         # links); each hook runs on every purge().
         self._purge_hooks: list[Callable[[], None]] = []
@@ -572,13 +596,20 @@ class Engine:
         self._sequence = sequence
 
     def purge(self) -> int:
-        """Drop every scheduled event (crash semantics: in-flight work dies).
+        """Crash semantics: whatever was in flight never completes.
 
-        Used by the fault-injection harness after a power loss: whatever
-        the host and devices were doing simply never completes.  Returns
-        the number of events discarded.
+        Closes every live process in spawn order at the current instant
+        (rounds repeat while cleanup spawns more), so each ``finally``
+        runs here, once; a later hand-off to a cancelled process raises
+        :class:`SimulationError` naming it.  Then drops every queued event
+        and runs the purge hooks.  Call between runs, never from inside a
+        process.  Returns the events queued at the start.
         """
         discarded = len(self._queue) + len(self._deferred)
+        live = self._live
+        while live:
+            for process in list(live):
+                process._cancel()
         self._queue.clear()
         self._deferred.clear()
         self._failed_events.clear()

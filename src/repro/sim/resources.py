@@ -50,7 +50,6 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiting: deque[Request] = deque()
-        self._retired = False
 
     @property
     def in_use(self) -> int:
@@ -78,19 +77,8 @@ class Resource:
             self._waiting.append(req)
         return req
 
-    def retire(self) -> None:
-        """Mark this resource dead (crash/reboot replaced it).
-
-        Releases of requests granted by a retired resource are silently
-        ignored — their holders died with the crash; cleanup code running
-        during garbage collection must not corrupt the replacement.
-        """
-        self._retired = True
-
     def release(self, request: Request) -> None:
         """Release the slot held by ``request`` and wake the next waiter."""
-        if request.resource._retired or self._retired:
-            return
         if request.resource is not self:
             raise SimulationError("release() called with a request from another resource")
         if not request._triggered:

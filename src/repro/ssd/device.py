@@ -66,10 +66,6 @@ class BlockSSD:
         self._destaging: dict[int, bytes] = {}
         self._trimmed_during_destage: set[int] = set()
         self._redo_after_destage: set[int] = set()
-        # Bumped on reboot: zombie workers from before a crash must not
-        # mutate post-reboot state when the garbage collector finalizes
-        # their generators (finally blocks run at arbitrary times).
-        self._epoch = 0
         # Long-lived NAND program batch shared by the destage workers:
         # destage writes reuse one worker process per die instead of
         # spawning an FTL-write + program process per page.
@@ -102,8 +98,6 @@ class BlockSSD:
             raise RuntimeError(
                 f"device capture with {self.dirty_cache_pages} dirty cache pages; "
                 "drain() before snapshotting")
-        if self._epoch != 0:
-            raise RuntimeError("device capture after a crash/reboot is unsupported")
         if self._drain_waiters or self._empty_waiters:
             raise RuntimeError("device capture with parked cache waiters")
         return {
@@ -296,42 +290,35 @@ class BlockSSD:
             self._destaging.clear()
 
     def halt(self) -> None:
-        """Firmware stops (power is gone): fence off pre-crash activity.
+        """Firmware stops (power is gone): take back in-flight destages.
 
-        Must run *before* the event queue is purged: purging drops the
-        last references to in-flight process generators, whose ``finally``
-        blocks run immediately under refcounting — the epoch bump and
-        resource retirement here make that cleanup inert.
+        Runs *before* ``engine.purge()`` cancels the destage workers:
+        their pages fall back into the dirty set (with PLP their bytes
+        are still in cache and will be written again), so the workers'
+        cleanup finds nothing left to undo.
         """
-        self._epoch += 1
-        self._halted = True
-        self._cmd_slots.retire()
-        self.flash.reboot()
-
-    def reboot(self) -> None:
-        """Restart controller firmware after a crash.
-
-        Call after :meth:`halt` + ``engine.purge()``: the destage workers
-        died with the event queue, so respawn them and re-queue every page
-        still in the (power-protected) cache.  In-flight destages at crash
-        time fall back into the dirty set — with PLP their bytes are still
-        in cache and will be written again.
-        """
-        if not getattr(self, "_halted", False):
-            self.halt()
-        self._halted = False
-        self.ftl.reboot()
         for lpn, page in self._destaging.items():
             self._dirty.setdefault(lpn, page)
         self._destaging.clear()
         self._trimmed_during_destage.clear()
         self._redo_after_destage.clear()
+
+    def reboot(self) -> None:
+        """Restart controller firmware after a crash.
+
+        Call after :meth:`halt` + ``engine.purge()``: the destage workers
+        died with the purge, so respawn them and re-queue every page
+        still in the (power-protected) cache.
+        """
+        self.halt()  # idempotent: a no-op when the harness fenced first
+        self.flash.reboot()
+        self.ftl.reboot()
         self._drain_waiters.clear()
         self._empty_waiters.clear()
         self._cmd_slots = Resource(self.engine, self.profile.queue_parallelism)
         self._destage_queue = Store(self.engine)
-        # The pre-crash batch's die workers died with the purged event
-        # queue (their pending die claims point at retired resources).
+        # The pre-crash batch's die workers died with the purge (their
+        # pending die claims point at the replaced resources).
         self._destage_batch = self.flash.program_batch()
         for lpn in self._dirty:
             self._destage_queue.put(lpn)
@@ -389,7 +376,6 @@ class BlockSSD:
         return completion if fallback is None else fallback
 
     def _destage_worker(self) -> Iterator[Event]:
-        epoch = self._epoch
         while True:
             lpn = yield self._destage_queue.get()
             if lpn in self._destaging:
@@ -405,20 +391,14 @@ class BlockSSD:
             try:
                 yield self._destage_write(lpn, page)
             finally:
-                if epoch == self._epoch:
-                    # Skip cleanup for pre-crash zombies: the GC may run
-                    # their finally blocks long after a reboot replaced
-                    # this state.
-                    self._destaging.pop(lpn, None)
-                    if lpn in self._trimmed_during_destage:
-                        self._trimmed_during_destage.discard(lpn)
-                        self.ftl.trim(lpn)
-                    if lpn in self._redo_after_destage:
-                        self._redo_after_destage.discard(lpn)
-                        if lpn in self._dirty:
-                            self._destage_queue.put(lpn)
-            if epoch != self._epoch:
-                return
+                self._destaging.pop(lpn, None)
+                if lpn in self._trimmed_during_destage:
+                    self._trimmed_during_destage.discard(lpn)
+                    self.ftl.trim(lpn)
+                if lpn in self._redo_after_destage:
+                    self._redo_after_destage.discard(lpn)
+                    if lpn in self._dirty:
+                        self._destage_queue.put(lpn)
             waiters, self._drain_waiters = self._drain_waiters, []
             for waiter in waiters:
                 waiter.succeed()

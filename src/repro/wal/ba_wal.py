@@ -314,15 +314,15 @@ class BaWAL(WriteAheadLog):
         kernel lost power, and the global event purge took this host's
         in-flight appends, commits, and recycles with it — but this host
         kept power, DRAM, and its pinned entries.  Three kinds of damage
-        need repair: the insert lock (its holder died mid-yield and will
-        never release), a recycle that died mid-flight (finished
-        deterministically below — both its steps restart cleanly), and an
-        ``_active`` pointer a half-switch left on the sealed half.
+        need repair: the insert lock (a cancelled holder's release hands
+        it to a cancelled waiter), a recycle that died mid-flight
+        (finished deterministically below — both its steps restart
+        cleanly), and an ``_active`` pointer a half-switch left on the
+        sealed half.
 
         Must be called from outside the kernel: repairs run through
         ``engine.run_process``.
         """
-        self._insert_lock.retire()
         self._insert_lock = Resource(self.engine)
         if not self._started:
             return

@@ -170,20 +170,16 @@ class BlockWAL(WriteAheadLog):
 
         Locks whose holders died are replaced, commit waiters are dropped
         (the committers died with the purge, and nothing they were waiting
-        on was acked), and the group-commit writer is respawned unless it
-        survived — a writer parked on an empty signal store outlives a
-        purge, one caught mid-flush does not.
+        on was acked), and the group-commit writer, which the purge
+        cancelled with everything else, is respawned.
         """
-        self._insert_lock.retire()
         self._insert_lock = Resource(self.engine)
-        self._inline_flush_lock.retire()
         self._inline_flush_lock = Resource(self.engine)
         self._commit_waiters = []
         self._writer_kicked = False
-        if self._writer._waiting_on not in self._writer_signal._getters:
-            self._writer_signal = Store(self.engine)
-            self._writer = self.engine.process(self._writer_loop(),
-                                               name="block-wal-writer")
+        self._writer_signal = Store(self.engine)
+        self._writer = self.engine.process(self._writer_loop(),
+                                           name="block-wal-writer")
 
     def replay(self, start_lsn: int, apply) -> Iterator[Event]:
         """Process: scan the on-device log from ``start_lsn`` for the

@@ -19,7 +19,6 @@ replaced, held to the same standard.
 """
 
 import contextlib
-import gc
 import hashlib
 import itertools
 import sys
@@ -32,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import sanitizer as simsan
 from repro.core.errors import PinConflictError
+from repro.core.faults import kill_in_flight
 from repro.obs import tracing
 from repro.obs.tracing import Tracer
 from repro.sim.engine import Event
@@ -336,10 +336,7 @@ def run(scenario, oracle):
             return [observe(platform, done, grants, tracer)]
         engine.run(until=started + crash_us * 1e-6)
         at_crash = observe(platform, done, grants, tracer, cut=True)
-        device.halt()
-        engine.purge()
-        gc.collect()
-        device.reboot()
+        kill_in_flight(engine, [device])
         engine.run()
         return [at_crash, observe(platform, done, grants, tracer, cut=True)]
 

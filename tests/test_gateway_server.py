@@ -33,7 +33,7 @@ from repro.gateway.protocol import FrameDecoder
 from repro.nemesis.analyzer import StreamingAnalyzer
 from repro.obs import events
 from repro.sim import Engine
-from repro.sim.engine import Event
+from repro.sim.engine import Event, SimulationError
 from repro.wal.record import RECORD_HEADER_BYTES
 
 
@@ -342,6 +342,38 @@ def test_a_crash_mid_burst_leaves_the_collector_nothing_to_schedule():
     finally:
         gc.enable()
     assert engine._sequence == sequence
+
+
+def test_no_pre_crash_lane_answers_after_a_crash():
+    """node1 and node2 crash and nobody calls ``recover()``: the lanes
+    the purges cancelled must not answer SETs in the rebooted world.  The
+    first command to reach one raises, naming it."""
+    pool = _pool(devices=3)
+    engine = pool.engine
+    server = GatewayServer(pool, GatewayConfig())
+    engine.run_process(server.start())
+    before_cut = set(engine._live)
+    harness = ClusterCrashHarness(pool)
+    harness.crash_node_now("node1")
+    assert not before_cut & set(engine._live)
+    harness.crash_node_now("node2")
+    replies = []
+
+    def client(index, requests=20):
+        conn = yield from server.accept()
+        for seq in range(requests):
+            yield conn.c2s.send(encode_request(
+                Command.SET, f"c{index}-k{seq}", bytes(64)))
+        decoder = FrameDecoder()
+        while chunk := (yield conn.s2c.recv(4096)):
+            replies.extend(decode_reply_frame(body)[0]
+                           for body in decoder.feed(chunk))
+
+    for index in range(2):
+        engine.process(client(index))
+    with pytest.raises(SimulationError, match=r"'gw-shard-\d+-l\d+' was cancelled"):
+        engine.run()
+    assert replies == []
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -343,5 +343,6 @@ class TestStalledWriteFallbackBatch:
     def test_reboot_drops_fallback_batch(self):
         engine, ftl, _times, _batches = self.drive_submit()
         assert ftl._fallback_batch is not None
+        engine.purge()
         ftl.reboot()
         assert ftl._fallback_batch is None

@@ -23,7 +23,6 @@ holds images for exactly the mapped PPNs.
 """
 
 import dataclasses
-import gc
 import os
 import sys
 
@@ -188,18 +187,12 @@ OPS = st.lists(
 
 
 def check_twins(ops) -> None:
-    # A power cut runs gc.collect() to finalize the dead; freezing what
-    # exists already keeps that collection to the twins' own objects.
-    gc.freeze()
-    try:
-        new, old = Twin(oracle=False), Twin(oracle=True)
-        for index, op in enumerate(ops):
-            new.step(index, op)
-            old.step(index, op)
-            assert new.log == old.log
-        assert new.final_reads() == old.final_reads()
-    finally:
-        gc.unfreeze()
+    new, old = Twin(oracle=False), Twin(oracle=True)
+    for index, op in enumerate(ops):
+        new.step(index, op)
+        old.step(index, op)
+        assert new.log == old.log
+    assert new.final_reads() == old.final_reads()
     # On the change alone: images for exactly the mapped pages.
     new.device.ftl.check_consistency()
 

@@ -207,22 +207,16 @@ OPS = st.lists(
 
 
 def check_dumps(capacitance, ops) -> None:
-    # A power cut runs gc.collect(); freezing what exists keeps that
-    # collection to the twins' own objects.
-    gc.freeze()
-    try:
-        new, old = Twin(capacitance, False), Twin(capacitance, True)
-        for index, op in enumerate(ops):
-            new.step(index, op)
-            old.step(index, op)
-            assert new.log == old.log
-            assert new.state() == old.state()
-        new.engine.run()
-        old.engine.run()
+    new, old = Twin(capacitance, False), Twin(capacitance, True)
+    for index, op in enumerate(ops):
+        new.step(index, op)
+        old.step(index, op)
         assert new.log == old.log
         assert new.state() == old.state()
-    finally:
-        gc.unfreeze()
+    new.engine.run()
+    old.engine.run()
+    assert new.log == old.log
+    assert new.state() == old.state()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True,

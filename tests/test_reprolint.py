@@ -75,7 +75,7 @@ class TestDetRules:
 class TestSimRules:
     def test_sim_rules_on_fixture(self):
         assert rules_in(FIXTURES / "bad_sim.py") == {
-            "SIM101", "SIM102", "SIM103", "SIM104", "SIM105",
+            "SIM101", "SIM102", "SIM103", "SIM104", "SIM105", "SIM107",
         }
 
     def test_discarded_timeout_flagged_but_yielded_is_not(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Engine, SimulationError
+from repro.sim import AllOf, AnyOf, Engine, SimulationError, Store
 
 
 def test_timeout_advances_clock():
@@ -297,6 +297,65 @@ class TestPurge:
             return engine.now
 
         assert engine.run_process(fresh()) == 2.0
+
+    def test_a_hand_off_to_a_purged_process_raises(self):
+        """A process parked on a ``Store.get()`` dies with the purge: the
+        next put must not run its pre-crash code."""
+        engine = Engine()
+        store = Store(engine)
+        got = []
+
+        def consumer():
+            got.append((yield store.get()))
+
+        engine.process(consumer(), name="consumer")
+        engine.run()
+        engine.purge()
+        store.put(1)
+        with pytest.raises(SimulationError, match="'consumer' was cancelled"):
+            engine.run()
+        assert got == []
+
+    def test_cleanup_runs_in_spawn_order(self):
+        """Parked or scheduled, every live process is closed at the purge,
+        oldest first, and its ``finally`` runs there and then."""
+        engine = Engine()
+        gate = engine.event()
+        order = []
+
+        def worker(index):
+            try:
+                yield gate if index % 2 else engine.timeout(5.0)
+            finally:
+                order.append((index, engine.now))
+
+        for index in range(6):
+            engine.process(worker(index))
+        engine.run(until=1.0)
+        engine.purge()
+        assert order == [(index, 1.0) for index in range(6)]
+        assert not engine._live
+
+    def test_a_process_spawned_by_cleanup_dies_too(self):
+        engine = Engine()
+        ran = []
+
+        def late():
+            ran.append("late")
+            yield engine.timeout(1.0)
+
+        def worker():
+            try:
+                yield engine.timeout(5.0)
+            finally:
+                engine.process(late())
+
+        engine.process(worker())
+        engine.run(until=1.0)
+        engine.purge()
+        assert not engine._live
+        engine.run()
+        assert ran == []
 
 
 class TestInterruptsLeaveTheKernel:

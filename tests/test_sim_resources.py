@@ -158,26 +158,36 @@ def test_store_multiple_blocked_getters_fifo():
     assert received == [("g1", "x"), ("g2", "y")]
 
 
-class TestRetire:
-    def test_release_on_retired_resource_is_inert(self):
-        engine = Engine()
-        old = Resource(engine, capacity=1)
-        request = old.request()
-        old.retire()
-        replacement = Resource(engine, capacity=1)
-        # Zombie cleanup releasing an old grant against the replacement
-        # must not corrupt the replacement's accounting.
-        replacement.release(request)
-        assert replacement.in_use == 0
-        fresh = replacement.request()
-        assert fresh.triggered
-
-    def test_retired_resource_ignores_own_release(self):
+class TestRelease:
+    def test_a_cancelled_holders_release_hands_its_slot_on_and_the_purge_drops_it(self):
         engine = Engine()
         resource = Resource(engine)
-        request = resource.request()
-        resource.retire()
-        resource.release(request)  # must not raise
+        ran = []
+
+        def holder():
+            request = resource.request()
+            yield request
+            try:
+                yield engine.timeout(5.0)
+            finally:
+                resource.release(request)
+
+        def waiter():
+            request = resource.request()
+            yield request
+            ran.append("waiter")
+            resource.release(request)
+
+        engine.process(holder())
+        engine.process(waiter())
+        engine.run(until=1.0)
+        assert resource.queue_length == 1
+        engine.purge()
+        # The holder's cleanup handed the slot to the waiting request...
+        assert resource.queue_length == 0 and resource.in_use == 1
+        # ...whose waiter died with the purge, hand-off and all.
+        engine.run()
+        assert ran == []
 
     def test_live_resources_still_validate_ownership(self):
         engine = Engine()
