@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import struct
+from itertools import chain
 from typing import Iterable, Optional
 
 from repro.db.lsm.bloom import BloomFilter
@@ -52,9 +53,9 @@ class SSTable:
         """
         if not pairs:
             raise ValueError("SSTable must contain at least one entry")
+        keys, values = zip(*pairs)
         table = cls.__new__(cls)
-        table._init([key for key, _value in pairs],
-                    [value for _key, value in pairs], file_id)
+        table._init(list(keys), list(values), file_id)
         return table
 
     def _init(self, keys: list[str], values: list[Optional[bytes]],
@@ -67,9 +68,9 @@ class SSTable:
         self.file_id = file_id
         self._keys = keys
         self._values = values
-        # The bloom filter hashes every key (blake2b per key); build it on
-        # first probe instead of at construction — compaction inputs and
-        # decoded recovery tables are often replaced before being probed.
+        # The bloom filter hashes every key (blake2b per key); the read
+        # path builds it on the first lookup this table misses, so a table
+        # that only ever answers hits never pays for one.
         self._filter: Optional[BloomFilter] = None
 
     @property
@@ -120,15 +121,13 @@ class SSTable:
     # -- serialization -----------------------------------------------------------
 
     def encode(self) -> bytes:
-        parts = [_TABLE_HEADER.pack(_TABLE_MAGIC, len(self._keys))]
-        for key, value in zip(self._keys, self._values):
-            key_bytes = key.encode()
-            tombstone = 1 if value is None else 0
-            body = value or b""
-            parts.append(_ENTRY_HEADER.pack(len(key_bytes), tombstone, len(body)))
-            parts.append(key_bytes)
-            parts.append(body)
-        return b"".join(parts)
+        # One join of (header, key, value) parts: concatenating each entry
+        # first would copy every value twice more.
+        pack = _ENTRY_HEADER.pack
+        entries = [(pack(len(key), value is None, len(value or b"")), key, value or b"")
+                   for key, value in zip(map(str.encode, self._keys), self._values)]
+        return b"".join(chain([_TABLE_HEADER.pack(_TABLE_MAGIC, len(entries))],
+                              *entries))
 
     @classmethod
     def decode(cls, data: bytes, file_id: Optional[int] = None) -> "SSTable":
@@ -163,7 +162,7 @@ def merge_tables(tables: list[SSTable], drop_tombstones: bool,
     merged: dict[str, Optional[bytes]] = {}
     for table in reversed(tables):  # oldest first; newer overwrite
         merged.update(zip(table._keys, table._values))
-    if drop_tombstones:
+    if drop_tombstones and None in merged.values():
         merged = {k: v for k, v in merged.items() if v is not None}
     if not merged:
         return None

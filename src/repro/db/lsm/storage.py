@@ -216,6 +216,13 @@ class DeviceTableStorage:
         self._extents = {
             int(fid): tuple(ext) for fid, ext in manifest.pop("extents", {}).items()
         }
-        if self._extents:
-            self._next_lpn = max(lpn + npages for lpn, npages in self._extents.values())
+        # Everything between the recovered extents is free again: the
+        # space of tables deleted before the manifest was written.
+        self._free = []
+        end = self.base_lpn + self.MANIFEST_PAGES
+        for lpn, npages in sorted(self._extents.values()):
+            if lpn > end:
+                self._free.append((end, lpn - end))
+            end = lpn + npages
+        self._next_lpn = end
         return manifest

@@ -19,14 +19,15 @@ never freezes the log past a record the frozen memtable does not hold.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from operator import attrgetter
 from typing import Iterator, Optional
 
 from repro.analysis import sanitizer as simsan
 from repro.db.common import EngineStats
 from repro.db.lsm.bloom import BloomFilter
-from repro.db.lsm.skiplist import SkipList
+from repro.db.lsm.memtable import MemTable
 from repro.db.lsm.sst import SSTable, merge_tables
 from repro.sim import Engine, Resource, RngStreams
 from repro.sim.engine import Event
@@ -76,9 +77,10 @@ class LSMTree:
         self.storage = storage
         self.memtable_bytes = memtable_bytes
         self.l0_compaction_trigger = l0_compaction_trigger
-        self._rng = (rng or RngStreams(0)).stream("lsm")
-        self._active = SkipList(self._rng)
-        self._immutable: Optional[SkipList] = None
+        # ``rng`` is accepted from the callers that pass one; nothing in
+        # the tree draws a random number.
+        self._active = MemTable()
+        self._immutable: Optional[MemTable] = None
         self._immutable_end_lsn = 0
         self._flush_done: Optional[Event] = None
         self._rotating = False
@@ -145,7 +147,7 @@ class LSMTree:
             # the log: truncate below the oldest of them.
             self._immutable_end_lsn = min(self._unapplied,
                                           default=self.wal.tail_lsn)
-            self._active = SkipList(self._rng)
+            self._active = MemTable()
             self._flush_done = self.engine.event()
             self.engine.process(self._flush_immutable(), name="lsm-flush")
         finally:
@@ -154,8 +156,7 @@ class LSMTree:
 
     def _flush_immutable(self) -> Iterator[Event]:
         assert self._immutable is not None
-        entries = list(self._immutable.items())
-        table = SSTable(entries)
+        table = SSTable.from_sorted(self._immutable.items())
         yield from self.storage.write_table(table.file_id, table.encode())
         self._l0.append(table)
         self._wal_start = self._immutable_end_lsn
@@ -217,19 +218,21 @@ class LSMTree:
         return None
 
     def _split_run(self, merged: SSTable) -> list[SSTable]:
-        """Split one merged run into L1 tables of bounded size."""
+        """Split one merged run into L1 tables of bounded size: a table
+        ends at the first entry that brings it to the target."""
         target_bytes = max(2 * self.memtable_bytes, 1)
+        pairs = merged.items()
+        # ends[i]: bytes of entries 0..i, so a table from ``start`` ends
+        # at the first i with ends[i] >= ends[start - 1] + target.
+        ends = list(accumulate(len(key.encode()) + (len(value) if value else 0)
+                               for key, value in pairs))
         outputs: list[SSTable] = []
-        chunk: list = []
-        chunk_bytes = 0
-        for key, value in merged.items():
-            chunk.append((key, value))
-            chunk_bytes += len(key.encode()) + (len(value) if value else 0)
-            if chunk_bytes >= target_bytes:
-                outputs.append(SSTable.from_sorted(chunk))
-                chunk, chunk_bytes = [], 0
-        if chunk:
-            outputs.append(SSTable.from_sorted(chunk))
+        start = 0
+        while start < len(pairs):
+            floor = ends[start - 1] if start else 0
+            stop = bisect_left(ends, floor + target_bytes, start) + 1
+            outputs.append(SSTable.from_sorted(pairs[start:stop]))
+            start = stop
         return outputs
 
     def _manifest(self) -> dict:
@@ -259,58 +262,71 @@ class LSMTree:
             value = memtable.get(key, _MISS)
             if value is not _MISS:
                 return True, value
-        # Hash the key once for every filter probe below (a point lookup
-        # can touch all of L0 plus one L1 run; the blake2b digest is the
-        # expensive half of a bloom probe).
+        # Every L0 table, newest first, then the one L1 run whose range can
+        # hold the key (L1 is sorted and non-overlapping).
+        tables = self._l0[::-1]
+        index = bisect_right(self._l1, key, key=_min_key)
+        if index and key <= self._l1[index - 1].max_key:
+            tables.append(self._l1[index - 1])
+        # A table with a filter is probed filter first.  One without is
+        # bisected first, and only a miss builds its filter and counts the
+        # skip the filter would have made: a filter never rejects a
+        # present key, so (found, value) and filter_skips are those of
+        # filter-first everywhere, and a table that only ever answers hits
+        # never builds one.  The key is hashed at most once.
         key_hash: Optional[tuple[int, int]] = None
-        for table in reversed(self._l0):
-            if key_hash is None:
-                key_hash = BloomFilter.hash_key(key)
-            if not table.filter.might_contain_hashed(*key_hash):
-                self.filter_skips += 1
-                continue
+        for table in tables:
+            built = table._filter
+            if built is not None:
+                if key_hash is None:
+                    key_hash = BloomFilter.hash_key(key)
+                if not built.might_contain_hashed(*key_hash):
+                    self.filter_skips += 1
+                    continue
             found, value = table.get(key)
             if found:
                 return True, value
-        # L1 is sorted and non-overlapping: only the last run that starts
-        # at or before the key can hold it.
-        index = bisect_right(self._l1, key, key=_min_key)
-        table = self._l1[index - 1] if index else None
-        if table is None or key > table.max_key:
-            return False, None
-        if key_hash is None:
-            key_hash = BloomFilter.hash_key(key)
-        if not table.filter.might_contain_hashed(*key_hash):
-            self.filter_skips += 1
-            return False, None
-        return table.get(key)
+            if built is None:
+                if key_hash is None:
+                    key_hash = BloomFilter.hash_key(key)
+                if not table.filter.might_contain_hashed(*key_hash):
+                    self.filter_skips += 1
+        return False, None
 
     def scan(self, start_key: str, limit: int) -> Iterator[Event]:
         """Process: ordered scan of up to ``limit`` live entries."""
         yield self.engine.timeout(self.READ_CPU + limit * 0.1 * USEC)
-        # Over-fetch: tombstones inside the range shrink the live set.
+        # Over-fetch, since tombstones inside the range shrink the live
+        # set, and fetch again with twice the depth until ``limit`` live
+        # rows are merged or every source runs dry.  Only keys up to the
+        # shortest cut-off source's last key are complete.
         fetch = limit + 32
-        sources: list[list[tuple[str, Optional[bytes]]]] = []
-        for memtable in (self._active, self._immutable):
-            if memtable is not None:
-                sources.append(memtable.range_items(start_key, fetch))
-        for table in reversed(self._l0):
-            sources.append(table.range_items(start_key, fetch))
-        for table in self._l1:
-            sources.append(table.range_items(start_key, fetch))
-        merged: dict[str, Optional[bytes]] = {}
-        for source in reversed(sources):  # oldest first; newer overwrite
-            for key, value in source:
-                merged[key] = value
-        live = [(k, v) for k, v in sorted(merged.items()) if v is not None]
-        return live[:limit]
+        while True:
+            sources: list[list[tuple[str, Optional[bytes]]]] = [
+                memtable.range_items(start_key, fetch)
+                for memtable in (self._active, self._immutable)
+                if memtable is not None]
+            for table in reversed(self._l0):
+                sources.append(table.range_items(start_key, fetch))
+            for table in self._l1:
+                sources.append(table.range_items(start_key, fetch))
+            merged: dict[str, Optional[bytes]] = {}
+            for source in reversed(sources):  # oldest first; newer overwrite
+                merged.update(source)
+            cut = min((source[-1][0] for source in sources
+                       if len(source) == fetch), default=None)
+            live = [(k, v) for k, v in sorted(merged.items())
+                    if v is not None and (cut is None or k <= cut)]
+            if len(live) >= limit or cut is None:
+                return live[:limit]
+            fetch *= 2
 
     # -- recovery ---------------------------------------------------------------------
 
     def recover(self) -> Iterator[Event]:
         """Process: rebuild from manifest + SSTs + WAL replay."""
         manifest = yield from self.storage.read_manifest()
-        self._active = SkipList(self._rng)
+        self._active = MemTable()
         self._immutable = None
         self._l0 = []
         self._l1 = []

@@ -1,6 +1,12 @@
-"""Tests for the LSM engine: skiplist, SSTables, tree, recovery."""
+"""Tests for the LSM engine: memtable, SSTables, tree, recovery.
+
+``OracleSkipList`` keeps the skiplist memtable that ``MemTable`` replaced,
+verbatim, as the reference: the same inserts, replaces and tombstones must
+give the same reads, order and byte accounting.
+"""
 
 import random
+from typing import Any, Iterator, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +18,8 @@ from repro.db.lsm import (
     DeviceTableStorage,
     LSMTree,
     MemoryTableStorage,
+    MemTable,
     SSTable,
-    SkipList,
 )
 from repro.db.lsm.bloom import BloomFilter
 from repro.db.lsm.sst import SstFormatError, merge_tables
@@ -24,53 +30,179 @@ from repro.wal import BaWAL, BlockWAL
 from tests.helpers import Platform, dual_path_lsm, small_ba_params
 
 
+class _Node:
+    __slots__ = ("key", "value", "forward")
+
+    def __init__(self, key: Optional[str], value: Any, level: int) -> None:
+        self.key = key
+        self.value = value
+        self.forward: list[Optional[_Node]] = [None] * level
+
+
+class OracleSkipList:
+    """Ordered string-keyed map with skiplist internals."""
+
+    MAX_LEVEL = 16
+    P = 0.5
+
+    def __init__(self, rng: Optional[random.Random] = None) -> None:
+        self._rng = rng or random.Random(0)
+        self._head = _Node(None, None, self.MAX_LEVEL)
+        self._level = 1
+        self._count = 0
+        self._bytes = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    @property
+    def approximate_bytes(self) -> int:
+        """Accumulated key+value bytes (the memtable-full trigger)."""
+        return self._bytes
+
+    def _random_level(self) -> int:
+        level = 1
+        while level < self.MAX_LEVEL and self._rng.random() < self.P:
+            level += 1
+        return level
+
+    def _find_predecessors(self, key: str) -> list[_Node]:
+        update = [self._head] * self.MAX_LEVEL
+        node = self._head
+        for level in reversed(range(self._level)):
+            while node.forward[level] is not None and node.forward[level].key < key:
+                node = node.forward[level]
+            update[level] = node
+        return update
+
+    def insert(self, key: str, value: Any) -> None:
+        """Insert or replace ``key``."""
+        update = self._find_predecessors(key)
+        candidate = update[0].forward[0]
+        if candidate is not None and candidate.key == key:
+            self._bytes += self._value_bytes(value) - self._value_bytes(candidate.value)
+            candidate.value = value
+            return
+        level = self._random_level()
+        if level > self._level:
+            self._level = level
+        node = _Node(key, value, level)
+        for i in range(level):
+            node.forward[i] = update[i].forward[i]
+            update[i].forward[i] = node
+        self._count += 1
+        self._bytes += len(key.encode()) + self._value_bytes(value)
+
+    @staticmethod
+    def _value_bytes(value: Any) -> int:
+        return len(value) if isinstance(value, (bytes, bytearray)) else 8
+
+    def get(self, key: str, default: Any = None) -> Any:
+        node = self._head
+        for level in reversed(range(self._level)):
+            while node.forward[level] is not None and node.forward[level].key < key:
+                node = node.forward[level]
+        node = node.forward[0]
+        if node is not None and node.key == key:
+            return node.value
+        return default
+
+    def __contains__(self, key: str) -> bool:
+        sentinel = object()
+        return self.get(key, sentinel) is not sentinel
+
+    def items(self) -> Iterator[tuple[str, Any]]:
+        """Sorted iteration (the flush path)."""
+        node = self._head.forward[0]
+        while node is not None:
+            yield node.key, node.value
+            node = node.forward[0]
+
+    def range_items(self, start: str, limit: int) -> list[tuple[str, Any]]:
+        """Up to ``limit`` items with key >= start, in order (scan support)."""
+        update = self._find_predecessors(start)
+        node = update[0].forward[0]
+        result = []
+        while node is not None and len(result) < limit:
+            result.append((node.key, node.value))
+            node = node.forward[0]
+        return result
+
+
 class TestSkipList:
+    """``MemTable``, under the class name its tests have always had."""
+
     def test_insert_get(self):
-        skiplist = SkipList(random.Random(0))
-        skiplist.insert("b", b"2")
-        skiplist.insert("a", b"1")
-        skiplist.insert("c", b"3")
-        assert skiplist.get("a") == b"1"
-        assert skiplist.get("missing") is None
-        assert len(skiplist) == 3
+        memtable = MemTable()
+        memtable.insert("b", b"2")
+        memtable.insert("a", b"1")
+        memtable.insert("c", b"3")
+        assert memtable.get("a") == b"1"
+        assert memtable.get("missing") is None
+        assert len(memtable) == 3
 
     def test_replace_updates_value(self):
-        skiplist = SkipList(random.Random(0))
-        skiplist.insert("k", b"old")
-        skiplist.insert("k", b"newer")
-        assert skiplist.get("k") == b"newer"
-        assert len(skiplist) == 1
+        memtable = MemTable()
+        memtable.insert("k", b"old")
+        memtable.insert("k", b"newer")
+        assert memtable.get("k") == b"newer"
+        assert len(memtable) == 1
 
     def test_items_sorted(self):
-        skiplist = SkipList(random.Random(1))
+        memtable = MemTable()
         keys = [f"key{i:04d}" for i in random.Random(2).sample(range(1000), 300)]
         for key in keys:
-            skiplist.insert(key, b"x")
-        assert [k for k, _ in skiplist.items()] == sorted(keys)
+            memtable.insert(key, b"x")
+        assert [k for k, _ in memtable.items()] == sorted(keys)
 
     def test_bytes_accounting(self):
-        skiplist = SkipList(random.Random(0))
-        skiplist.insert("abc", b"12345")
-        assert skiplist.approximate_bytes == 8
-        skiplist.insert("abc", b"1234567890")
-        assert skiplist.approximate_bytes == 13
+        memtable = MemTable()
+        memtable.insert("abc", b"12345")
+        assert memtable.approximate_bytes == 8
+        memtable.insert("abc", b"1234567890")
+        assert memtable.approximate_bytes == 13
 
     def test_range_items(self):
-        skiplist = SkipList(random.Random(0))
+        memtable = MemTable()
         for i in range(20):
-            skiplist.insert(f"k{i:02d}", bytes([i]))
-        result = skiplist.range_items("k05", 3)
+            memtable.insert(f"k{i:02d}", bytes([i]))
+        result = memtable.range_items("k05", 3)
         assert [k for k, _ in result] == ["k05", "k06", "k07"]
 
     @settings(max_examples=40, deadline=None)
     @given(st.dictionaries(st.text(min_size=1, max_size=8),
                            st.binary(max_size=16), max_size=60))
     def test_property_matches_dict(self, mapping):
-        skiplist = SkipList(random.Random(7))
+        memtable = MemTable()
         for key, value in mapping.items():
-            skiplist.insert(key, value)
-        assert dict(skiplist.items()) == mapping
-        assert [k for k, _ in skiplist.items()] == sorted(mapping)
+            memtable.insert(key, value)
+        assert dict(memtable.items()) == mapping
+        assert [k for k, _ in memtable.items()] == sorted(mapping)
+
+
+class TestMemTableMatchesOracle:
+    pytestmark = pytest.mark.oracle
+
+    KEYS = st.text(alphabet="abcé", max_size=4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(KEYS, st.one_of(st.none(), st.binary(max_size=24))),
+                    max_size=80),
+           st.lists(st.tuples(KEYS, st.integers(min_value=-1, max_value=12)),
+                    max_size=8))
+    def test_same_reads_order_and_bytes(self, writes, ranges):
+        memtable, oracle = MemTable(), OracleSkipList(random.Random(7))
+        for key, value in writes:  # inserts, replaces and tombstones
+            memtable.insert(key, value)
+            oracle.insert(key, value)
+            assert memtable.approximate_bytes == oracle.approximate_bytes
+            assert len(memtable) == len(oracle)
+        assert memtable.items() == list(oracle.items())
+        for key in {key for key, _value in writes} | {"", "b", "zz"}:
+            assert memtable.get(key, "absent") == oracle.get(key, "absent")
+            assert (key in memtable) == (key in oracle)
+        for start, limit in ranges:
+            assert memtable.range_items(start, limit) == oracle.range_items(start, limit)
 
 
 class TestSSTable:
@@ -237,6 +369,29 @@ class TestLSMTree:
             "key0000", "key0001", "key0002", "key0004", "key0005",
         ]
 
+    def test_scan_reaches_past_a_run_of_newer_tombstones(self):
+        # 40 tombstones in L0 shadow the head of a live L1 run: more than
+        # the 32 extra rows fetched per source on the first pass.
+        platform, tree = make_lsm()
+        tree._l1 = [SSTable([(f"k{i:03d}", b"v%d" % i) for i in range(100)])]
+        tree._l0 = [SSTable([(f"k{i:03d}", None) for i in range(40)])]
+        start = platform.engine.now
+        rows = platform.engine.run_process(tree.scan("k000", 10))
+        assert rows == [(f"k{i:03d}", b"v%d" % i) for i in range(40, 50)]
+        assert platform.engine.now - start == pytest.approx(
+            tree.READ_CPU + 10 * 0.1e-6)
+
+    def test_scan_never_returns_a_row_past_a_cut_off_source(self):
+        # The memtable's first fetch ends at m041, every key but the last
+        # a tombstone; L1's live rows all sort after it.  A row from L1 is
+        # only safe once the memtable has been read past it.
+        platform, tree = make_lsm()
+        for i in range(45):
+            tree._active.insert(f"m{i:03d}", None if i < 44 else b"mem")
+        tree._l1 = [SSTable([(f"n{i:03d}", b"l1") for i in range(50)])]
+        rows = platform.engine.run_process(tree.scan("m000", 3))
+        assert rows == [("m044", b"mem"), ("n000", b"l1"), ("n001", b"l1")]
+
     def test_recovery_from_device_storage(self):
         platform, tree = make_lsm(storage_kind="device", memtable_bytes=2048)
         engine = platform.engine
@@ -370,6 +525,46 @@ class TestDeviceTableStorage:
         manifest, blob = engine.run_process(reload())
         assert manifest["wal_start"] == 123
         assert blob[:11] == b"table-seven"
+
+    def test_recovered_manifest_frees_the_space_of_deleted_tables(self):
+        platform = Platform()
+        device = platform.add_block_ssd(ULL_SSD)
+        storage = DeviceTableStorage(platform.engine, device)
+        engine = platform.engine
+        first = storage.base_lpn + storage.MANIFEST_PAGES
+
+        def scenario():
+            yield from storage.write_table(1, bytes(4096 * 4))
+            yield from storage.write_table(2, bytes(4096 * 4))
+            storage.delete_table(1)
+            yield from storage.write_manifest({"wal_start": 0})
+
+        engine.run_process(scenario())
+        fresh = DeviceTableStorage(engine, device)
+        engine.run_process(fresh.read_manifest())
+        assert fresh._free == [(first, 4)]
+        assert fresh._allocate(4) == first  # table 1's extent, not 16
+
+    def test_crash_recover_cycles_reuse_freed_space(self):
+        """Each cycle writes a table, deletes the previous one and
+        reopens from the manifest: room for two tables lasts forever."""
+        platform = Platform()
+        device = platform.add_block_ssd(ULL_SSD)
+        manifest_pages = DeviceTableStorage.MANIFEST_PAGES
+        engine = platform.engine
+        storage = DeviceTableStorage(engine, device,
+                                     capacity_pages=manifest_pages + 8)
+        for cycle in range(6):
+            def step(storage=storage, cycle=cycle):
+                yield from storage.write_table(cycle, bytes(4096 * 4))
+                storage.delete_table(cycle - 1)
+                yield from storage.write_manifest({"wal_start": cycle})
+
+            engine.run_process(step())
+            storage = DeviceTableStorage(engine, device,
+                                         capacity_pages=manifest_pages + 8)
+            assert engine.run_process(storage.read_manifest()) == {"wal_start": cycle}
+        assert storage.table_ids() == [5]
 
 
 class TestLeveledCompaction:
@@ -541,6 +736,23 @@ class TestBisectedLookup:
         present = [f"key{i:04d}" for i in range(150)]
         absent = [key + "x" for key in present] + ["a", "key", "zzz"]
         self.assert_lookups_match(tree, present + absent)
+
+    def test_filters_are_built_only_for_tables_a_lookup_misses(self):
+        _platform, tree = make_lsm()
+        tree._l1 = [SSTable([(f"k{i:03d}", b"l1") for i in range(lo, lo + 20, 2)])
+                    for lo in (0, 20, 40)]
+
+        def built():
+            return [table for table in tree._l0 + tree._l1
+                    if table._filter is not None]
+
+        assert tree._lookup("k022") == (True, b"l1")
+        assert built() == []  # a hit builds no filter
+        assert tree._lookup("k023") == (False, None)
+        assert built() == [tree._l1[1]]  # a miss, its own table's only
+        tree._l0 = [SSTable([("k050", b"l0")]), SSTable([("k051", b"l0")])]
+        assert tree._lookup("k004") == (True, b"l1")
+        assert built() == tree._l0 + [tree._l1[1]]  # L0 missed, L1 hit
 
 
 class TestConcurrentWriters:

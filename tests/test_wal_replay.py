@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.cluster import DevicePool
 from repro.core import BaParams, CrashHarness
 from repro.db.lsm import SSTable
-from repro.db.lsm.skiplist import SkipList
+from repro.db.lsm.memtable import MemTable
 from repro.db.lsm.tree import decode_kv
 from repro.db.memkv import MemKV
 from repro.db.memkv.commands import apply, decode_command
@@ -496,7 +496,7 @@ def test_replicated_replay_matches_the_oracle(sizes, cycle, pick):
 def lsm_oracle_recover(self):
     """``LSMTree.recover`` as it was, over the oracle's list."""
     manifest = yield from self.storage.read_manifest()
-    self._active = SkipList(self._rng)
+    self._active = MemTable()
     self._immutable = None
     self._l0 = []
     self._l1 = []
