@@ -34,11 +34,14 @@ path", has the before/after).  The counts have ceilings: at most
 ``EVENTS_BUILT`` Events, no byte added to a bytearray, at most the one
 key encode routing hashes, no ``EnumType.__call__``, and exactly
 ``KERNEL_EVENTS`` kernel events (the hand-off wakes the receiver at the
-same sequence position).  Lowering a ceiling after a real cut is the
-point; raising one needs the reason in the commit that does it.  The
-script exits non-zero when one is broken; ``--smoke`` is the counts
-alone (< 1 s), which tier-1 runs (``tests/test_meters.py``).  Copy it
-with ``scripts/_meter.py`` into a parent checkout for a before/after.
+same sequence position): 12 on this tree, 13 on the tree before the
+reader and the writer continued in place past an already-settled window
+slot and reply-line get (docs/performance.md, "Settled hand-offs").
+Lowering a ceiling after a real cut is the point; raising one needs the
+reason in the commit that does it.  The script exits non-zero when one
+is broken; ``--smoke`` is the counts alone (< 1 s), which tier-1 runs
+(``tests/test_meters.py``).  Copy it with ``scripts/_meter.py`` into a
+parent checkout for a before/after.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ LOOPS = 20000
 # frame entered one pipe buffer and one decoder buffer), encoded the key
 # twice and went through EnumType.__call__ twice per GET.
 EVENTS_BUILT = 6  # c2s send + reader recv, queue put + lane get, s2c send + client recv
-KERNEL_EVENTS = 13  # tests/test_kernel_event_budget.py, gateway_get
+KERNEL_EVENTS = 12  # tests/test_kernel_event_budget.py, gateway_get
 
 
 def bare_server():

@@ -27,6 +27,16 @@ benchmark's ``kernel_events_per_op``.  ``gw-set --scale 0.5`` (~1 s)
 reaches log segment recycles, so the absolute-time wake-ups of
 ``BA_PIN`` / ``BA_FLUSH`` (``engine.timeout_at``, in the ``timeout``
 bucket) are counted too; tier-1 runs it (``tests/test_meters.py``).
+
+At that shape (seed 1) the script also exits non-zero when
+``yield-of-processed`` exceeds ``YIELD_OF_PROCESSED_CEILING`` per op:
+a yield of an event that was settled when it was asked for buys a
+deferred round trip that orders nothing, and the nine sites that now
+continue in place past one (docs/performance.md, "Settled hand-offs")
+must not revert blind.  It reads 4.031 per op on this tree and 9.516 on
+the tree that yielded them; the other five buckets are the same on
+both (bootstrap 2.344, completion-wake 1.673, handoff-wake 5.176,
+timeout 12.651, schedule 5.110).
 """
 
 from __future__ import annotations
@@ -49,6 +59,10 @@ KERNEL_DIR = os.path.dirname(os.path.abspath(kernel.__file__))
 MEASURED_STEPS = {"ladder", "overload", "closed"}
 BUCKETS = ("bootstrap", "completion-wake", "handoff-wake",
            "yield-of-processed", "timeout", "schedule")
+# (workload, seed, scale) the ceiling holds at, and the measured count
+# there: 15 116 yields of a processed event over 3 750 ops.
+CEILING_SHAPE = ("gw-set", 1, 0.5)
+YIELD_OF_PROCESSED_CEILING = 4.031
 
 
 class Ledger:
@@ -175,6 +189,12 @@ def report(name: str, seed: int, scale: float, top: int) -> int:
     if abs(total / ops - result["events_per_op"]) > 1e-9:
         print("\nattributed count disagrees with the harness's "
               "kernel_events_per_op", file=sys.stderr)
+        return 1
+    settled = by_bucket["yield-of-processed"] / ops
+    if (name, seed, scale) == CEILING_SHAPE and settled > YIELD_OF_PROCESSED_CEILING:
+        print(f"\nyield-of-processed {settled:.4f} /op exceeds its ceiling "
+              f"{YIELD_OF_PROCESSED_CEILING} — a settled hand-off yielded "
+              "again?", file=sys.stderr)
         return 1
     return 0
 

@@ -50,7 +50,8 @@ class _ReplicaLeg:
 
     def _worker(self) -> Iterator[Event]:
         while True:
-            item = yield self.queue.get()
+            got = self.queue.get()
+            item = got._value if got._processed else (yield got)
             if item[0] == "append":
                 # One interconnect message and one replica-side append
                 # pass cover the whole batch (group commit's replication

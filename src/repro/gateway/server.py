@@ -437,7 +437,9 @@ class _CommitCoalescer:
         engine = self.engine
         shard = self.shard
         while True:
-            yield self._signal.get()
+            kick = self._signal.get()
+            if not kick._processed:
+                yield kick
             self._kicked = False
             while self.pending:
                 taken = [self.pending.popleft()]
@@ -647,7 +649,8 @@ class GatewayServer:
                                                    fatal=False)
                     continue
                 slot = conn.window.request()
-                yield slot
+                if not slot._processed:
+                    yield slot
                 done = engine.event()
                 conn.replies.put((done, slot))
                 self.requests += 1
@@ -665,6 +668,7 @@ class GatewayServer:
                                     engine.now, conn=conn.id,
                                     shard=shard.index,
                                     queue_depth=len(shard.queues[lane]))
+                # handoff: converting moves gw-set/gw-mixed peak, gw-set GET p99, tcp-mixed sim_*
                 yield put
             if framing_error is not None:
                 yield from self._enqueue_error(conn, framing_error)
@@ -694,7 +698,8 @@ class GatewayServer:
         engine = self.engine
         flush_limit = self.config.reply_flush_frames
         while True:
-            entry = yield conn.replies.get()
+            got = conn.replies.get()
+            entry = got._value if got._processed else (yield got)
             if entry is None:
                 break
             done, slot = entry
@@ -723,6 +728,7 @@ class GatewayServer:
                 else [encode_frame(body) for body in bodies])
             if tracing.enabled and not send._processed:
                 tracing.count("gateway.socket.stalls")
+            # handoff: converting moves gw-set/gw-mixed peak, gw-set GET p99, tcp-mixed sim_*
             yield send
             for slot in slots:
                 conn.window.release(slot)
@@ -754,6 +760,7 @@ class GatewayServer:
                 if tracing.enabled:
                     tracing.count("gateway.coalescer.stalls")
                 yield coalescer.admit()
+            # handoff: converting moves the gateway_group_commit golden
             batch = [(yield queue.get())]
             # Drain what is already queued, bounded by the coalescer's
             # admission window — never waiting for more work to arrive.

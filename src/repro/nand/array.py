@@ -317,6 +317,7 @@ class FlashArray:
         die_index, die_req, ppn, retries, t0, on_data, token = item
         engine = self.engine
         die_res = die_req.resource
+        # handoff: converting moves test_ftl racing-read-vs-GC instants
         yield die_req
         addr = None
         if simsan.enabled:
@@ -334,6 +335,7 @@ class FlashArray:
                 yield Timeout(engine, sense)
             channel_res = self._channels[die_index // self._dpc]
             chan_req = channel_res.request()
+            # handoff: converting renumbers test_nand_batch oracle sequences
             yield chan_req
             try:
                 yield Timeout(engine, self._page_transfer)
@@ -382,6 +384,7 @@ class FlashArray:
         # touches a block's state in the order its worker dequeues pages.
         state = self._block_state(channel, die, block)
         die_res = die_req.resource
+        # handoff: converting moves test_ftl racing-read-vs-GC instants
         yield die_req
         addr = None
         if simsan.enabled:
@@ -402,6 +405,7 @@ class FlashArray:
                 )
             channel_res = self._channels[channel]
             chan_req = channel_res.request()
+            # handoff: converting renumbers test_nand_batch oracle sequences
             yield chan_req
             try:
                 yield Timeout(engine, transfer)
@@ -455,6 +459,7 @@ class FlashArray:
             _t0 = self.engine.now
         die_res = self._die_resource(channel, die)
         die_req = die_res.request()
+        # handoff: converting moves test_ftl racing-read-vs-GC instants
         yield die_req
         erase_addr = PageAddress(channel, die, block, 0)
         if simsan.enabled:
@@ -520,7 +525,8 @@ class _NandBatch:
         body = self._body
         get = queue.get
         while True:
-            item = yield get()
+            got = get()
+            item = got._value if got._processed else (yield got)
             if item is None:
                 return
             try:

@@ -28,6 +28,14 @@ smaller ``(time, sequence)`` pair.  Execution order is therefore
 *identical* to scheduling everything through the heap (the golden
 determinism tests pin this down); the deferred queue only avoids the
 per-event heap push/pop and ``Event`` allocation.
+
+A grant or get that is settled when asked for comes back processed with
+its value in ``_value``, and the hottest such sites read it and continue
+in place rather than yield it — a yield would buy a deferred round trip
+that orders nothing (docs/performance.md, "Settled hand-offs").  The
+deferred queue still resumes yields of processed events: at the sites
+kept yielding, each with a ``# handoff:`` comment saying what converting
+it moves, and in the harness.
 """
 
 from __future__ import annotations

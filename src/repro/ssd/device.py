@@ -146,7 +146,8 @@ class BlockSSD:
         if self.lba_gate is not None:
             self.lba_gate.check_write(lpn, npages)
         slot = self._cmd_slots.request()
-        yield slot
+        if not slot._processed:
+            yield slot
         try:
             while self.dirty_cache_pages + npages > self._cache_capacity_pages:
                 waiter = self.engine.event()
@@ -377,7 +378,8 @@ class BlockSSD:
 
     def _destage_worker(self) -> Iterator[Event]:
         while True:
-            lpn = yield self._destage_queue.get()
+            got = self._destage_queue.get()
+            lpn = got._value if got._processed else (yield got)
             if lpn in self._destaging:
                 # An older version of this page is mid-destage on another
                 # worker; writing now could land out of order and resurrect

@@ -184,7 +184,8 @@ class BaWAL(WriteAheadLog):
         count = len(payloads)
         index = 0
         lock = self._insert_lock.request()
-        yield lock
+        if not lock._processed:
+            yield lock
         try:
             while True:
                 half = self._halves[self._active]
@@ -233,7 +234,8 @@ class BaWAL(WriteAheadLog):
             return None
         with tracing.span("wal.ba.commit", self.engine):
             lock = self._insert_lock.request()
-            yield lock
+            if not lock._processed:
+                yield lock
             try:
                 if lsn <= self._synced:
                     return None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.gateway.server import BoundedQueue
 from repro.sim import Engine, Resource, SimulationError, Store
 
 
@@ -196,3 +197,57 @@ class TestRelease:
         request = a.request()
         with pytest.raises(SimulationError):
             b.release(request)
+
+
+class TestSettledHandOffs:
+    """The contract the in-place sites rely on (docs/performance.md,
+    "Settled hand-offs"): a grant or get that can be served at once
+    returns an event that is already processed with its value in
+    ``_value``, so its caller may read it without yielding."""
+
+    def test_an_uncontended_grant_and_a_buffered_get_come_back_processed(self):
+        engine = Engine()
+        resource = Resource(engine)
+        store = Store(engine)
+        queue = BoundedQueue(engine, capacity=2)
+        store.put("s")
+        queue.put("q")
+        grant, got, queued = resource.request(), store.get(), queue.get()
+        assert grant._processed and grant._value is None
+        assert got._processed and got._value == "s"
+        assert queued._processed and queued._value == "q"
+
+    def test_a_contended_grant_and_an_empty_get_stay_pending(self):
+        engine = Engine()
+        resource = Resource(engine)
+        resource.request()
+        assert not resource.request()._processed
+        assert not Store(engine).get()._processed
+        assert not BoundedQueue(engine, capacity=1).get()._processed
+
+    @staticmethod
+    def _twin(in_place):
+        """Take a free slot 2.5 s in; return (now, sequence numbers spent)
+        between the request and the step after it."""
+        engine = Engine()
+        resource = Resource(engine)
+        seen = []
+
+        def proc():
+            yield engine.timeout(2.5)
+            before = engine._sequence
+            req = resource.request()
+            if in_place:
+                if not req._processed:
+                    yield req
+            else:
+                yield req
+            seen.append((engine.now, engine._sequence - before))
+            resource.release(req)
+
+        engine.run_process(proc())
+        return seen[0]
+
+    def test_continuing_in_place_keeps_the_instant_and_spends_no_sequence(self):
+        assert self._twin(in_place=True) == (2.5, 0)
+        assert self._twin(in_place=False) == (2.5, 1)
