@@ -148,9 +148,8 @@ class BaBufferManager:
 
         Like :meth:`pin`, one driver holds one firmware-core claim for the
         job, wakes once per page (every page has work at its own instant)
-        and streams the destage writes into a NAND program batch.  Pages
-        that must stall on foreground GC become FTL ``write`` processes
-        so the stall blocks only that page (see
+        and streams the destage writes into a NAND program batch.  A page
+        that must stall on foreground GC stalls only itself (see
         :meth:`repro.ftl.pagemap.PageMapFTL.write_submit`).
         """
         entry = self.table.get(entry_id)
@@ -161,15 +160,13 @@ class BaBufferManager:
         npages = -(-entry.length // page_size)
 
         batch = device.flash.program_batch()
-        submitted = 0
         done = 0
         waiter: Event | None = None
-        fallbacks: list[Event] = []
 
         def written(_token) -> None:
             nonlocal done, waiter
             done += 1
-            if waiter is not None and done == submitted:
+            if waiter is not None and done == npages:
                 waiter._succeed_processed()
 
         claim = self._firmware_core.request()
@@ -189,23 +186,17 @@ class BaBufferManager:
                 if lpn in device._destaging:
                     yield from device.wait_destage(lpn)
                 data = self.dram.read(entry.offset + index * page_size, page_size)
-                fallback = device.ftl.write_submit(lpn, data, batch, on_done=written)
-                if fallback is None:
-                    submitted += 1
-                else:
-                    fallbacks.append(fallback)
+                device.ftl.write_submit(lpn, data, batch, on_done=written)
         except BaseException:
             if held:
                 self._firmware_core.release(claim)
             batch.close()
             raise
-        if done < submitted:
+        if done < npages:
             waiter = Event(engine)
             yield waiter
             waiter = None
         yield from batch.drain()
-        if fallbacks:
-            yield engine.all_of(fallbacks)
         self.table.remove(entry_id)
         if simsan.enabled:
             simsan.check_mapping_table(self.device)

@@ -291,32 +291,24 @@ class PageMapFTL:
         batch (``_fallback_batch``, made at the first call and dropped at
         reboot), so a burst of writes — a flush or destage train stalling
         under the low watermark, which :meth:`write_submit` hands here —
-        costs one GC plus O(dies) workers, not a process per page.  A
-        batched page completes when a per-page program would have.
+        costs one GC plus O(dies) workers, not a process per page.
         """
         self._check_lpn(lpn)
         if len(data) > self.page_size:
             raise ValueError(f"page write of {len(data)} bytes exceeds {self.page_size}")
-        with tracing.span("ftl.pagemap.write", self.engine):
-            free = self._free_block_count
-            if free < self._bg_watermark:
-                self._kick_background_gc()
-            if free < self._gc_low_watermark:
-                self.stats.foreground_gc_stalls += 1
-                yield from self._collect_garbage()
-            ppn = self._allocate_page()
-            batch = self._fallback_batch
-            if batch is None:
-                batch = self._fallback_batch = self.flash.program_batch()
-            done = self.engine.event()
-            batch.submit(ppn, data,
-                         on_done=lambda _token: done._succeed_processed())
-            yield done
-            previous = self.map.bind(lpn, ppn)
-            self._mark_valid(ppn)
-            if previous is not None:
-                self._invalidate(previous)
-        self.stats.host_pages_written += 1
+        t0 = self.engine.now if tracing.enabled else 0.0
+        free = self._free_block_count
+        if free < self._bg_watermark:
+            self._kick_background_gc()
+        if free < self._gc_low_watermark:
+            self.stats.foreground_gc_stalls += 1
+            yield from self._collect_garbage()
+        batch = self._fallback_batch
+        if batch is None:
+            batch = self._fallback_batch = self.flash.program_batch()
+        done = self.engine.event()
+        self._submit_write(lpn, data, batch, t0, done._succeed_processed, None)
+        yield done
 
     def read(self, lpn: int) -> Iterator[Event]:
         """Process: read one logical page, a batch of one over
@@ -387,25 +379,37 @@ class PageMapFTL:
                 tracing.observe("ftl.pagemap.read", 0.0)
 
     def write_submit(self, lpn: int, data: bytes, batch,
-                     on_done=None, token=None):
-        """Submit a logical-page write to a :class:`NandProgramBatch`.
+                     on_done=None, token=None) -> None:
+        """Submit a logical-page write to a :class:`NandProgramBatch`;
+        ``on_done(token)`` fires once the page is in.
 
-        Returns ``None`` when the page was handed to the batch —
-        ``on_done(token)`` then fires at the page's program completion.
-        When the write must stall on foreground GC it returns a
-        :meth:`write` process for the caller to await instead, so the
-        stall blocks only this page; every stalled page streams through
-        that method's one shared batch.
+        A write that must stall on foreground GC runs :meth:`write` in a
+        process of its own instead, so the stall blocks only this page
+        and every stalled page streams through that method's one shared
+        batch; ``on_done(token)`` then fires when that write completes.
         """
         self._check_lpn(lpn)
         if len(data) > self.page_size:
             raise ValueError(f"page write of {len(data)} bytes exceeds {self.page_size}")
         free = self._free_block_count
         if free < self._gc_low_watermark:
-            return self.engine.process(self.write(lpn, data))
+            self.engine.process(self._stalled_write(lpn, data, on_done, token))
+            return
         if free < self._bg_watermark:
             self._kick_background_gc()
         t0 = self.engine.now if tracing.enabled else 0.0
+        self._submit_write(lpn, data, batch, t0, on_done, token)
+
+    def _stalled_write(self, lpn: int, data: bytes, on_done, token) -> Iterator[Event]:
+        yield from self.write(lpn, data)
+        if on_done is not None:
+            on_done(token)
+
+    def _submit_write(self, lpn: int, data: bytes, batch, t0: float,
+                      on_done, token) -> None:
+        """Allocate a page for ``lpn`` and submit its program to ``batch``.
+        At program completion the map points ``lpn`` at the new page, the
+        page it replaces goes stale, and ``on_done(token)`` runs."""
         ppn = self._allocate_page()
 
         def _programmed(_token) -> None:
@@ -420,7 +424,6 @@ class PageMapFTL:
                 on_done(token)
 
         batch.submit(ppn, data, on_done=_programmed)
-        return None
 
     def trim(self, lpn: int, npages: int = 1) -> None:
         """Drop the mappings of ``[lpn, +npages)``; their physical pages
@@ -540,17 +543,28 @@ class PageMapFTL:
             self._gc_lock.release(lock_req)
 
     def _relocate_block(self, key: tuple[int, int, int]) -> Iterator[Event]:
+        """Process: move the victim's valid pages, then erase it.
+
+        Every valid page goes to one read batch at once; each page's data
+        goes to one program batch as it is sensed, at the PPN
+        :meth:`_allocate_page` stripes it to, so the programs run on all
+        dies at once.  A failure (an uncorrectable page, a protocol
+        error) fails the GC with both batches closed: a page still in
+        flight then either lands and is re-checked as below, or is
+        dropped and stays on the victim, which is not erased."""
         channel, die, block = key
         geometry = self.flash.geometry
         pages = sorted(self._valid.get(key, set()))
-        for page in pages:
-            old_ppn = geometry.ppn(channel, die, block, page)
-            lpn = self.map.reverse_lookup(old_ppn)
-            if lpn is None:
-                continue  # invalidated while GC was running
-            data = yield from self.flash.read_page(old_ppn)
-            new_ppn = self._allocate_page()
-            yield from self.flash.program_page(new_ppn, data)
+        reads = self.flash.read_batch()
+        programs = self.flash.program_batch()
+
+        def _sensed(token, data: bytes) -> None:
+            if not programs._closed:
+                new_ppn = self._allocate_page()
+                programs.submit(new_ppn, data, _programmed, (*token, new_ppn))
+
+        def _programmed(token) -> None:
+            lpn, old_ppn, new_ppn = token
             # Re-check: the host may have overwritten this LPN mid-relocation.
             if self.map.lookup(lpn) == old_ppn:
                 self.map.bind(lpn, new_ppn)
@@ -558,6 +572,20 @@ class PageMapFTL:
                 self._invalidate(old_ppn)
             else:
                 self._invalidate(new_ppn)
+
+        try:
+            for page in pages:
+                old_ppn = geometry.ppn(channel, die, block, page)
+                lpn = self.map.reverse_lookup(old_ppn)
+                if lpn is None:
+                    continue  # invalidated while GC was running
+                reads.submit(old_ppn, _sensed, (lpn, old_ppn))
+            yield from reads.drain()
+            yield from programs.drain()
+        except BaseException:
+            reads.close()
+            programs.close()
+            raise
         yield from self.flash.erase_block(channel, die, block)
         self._victim = None
         self._valid.pop(key, None)

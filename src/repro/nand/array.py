@@ -270,30 +270,13 @@ class FlashArray:
 
     # -- timed operations (simulation processes) ------------------------------
     #
-    # Each page operation has one reservation step and one timed body, and
-    # both shapes run them.  The reservation checks the page, fixes what
-    # the operation will do (read retries, transfer time) and creates the
-    # die request, which claims the page's FIFO slot on its die at that
-    # instant.  The body holds the die for the timed sequence, then counts,
-    # traces and calls the completion callback.  ``read_page`` and
-    # ``program_page`` reserve and then ``yield from`` the body; a batch
-    # reserves at ``submit()`` and its die worker runs the body.
-    # ``yield from`` schedules no kernel event, so a batched page starts
-    # and completes when a per-page process spawned at its submission
-    # instant would — including against concurrent GC traffic.
-
-    def read_page(self, ppn: int) -> Iterator[Event]:
-        """Process: read one page; returns its contents (zeros if never written).
-
-        Reads of worn pages can need ECC read retries (one extra tR each);
-        pages beyond the retry budget raise
-        :class:`~repro.nand.ecc.UncorrectableError`.
-        """
-        return (yield from self._read(self._reserve_read(ppn)))
-
-    def program_page(self, ppn: int, data: bytes) -> Iterator[Event]:
-        """Process: program one page with ``data`` (must be <= page_size)."""
-        yield from self._program(self._reserve_program(ppn, data))
+    # Each page operation has one reservation step and one timed body, run
+    # by a batch (below).  The reservation checks the page, fixes what the
+    # operation will do (read retries, transfer time) and creates the die
+    # request, which claims the page's FIFO slot on its die at that
+    # instant: a batch reserves at ``submit()``.  The body, which the
+    # batch's die worker runs, holds the die for the timed sequence, then
+    # counts, traces and calls the completion callback.
 
     def _reserve_read(self, ppn: int, on_data=None, token=None) -> tuple:
         """Check ``ppn``, look up its read retries (may raise UECC) and
@@ -431,12 +414,11 @@ class FlashArray:
 
     # -- batched operations ---------------------------------------------------
     #
-    # A batch replaces "one process per page" with "one worker process per
-    # die touched", running the same reservation and body as the per-page
-    # operations above.  Completion values are delivered through
+    # A batch runs its pages on one worker process per die touched, not
+    # one process per page.  Completion values are delivered through
     # ``on_data``/``on_done`` callbacks invoked at each page's completion
     # instant, which lets callers stream submissions (BA pin/flush pacing,
-    # destage) without one continuation process per page.
+    # destage, GC relocation) without one continuation process per page.
 
     def read_batch(self) -> "NandReadBatch":
         """Return a streaming batch for timed multi-page reads."""
@@ -490,9 +472,10 @@ class _NandBatch:
 
     One lazily spawned worker process per die touched; each worker drains
     a per-die FIFO of reserved page operations and runs the array's timed
-    body on each.  Die slots are reserved at :meth:`submit` time (see the
-    note above :meth:`FlashArray.read_page`), so a worker merely
-    *consumes* an arbitration position its page already holds.
+    body on each.  Die slots are reserved at :meth:`submit` time, so a
+    worker merely *consumes* an arbitration position its page already
+    holds.  A failed body closes the batch: later submits raise, and the
+    failed die's queued pages give their die slots back.
     """
 
     __slots__ = ("engine", "_queues", "_workers", "_closed", "_reserve", "_body")
@@ -533,6 +516,7 @@ class _NandBatch:
                 yield from body(item)
             except BaseException:
                 # The body failed or its completion callback raised.
+                self.close()
                 self._abort(queue)
                 raise
 
@@ -585,9 +569,7 @@ class SimulationBatchClosed(Exception):
 class NandReadBatch(_NandBatch):
     """Streaming multi-page read: submit pages as they become known.
 
-    ``on_data(token, data)`` runs at the page's completion instant —
-    exactly when a per-page :meth:`FlashArray.read_page` process would
-    have delivered its value.
+    ``on_data(token, data)`` runs at the page's completion instant.
     """
 
     __slots__ = ()
@@ -603,9 +585,8 @@ class NandReadBatch(_NandBatch):
 class NandProgramBatch(_NandBatch):
     """Streaming multi-page program: submit ``(ppn, data)`` as produced.
 
-    ``on_done(token)`` runs at the page's completion instant — when a
-    per-page :meth:`FlashArray.program_page` process would have finished.
-    Protocol checks still run under the die hold, like the per-page path.
+    ``on_done(token)`` runs at the page's completion instant.  Protocol
+    checks run under the die hold.
     """
 
     __slots__ = ()

@@ -362,19 +362,15 @@ class BlockSSD:
         self._dirty[lpn] = page
 
     def _destage_write(self, lpn: int, page: bytes) -> Event:
-        """Issue one destage write; returns the event the worker waits on.
-
-        The common case streams the page into the shared NAND program
-        batch (no per-page process).  When the FTL must stall on
-        foreground GC, :meth:`~repro.ftl.pagemap.PageMapFTL.write_submit`
-        returns a :meth:`~repro.ftl.pagemap.PageMapFTL.write` process
-        instead, stalling only this worker.
+        """Issue one destage write; returns the event that fires when the
+        page is in.  The page streams into the shared NAND program batch
+        (no per-page process); one that stalls on foreground GC stalls
+        only this worker (:meth:`~repro.ftl.pagemap.PageMapFTL.write_submit`).
         """
         completion = self.engine.event()
-        fallback = self.ftl.write_submit(
-            lpn, page, self._destage_batch,
-            on_done=lambda _token: completion._succeed_processed())
-        return completion if fallback is None else fallback
+        self.ftl.write_submit(lpn, page, self._destage_batch,
+                              on_done=completion._succeed_processed)
+        return completion
 
     def _destage_worker(self) -> Iterator[Event]:
         while True:

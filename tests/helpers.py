@@ -32,3 +32,15 @@ def dual_path_lsm(platform, rng, start_wal=True, area_pages=4096, **tree_kwargs)
         engine.run_process(wal.start())
     storage = DeviceTableStorage(engine, platform.device, base_lpn=area_pages)
     return LSMTree(engine, wal, storage, rng=rng, **tree_kwargs)
+
+
+def read_page(array, ppn):
+    """Process: read one page of a ``FlashArray`` as a single op: reserve
+    its die slot now, then run the timed body; returns its contents."""
+    return (yield from array._read(array._reserve_read(ppn)))
+
+
+def program_page(array, ppn, data):
+    """Process: program one page of a ``FlashArray`` as a single op:
+    reserve its die slot now, then run the timed body."""
+    yield from array._program(array._reserve_program(ppn, data))

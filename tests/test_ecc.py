@@ -14,6 +14,7 @@ from repro.nand import (
 from repro.nand.ecc import raw_bit_errors, retries_needed
 from repro.sim import Engine, RngStreams
 from repro.sim.units import USEC
+from tests.helpers import program_page, read_page
 
 
 class TestEccMath:
@@ -84,7 +85,7 @@ class TestReadRetryIntegration:
     def wear_block(self, engine, flash, cycles):
         def churn():
             for _ in range(cycles):
-                yield engine.process(flash.program_page(0, b"x"))
+                yield engine.process(program_page(flash, 0, b"x"))
                 yield engine.process(flash.erase_block(0, 0, 0))
 
         engine.run_process(churn())
@@ -93,8 +94,8 @@ class TestReadRetryIntegration:
         engine, flash = self.make_array()
 
         def scenario():
-            yield engine.process(flash.program_page(0, b"fresh"))
-            yield engine.process(flash.read_page(0))
+            yield engine.process(program_page(flash, 0, b"fresh"))
+            yield engine.process(read_page(flash, 0))
 
         engine.run_process(scenario())
         assert flash.stats.read_retries == 0
@@ -106,11 +107,11 @@ class TestReadRetryIntegration:
         self.wear_block(engine, flash, 60)
 
         def scenario():
-            yield engine.process(flash.program_page(0, b"worn"))
+            yield engine.process(program_page(flash, 0, b"worn"))
             reads = 0
             start = engine.now
             for _ in range(20):
-                yield engine.process(flash.read_page(0))
+                yield engine.process(read_page(flash, 0))
                 reads += 1
             return (engine.now - start) / reads
 
@@ -123,10 +124,10 @@ class TestReadRetryIntegration:
         self.wear_block(engine, flash, 50)
 
         def scenario():
-            yield engine.process(flash.program_page(0, b"doomed"))
+            yield engine.process(program_page(flash, 0, b"doomed"))
             # Sweep reads until one draws an uncorrectable error count.
             for _ in range(4):
-                yield engine.process(flash.read_page(0))
+                yield engine.process(read_page(flash, 0))
 
         with pytest.raises(UncorrectableError):
             engine.run_process(scenario())
@@ -135,4 +136,4 @@ class TestReadRetryIntegration:
         engine, flash = self.make_array(wear_slope=500.0, endurance=50)
         self.wear_block(engine, flash, 50)
         # Reading an erased page skips ECC entirely (nothing stored).
-        assert engine.run_process(flash.read_page(1)) == bytes(4096)
+        assert engine.run_process(read_page(flash, 1)) == bytes(4096)

@@ -1,18 +1,33 @@
 """Unit and property tests for the mapping table and page-map FTL."""
 
+import dataclasses
 from typing import Iterator
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import sanitizer as simsan
+from repro.core import TwoBApiClient, TwoBSSD
 from repro.ftl import FtlStats, MappingTable, PageMapFTL
 from repro.ftl.pagemap import FtlCapacityError
-from repro.nand import EccConfig, FlashArray, NandGeometry, NandTiming
+from repro.host import HostCPU
+from repro.nand import (
+    EccConfig,
+    FlashArray,
+    NandGeometry,
+    NandProtocolError,
+    NandTiming,
+    UncorrectableError,
+)
+from repro.nand.ecc import raw_bit_errors, retries_needed
 from repro.obs import tracing
+from repro.pcie import PcieLink
 from repro.sim import Engine, RngStreams
 from repro.sim.engine import Event
 from repro.sim.units import USEC
+from repro.ssd.profiles import TWOB_BASE
+from tests.helpers import read_page, small_ba_params
 from tests.test_nand_batch import OracleArray
 
 FAST_NAND = NandTiming("fast", 1 * USEC, 2 * USEC, 10 * USEC,
@@ -594,4 +609,259 @@ def test_a_read_that_keeps_racing_gc_raises(oracle):
     with pytest.raises(FtlCapacityError, match="kept racing with GC"):
         engine.run_process(ftl.read(0))
     assert len(calls) == 8
-    assert engine.run_process(ftl.flash.read_page(second))[:3] == b"one"
+    assert engine.run_process(read_page(ftl.flash, second))[:3] == b"one"
+
+
+# -- GC relocation through one read and one program batch, against the serial loop
+
+
+class SerialGcFTL(PageMapFTL):
+    """The serial ``_relocate_block`` the batched one replaced, verbatim:
+    read one valid page, program it, re-check, next page.  Runs on
+    :class:`~tests.test_nand_batch.OracleArray`."""
+
+    def _relocate_block(self, key: tuple[int, int, int]) -> Iterator[Event]:
+        channel, die, block = key
+        geometry = self.flash.geometry
+        pages = sorted(self._valid.get(key, set()))
+        for page in pages:
+            old_ppn = geometry.ppn(channel, die, block, page)
+            lpn = self.map.reverse_lookup(old_ppn)
+            if lpn is None:
+                continue  # invalidated while GC was running
+            data = yield from self.flash.read_page(old_ppn)
+            new_ppn = self._allocate_page()
+            yield from self.flash.program_page(new_ppn, data)
+            # Re-check: the host may have overwritten this LPN mid-relocation.
+            if self.map.lookup(lpn) == old_ppn:
+                self.map.bind(lpn, new_ppn)
+                self._mark_valid(new_ppn)
+                self._invalidate(old_ppn)
+            else:
+                self._invalidate(new_ppn)
+        yield from self.flash.erase_block(channel, die, block)
+        self._victim = None
+        self._valid.pop(key, None)
+        self._stranded.discard(key)
+        owner = self._dies[channel * geometry.dies_per_channel + die]
+        owner.free_blocks.append(block)
+        self._free_block_count += 1
+        self.stats.blocks_erased += 1
+        self.stats.gc_pages_written += len(pages)
+
+
+def gc_page(lpn, generation):
+    return bytes([lpn, generation]) * 16
+
+
+def record_recheck_branches(ftl):
+    """Count the relocation re-check's two outcomes: a relocated page
+    bound (``_mark_valid`` beyond the host's pages) and a relocated page
+    dropped because the host overwrote it mid-relocation (an
+    ``_invalidate`` of a page never marked valid)."""
+    counts = {"marked": 0, "dropped": 0}
+    valid = set()
+    mark, invalidate = ftl._mark_valid, ftl._invalidate
+
+    def marking(ppn):
+        counts["marked"] += 1
+        valid.add(ppn)
+        mark(ppn)
+
+    def invalidating(ppn):
+        if ppn in valid:
+            valid.discard(ppn)
+        else:
+            counts["dropped"] += 1
+        invalidate(ppn)
+
+    ftl._mark_valid, ftl._invalidate = marking, invalidating
+    return counts
+
+
+def run_gc_twin(serial):
+    """Fill four dies, overwrite every third LPN, then collect three
+    victims one by one, each with host overwrites of its first and last
+    valid LPN issued as its relocation starts.  Returns the final state."""
+    engine = Engine()
+    geometry = NandGeometry(channels=4, dies_per_channel=1, blocks_per_die=16,
+                            pages_per_block=8, page_size=64)
+    flash = (OracleArray if serial else FlashArray)(
+        engine, geometry, JITTERED_NAND, RngStreams(3))
+    ftl = (SerialGcFTL if serial else PageMapFTL)(engine, flash, overprovision=0.25)
+    branches = record_recheck_branches(ftl)
+    relocating = []
+
+    def scenario():
+        for lpn in range(64):
+            yield from ftl.write(lpn, gc_page(lpn, 0))
+        for lpn in range(0, 64, 3):
+            yield from ftl.write(lpn, gc_page(lpn, 1))
+        for round_ in range(3):
+            valid, key = ftl._pick_victim()
+            base = geometry.ppn(*key, 0)
+            lpns = [ftl.map.reverse_lookup(base + page)
+                    for page in sorted(ftl._valid[key])]
+            assert valid == len(lpns) > 2
+            started = engine.now
+            gc = engine.process(ftl._relocate_block(key))
+            writes = [engine.process(ftl.write(lpn, gc_page(lpn, 2 + round_)))
+                      for lpn in (lpns[0], lpns[-1])]
+            yield engine.all_of([gc, *writes])
+            relocating.append(engine.now - started)
+
+    engine.run_process(scenario())
+    engine.run()
+    ftl.check_consistency()
+    contents = {lpn: ftl.peek(lpn) for lpn in range(ftl.logical_pages)}
+    stats = (ftl.stats.gc_pages_written, ftl.stats.blocks_erased,
+             ftl.stats.host_pages_written)
+    return contents, stats, engine.now, relocating, branches
+
+
+def test_batched_gc_matches_the_serial_relocation():
+    batched = run_gc_twin(serial=False)
+    serial = run_gc_twin(serial=True)
+    contents, stats, finished, relocating, branches = batched
+    assert contents == serial[0]
+    assert stats == serial[1] and stats[0] > 0 and stats[1] == 3
+    assert finished <= serial[2]
+    assert all(new < old for new, old in zip(relocating, serial[3]))
+    # Both re-check outcomes ran: pages bound at their new home, and
+    # pages the host overwrote mid-relocation dropped.
+    assert branches["marked"] > stats[2] and branches["dropped"] > 0
+
+
+def test_batched_gc_is_sanitizer_clean():
+    with simsan.activated() as state:
+        sanitized = run_gc_twin(serial=False)
+    assert state.checks > 0
+    assert state.violations == 0
+    assert sanitized[:3] == run_gc_twin(serial=False)[:3]
+
+
+def test_a_gc_that_meets_an_uncorrectable_page_fails_contained():
+    """The victim's third valid page is uncorrectable: the GC raises, as
+    the serial loop did; every batch worker ends, the pages read before
+    it stay on the victim, and the victim's die serves the next read."""
+    engine, ftl = make_ftl()
+    for lpn in range(32):
+        engine.run_process(ftl.write(lpn, bytes([lpn]) * 8))
+    for lpn in range(0, 32, 4):
+        engine.run_process(ftl.write(lpn, b"new"))
+    _valid, key = ftl._pick_victim()
+    flash = ftl.flash
+    worn = flash.timing.endurance_cycles - 3
+    flash._block_state(*key).erase_count = worn
+    base = flash.geometry.ppn(*key, 0)
+
+    def uncorrectable(page):
+        errors = raw_bit_errors(flash.ecc, base + page, worn,
+                                flash.timing.endurance_cycles, flash._ecc_seed)
+        try:
+            retries_needed(flash.ecc, errors)
+        except UncorrectableError:
+            return True
+        return False
+
+    assert sorted(ftl._valid[key]) == [1, 3, 5, 7]   # LPNs 2, 6, 10, 14
+    assert [uncorrectable(page) for page in (1, 3, 5)] == [False, False, True]
+    with pytest.raises(UncorrectableError):
+        engine.run_process(ftl._relocate_block(key))
+    engine.run()
+    assert not [process.name for process in engine._live
+                if process.name.startswith(("NandReadBatch", "NandProgramBatch"))
+                and process not in ftl._fallback_batch._workers]
+    assert ftl.map.lookup(2) == base + 1
+    assert engine.run_process(ftl.read(2))[:8] == bytes([2]) * 8
+    assert engine.run_process(ftl.read(6))[:8] == bytes([6]) * 8
+    ftl.check_consistency()
+
+
+def test_a_gc_whose_program_fails_leaves_no_die_held():
+    """A relocation's program on die 1 breaks the NAND protocol while die
+    0 still senses the victim: the GC raises, the pages sensed after
+    that are dropped rather than queued behind the failed die, and die 1
+    serves the next read."""
+    engine, ftl = make_ftl()
+    for lpn in range(32):
+        engine.run_process(ftl.write(lpn, bytes([lpn]) * 8))
+    for lpn in range(0, 32, 4):
+        engine.run_process(ftl.write(lpn, b"new"))
+    _valid, key = ftl._pick_victim()
+    assert key == (0, 0, 0) and ftl._next_die == 0
+    die1 = ftl._dies[1]   # the second relocated page lands here
+    ftl.flash._block_state(1, 0, die1.active_block).programmed.add(die1.next_page)
+    with pytest.raises(NandProtocolError, match="already programmed"):
+        engine.run_process(ftl._relocate_block(key))
+    engine.run()
+    assert not [process.name for process in engine._live
+                if process.name.startswith(("NandReadBatch", "NandProgramBatch"))
+                and process not in ftl._fallback_batch._workers]
+    for lpn in (1, 2, 6, 10, 14):
+        assert engine.run_process(ftl.read(lpn))[:8] == bytes([lpn]) * 8
+
+
+# -- write_submit has one shape: None, and on_done at the page's completion
+
+
+def test_a_stalled_write_submit_calls_on_done_once_at_completion():
+    """Below the low watermark ``write_submit`` still returns None; the
+    page runs foreground GC in a process of its own, and ``on_done``
+    fires once, with the page in."""
+    engine, ftl = make_ftl(channels=1, pages_per_block=4)
+    batch = ftl.flash.program_batch()
+    submitted = 0
+    while ftl.total_free_blocks >= ftl._gc_low_watermark:   # one burst of overwrites
+        ftl.write_submit(submitted % 8, bytes([submitted]) * 8, batch)
+        submitted += 1
+    engine.run_process(batch.drain())
+    calls = []
+    batch = ftl.flash.program_batch()
+    assert ftl.write_submit(
+        9, b"stalled", batch, token="t",
+        on_done=lambda token: calls.append((token, ftl.peek(9)[:7]))) is None
+    assert calls == []
+    engine.run_process(batch.drain())
+    engine.run()
+    assert ftl.stats.foreground_gc_stalls == 1 and ftl.stats.gc_runs > 0
+    assert calls == [("t", b"stalled")]
+    assert ftl.stats.host_pages_written == submitted + 1
+    ftl.check_consistency()
+
+
+def test_a_flush_and_a_destage_train_under_foreground_gc_land_every_page():
+    engine = Engine()
+    cpu = HostCPU(engine, PcieLink(engine))
+    profile = dataclasses.replace(TWOB_BASE, geometry=NandGeometry(
+        channels=2, dies_per_channel=1, blocks_per_die=8, pages_per_block=8))
+    device = TwoBSSD(engine, profile, small_ba_params(64), RngStreams(11))
+    api = TwoBApiClient(engine, cpu, device)
+    ftl = device.ftl
+    page = ftl.page_size
+
+    def run_below_the_low_watermark():
+        batch = ftl.flash.program_batch()
+        churn = 0
+        while ftl.total_free_blocks >= ftl._gc_low_watermark:
+            ftl.write_submit(churn % 8, bytes([churn]) * page, batch)
+            churn += 1
+        engine.run_process(batch.drain())
+
+    flushed = b"".join(bytes([0x80 + index]) * page for index in range(16))
+    run_below_the_low_watermark()
+    engine.run_process(api.ba_pin(0, 0, 16, len(flushed)))
+    device.ba_dram.write(0, flushed)
+    engine.run_process(api.ba_flush(0))
+    stalls = ftl.stats.foreground_gc_stalls
+    assert stalls > 0
+
+    destaged = b"".join(bytes([0x40 + index]) * page for index in range(16))
+    run_below_the_low_watermark()
+    engine.run_process(device.write(40, destaged))
+    engine.run()
+    assert ftl.stats.foreground_gc_stalls > stalls and ftl.stats.gc_runs >= 2
+    for index in range(16):
+        assert ftl.peek(16 + index) == flushed[index * page:(index + 1) * page]
+        assert ftl.peek(40 + index) == destaged[index * page:(index + 1) * page]
+    ftl.check_consistency()

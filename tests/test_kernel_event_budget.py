@@ -143,14 +143,26 @@ def gateway_start():
     return events_per_op(pool.engine, [server.start()])[0]
 
 
-@pytest.mark.parametrize("scenario,ceiling", [
+# Start-up ceilings: the measured counts of the tree that continues in
+# place past settled events.
+START_UP_CEILINGS = {
     # Two never-written 4 MiB pins: each is the ioctl, the core grant and
     # one wake at its last page (per-page pacing: 4 099).
-    (ba_wal_start, 8),
+    "ba_wal_start": 7,
     # Three shards x RF 2: six area trims and twelve such pins (6 181).
+    "gateway_start": 61,
+}
+
+
+# The second parameter is the ceiling before that tightening; it keeps
+# each case's name stable while its ceiling moves.
+@pytest.mark.parametrize("scenario,loose", [
+    (ba_wal_start, 8),
     (gateway_start, 64),
 ])
-def test_start_up_within_budget(scenario, ceiling):
+def test_start_up_within_budget(scenario, loose):
+    ceiling = START_UP_CEILINGS[scenario.__name__]
+    assert ceiling < loose
     events = scenario()
     assert events <= ceiling, (
         f"{scenario.__name__}: {events} kernel events, budget {ceiling} — "

@@ -34,6 +34,7 @@ from repro.nand.array import FlashArray
 from repro.pcie import PcieLink
 from repro.sim import Engine
 from repro.sim.units import NSEC
+from tests.helpers import program_page
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scripts"))
@@ -283,9 +284,9 @@ def test_an_all_zero_program_stores_the_shared_zero_page():
     flash = FlashArray(engine)
     page = flash.geometry.page_size
     data = bytes(range(256)) * (page // 256)
-    engine.run_process(flash.program_page(0, bytes(page)))
-    engine.run_process(flash.program_page(1, bytearray(page // 2)))  # padded
-    engine.run_process(flash.program_page(2, data))
+    engine.run_process(program_page(flash, 0, bytes(page)))
+    engine.run_process(program_page(flash, 1, bytearray(page // 2)))  # padded
+    engine.run_process(program_page(flash, 2, data))
     batch = flash.program_batch()
     batch.submit(3, memoryview(bytes(page)))
     batch.submit(4, data)

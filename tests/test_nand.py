@@ -12,6 +12,7 @@ from repro.nand import (
 )
 from repro.sim import Engine, RngStreams
 from repro.sim.units import USEC
+from tests.helpers import program_page, read_page
 
 
 def make_array(engine=None, **geometry_overrides):
@@ -83,8 +84,8 @@ class TestFlashArray:
         payload = bytes(range(256)) * 16  # 4096 bytes
 
         def scenario():
-            yield engine.process(flash.program_page(0, payload))
-            data = yield engine.process(flash.read_page(0))
+            yield engine.process(program_page(flash, 0, payload))
+            data = yield engine.process(read_page(flash, 0))
             return data
 
         assert engine.run_process(scenario()) == payload
@@ -93,8 +94,8 @@ class TestFlashArray:
         engine, flash = make_array()
 
         def scenario():
-            yield engine.process(flash.program_page(0, b"abc"))
-            return (yield engine.process(flash.read_page(0)))
+            yield engine.process(program_page(flash, 0, b"abc"))
+            return (yield engine.process(read_page(flash, 0)))
 
         data = engine.run_process(scenario())
         assert data[:3] == b"abc"
@@ -102,20 +103,20 @@ class TestFlashArray:
 
     def test_unwritten_page_reads_zeros(self):
         engine, flash = make_array()
-        data = engine.run_process(flash.read_page(5))
+        data = engine.run_process(read_page(flash, 5))
         assert data == bytes(4096)
 
     def test_program_timing_dominated_by_program_latency(self):
         engine, flash = make_array()
-        engine.run_process(flash.program_page(0, b"x" * 4096))
+        engine.run_process(program_page(flash, 0, b"x" * 4096))
         assert engine.now == pytest.approx(SLC_ZNAND.program_latency, rel=0.1)
 
     def test_double_program_rejected(self):
         engine, flash = make_array()
 
         def scenario():
-            yield engine.process(flash.program_page(0, b"a"))
-            yield engine.process(flash.program_page(0, b"b"))
+            yield engine.process(program_page(flash, 0, b"a"))
+            yield engine.process(program_page(flash, 0, b"b"))
 
         with pytest.raises(NandProtocolError, match="erase-before-program"):
             engine.run_process(scenario())
@@ -123,16 +124,16 @@ class TestFlashArray:
     def test_out_of_order_program_rejected(self):
         engine, flash = make_array()
         with pytest.raises(NandProtocolError, match="out-of-order"):
-            engine.run_process(flash.program_page(3, b"a"))
+            engine.run_process(program_page(flash, 3, b"a"))
 
     def test_erase_resets_block(self):
         engine, flash = make_array()
 
         def scenario():
-            yield engine.process(flash.program_page(0, b"old"))
+            yield engine.process(program_page(flash, 0, b"old"))
             yield engine.process(flash.erase_block(0, 0, 0))
-            yield engine.process(flash.program_page(0, b"new"))
-            return (yield engine.process(flash.read_page(0)))
+            yield engine.process(program_page(flash, 0, b"new"))
+            return (yield engine.process(read_page(flash, 0)))
 
         data = engine.run_process(scenario())
         assert data[:3] == b"new"
@@ -142,9 +143,9 @@ class TestFlashArray:
         engine, flash = make_array()
 
         def scenario():
-            yield engine.process(flash.program_page(0, b"data"))
+            yield engine.process(program_page(flash, 0, b"data"))
             yield engine.process(flash.erase_block(0, 0, 0))
-            return (yield engine.process(flash.read_page(0)))
+            return (yield engine.process(read_page(flash, 0)))
 
         assert engine.run_process(scenario()) == bytes(4096)
 
@@ -171,8 +172,8 @@ class TestFlashArray:
 
         def scenario():
             procs = [
-                engine.process(flash.program_page(ppn_a, b"a")),
-                engine.process(flash.program_page(ppn_b, b"b")),
+                engine.process(program_page(flash, ppn_a, b"a")),
+                engine.process(program_page(flash, ppn_b, b"b")),
             ]
             yield engine.all_of(procs)
 
@@ -187,8 +188,8 @@ class TestFlashArray:
 
         def scenario():
             procs = [
-                engine.process(flash.program_page(ppn_0, b"a")),
-                engine.process(flash.program_page(ppn_1, b"b")),
+                engine.process(program_page(flash, ppn_0, b"a")),
+                engine.process(program_page(flash, ppn_1, b"b")),
             ]
             yield engine.all_of(procs)
 
@@ -202,8 +203,8 @@ class TestFlashArray:
 
         def scenario():
             procs = [
-                engine.process(flash.program_page(0, b"p0")),
-                engine.process(flash.program_page(1, b"p1")),
+                engine.process(program_page(flash, 0, b"p0")),
+                engine.process(program_page(flash, 1, b"p1")),
             ]
             yield engine.all_of(procs)
 
@@ -214,14 +215,14 @@ class TestFlashArray:
     def test_oversized_write_rejected(self):
         engine, flash = make_array()
         with pytest.raises(ValueError, match="exceeds page size"):
-            engine.run_process(flash.program_page(0, b"x" * 5000))
+            engine.run_process(program_page(flash, 0, b"x" * 5000))
 
     def test_stats_count_operations(self):
         engine, flash = make_array()
 
         def scenario():
-            yield engine.process(flash.program_page(0, b"a"))
-            yield engine.process(flash.read_page(0))
+            yield engine.process(program_page(flash, 0, b"a"))
+            yield engine.process(read_page(flash, 0))
             yield engine.process(flash.erase_block(0, 0, 0))
 
         engine.run_process(scenario())

@@ -1,9 +1,9 @@
 """Batched NAND operations: timing equivalence and failure containment.
 
 ``FlashArray`` has one reservation step and one timed body per page
-operation, and both shapes run them: ``read_page``/``program_page``
-reserve and ``yield from`` the body, a batch reserves at ``submit`` and
-its per-die worker runs the body.  The oracle is the per-page pair as it
+operation: a batch reserves at ``submit`` and its per-die worker runs the
+body, and the single-page ``read_page``/``program_page`` test helpers
+reserve and ``yield from`` the body.  The oracle is the per-page pair as it
 stood before that (kept verbatim in :class:`OracleArray`).  Each
 equivalence test drives two same-seed twin engines — one per-page on the
 oracle, one on the change — and compares per-page completion times as
@@ -28,6 +28,7 @@ from repro.obs import tracing
 from repro.sim import Engine, RngStreams
 from repro.sim.engine import Event
 from repro.sim.units import MSEC, USEC
+from tests.helpers import program_page, read_page
 
 PAGE = 64
 
@@ -156,7 +157,7 @@ def _build(seed=7, oracle=False):
 def _populate(engine, array, npages):
     def drive():
         for ppn in range(npages):
-            yield engine.process(array.program_page(ppn, bytes([ppn & 0xFF]) * PAGE))
+            yield engine.process(program_page(array, ppn, bytes([ppn & 0xFF]) * PAGE))
     engine.run_process(drive())
 
 
@@ -199,6 +200,8 @@ def _per_page_run(oracle):
         for block in range(4):
             array._block_state(die_index // 2, die_index % 2, block).erase_count = 60
     array.set_die_slowdown(1, 2.5)
+    read, program = ((OracleArray.read_page, OracleArray.program_page) if oracle
+                     else (read_page, program_page))
     log = []
 
     def op(index, work):
@@ -213,18 +216,18 @@ def _per_page_run(oracle):
         for step in range(6):  # two pages per block on every die, racing
             for die_index in range(4):
                 ppn = die_index * 32 + (step // 2) * 8 + step % 2
-                procs.append(engine.process(op(len(procs), array.program_page(
-                    ppn, bytes([step + 1]) * (PAGE - die_index)))))
+                procs.append(engine.process(op(len(procs), program(
+                    array, ppn, bytes([step + 1]) * (PAGE - die_index)))))
         yield engine.all_of(procs)
         procs = []
         for ppn in [0, 1, 33, 2, 64, 120, 97, 8, 40, 9, 1, 72, 0]:
-            procs.append(engine.process(op(len(procs), array.read_page(ppn))))
+            procs.append(engine.process(op(len(procs), read(array, ppn))))
             if ppn % 3 == 0:
                 yield engine.timeout(2 * USEC)
-        procs.append(engine.process(op(len(procs), array.program_page(
-            5, b"skips the write pointer"))))
-        procs.append(engine.process(op(len(procs), array.program_page(
-            2, b"at the write pointer"))))
+        procs.append(engine.process(op(len(procs), program(
+            array, 5, b"skips the write pointer"))))
+        procs.append(engine.process(op(len(procs), program(
+            array, 2, b"at the write pointer"))))
         yield engine.all_of(procs)
 
     engine.run_process(drive())
@@ -511,7 +514,7 @@ def test_a_raising_callback_does_not_deadlock_the_die(kind):
 
     with pytest.raises(RuntimeError, match="callback failed"):
         engine.run_process(drive())
-    process = engine.process(array.read_page(2))
+    process = engine.process(read_page(array, 2))
     engine.run()
     assert process.processed and process.value == bytes(PAGE)
 
@@ -527,7 +530,7 @@ def test_submit_after_drain_raises():
     with pytest.raises(SimulationBatchClosed):
         engine.run_process(drive())
     # The refused page claimed no slot on its die.
-    process = engine.process(array.read_page(0))
+    process = engine.process(read_page(array, 0))
     engine.run()
     assert process.processed and process.value == bytes(PAGE)
 

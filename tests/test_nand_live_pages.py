@@ -38,7 +38,7 @@ from repro.platform import Platform as LibraryPlatform
 from repro.sim import Engine, RngStreams
 from repro.sim.units import USEC
 from repro.ssd.profiles import TWOB_BASE
-from tests.helpers import Platform, dual_path_lsm, small_ba_params
+from tests.helpers import Platform, dual_path_lsm, program_page, small_ba_params
 from tests.test_nand_batch import program_pages
 from tests.test_recovery_memory import install_dump_oracle
 
@@ -312,12 +312,12 @@ def small_array():
 
 def test_a_discarded_unerased_page_still_refuses_a_program():
     engine, flash = small_array()
-    engine.run_process(flash.program_page(0, fill(5)))
+    engine.run_process(program_page(flash, 0, fill(5)))
     flash.discard(0)
     assert flash.peek(0) is flash._zero_page
     assert flash.is_programmed(0)
     with pytest.raises(NandProtocolError, match="erase-before-program"):
-        engine.run_process(flash.program_page(0, fill(6)))
+        engine.run_process(program_page(flash, 0, fill(6)))
     batch = flash.program_batch()
     batch.submit(0, fill(6))
     with pytest.raises(NandProtocolError, match="erase-before-program"):
@@ -334,7 +334,7 @@ def test_erase_after_discards_resets_the_block():
     assert sorted(flash._data) == [0, 2]
     engine.run_process(flash.erase_block(0, 0, 0))
     assert flash._data == {} and flash.erase_count(0, 0, 0) == 1
-    engine.run_process(flash.program_page(0, fill(9)))
+    engine.run_process(program_page(flash, 0, fill(9)))
     assert flash.peek(0) == fill(9)
 
 
@@ -353,7 +353,7 @@ def test_capture_and_restore_keep_discarded_pages_discarded():
         [flash.peek(ppn) for ppn in range(8)]
     assert twin.is_programmed(2) and twin.peek(2) is twin._zero_page
     with pytest.raises(NandProtocolError):
-        engine2.run_process(twin.program_page(2, fill(7)))
+        engine2.run_process(program_page(twin, 2, fill(7)))
 
 
 def test_platform_snapshot_restores_equal_after_overwrites_and_trims():
