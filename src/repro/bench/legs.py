@@ -1,16 +1,16 @@
-"""Leg adapters: every benchmark/ablation/cluster driver as runner legs.
+"""The run matrices: every benchmark/ablation/cluster driver as a runner leg.
 
-Each adapter wraps one driver from :mod:`repro.bench.experiments`,
-:mod:`repro.bench.ablations`, :mod:`repro.bench.golden`, or
-:mod:`repro.cluster` behind the :class:`~repro.bench.runner.Leg`
-contract: module-level (so dotted paths resolve in pool workers),
-JSON-safe return values (``RunResult`` objects are flattened), and every
-random draw seeded through explicit kwargs.
+Each leg names its driver directly by dotted path — a figure or
+compaction driver in :mod:`repro.bench.experiments`, an ablation in
+:mod:`repro.bench.ablations`, a ``scenario_<name>`` in
+:mod:`repro.bench.golden`, or :func:`repro.bench.wallclock.cluster_point`
+— and passes every argument, seeds included, as explicit kwargs.  The
+runner flattens whatever the driver returns to JSON-safe data.
 
-The BA warm sweep at the bottom is the snapshot-reuse showcase: one
-expensive shared warm-up (block-populating the device and settling the
-BA path) forked into many cheap measurement legs.  Its legs return the
-full ``collect_stats`` report, so "reuse on" vs "reuse off" being
+The BA warm sweep below is the snapshot-reuse showcase: one expensive
+shared warm-up (block-populating the device and settling the BA path)
+forked into many cheap measurement legs.  Its legs return the full
+``collect_stats`` report, so "reuse on" vs "reuse off" being
 byte-identical doubles as the snapshot-faithfulness proof.
 
 ``full_matrix()`` / ``ablation_sweep()`` / ``golden_matrix()`` are the
@@ -20,153 +20,14 @@ section, and the CI determinism gate consume.
 
 from __future__ import annotations
 
-import dataclasses
-import json
-
 from repro.bench.runner import Leg, WarmSpec, leg
 
 PAGE = 4096
 
 _HERE = "repro.bench.legs"
-
-
-def _jsonify(value):
-    """Flatten driver output to JSON-safe data (RunResult -> dict, keys -> str)."""
-    from repro.bench.drivers import RunResult
-
-    if isinstance(value, RunResult):
-        return {
-            "operations": value.operations,
-            "elapsed_seconds": value.elapsed_seconds,
-            "commit_latency_total": value.commit_latency_total,
-            "throughput": value.throughput,
-            "mean_commit_latency": value.mean_commit_latency,
-        }
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonify(dataclasses.asdict(value))
-    if isinstance(value, dict):
-        return {str(key): _jsonify(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
-    return value
-
-
-# -- figure and table drivers ------------------------------------------------
-
-
-def table1_leg() -> dict:
-    from repro.bench.experiments import run_table1
-
-    return _jsonify(run_table1())
-
-
-def fig7_leg(iterations: int = 2) -> dict:
-    from repro.bench.experiments import run_fig7
-
-    return _jsonify(run_fig7(iterations=iterations))
-
-
-def fig8_leg(iterations: int = 1) -> dict:
-    from repro.bench.experiments import run_fig8
-
-    return _jsonify(run_fig8(iterations=iterations))
-
-
-def fig9_postgres_leg(txns: int = 400, clients: int = 4, seed: int = 10,
-                      node_count: int = 800) -> dict:
-    from repro.bench.experiments import run_fig9_postgres
-
-    return _jsonify(run_fig9_postgres(txns=txns, clients=clients, seed=seed,
-                                      node_count=node_count))
-
-
-def fig9_rocksdb_leg(payloads: tuple = (128,), ops: int = 300,
-                     clients: int = 4, seed: int = 11) -> dict:
-    from repro.bench.experiments import run_fig9_rocksdb
-
-    return _jsonify(run_fig9_rocksdb(payloads=tuple(payloads), ops=ops,
-                                     clients=clients, seed=seed))
-
-
-def fig9_redis_leg(payloads: tuple = (128,), ops: int = 300,
-                   clients: int = 4, seed: int = 12) -> dict:
-    from repro.bench.experiments import run_fig9_redis
-
-    return _jsonify(run_fig9_redis(payloads=tuple(payloads), ops=ops,
-                                   clients=clients, seed=seed))
-
-
-def fig10_leg(txns: int = 400, clients: int = 4, seed: int = 13,
-              node_count: int = 800) -> dict:
-    from repro.bench.experiments import run_fig10
-
-    return _jsonify(run_fig10(txns=txns, clients=clients, seed=seed,
-                              node_count=node_count))
-
-
-def compaction_leg(ops: int = 1400, keys: int = 220, seed: int = 21) -> dict:
-    from repro.bench.experiments import run_compaction_throughput
-
-    return _jsonify(run_compaction_throughput(ops=ops, keys=keys, seed=seed))
-
-
-# -- ablations ---------------------------------------------------------------
-
-
-def wc_ablation_leg() -> dict:
-    from repro.bench.ablations import run_write_combining_ablation
-
-    return _jsonify(run_write_combining_ablation())
-
-
-def read_dma_ablation_leg() -> dict:
-    from repro.bench.ablations import run_read_dma_ablation
-
-    return _jsonify(run_read_dma_ablation())
-
-
-def double_buffering_leg(records: int = 600) -> dict:
-    from repro.bench.ablations import run_double_buffering_ablation
-
-    return _jsonify(run_double_buffering_ablation(records=records))
-
-
-def tail_latency_leg(commits: int = 500, record_bytes: int = 100) -> dict:
-    from repro.bench.ablations import run_tail_latency_ablation
-
-    return _jsonify(run_tail_latency_ablation(commits=commits,
-                                              record_bytes=record_bytes))
-
-
-def waf_ablation_leg(commits: int = 400, record_bytes: int = 100) -> dict:
-    from repro.bench.ablations import run_waf_ablation
-
-    return _jsonify(run_waf_ablation(commits=commits, record_bytes=record_bytes))
-
-
-# -- cluster and goldens -----------------------------------------------------
-
-
-def cluster_leg(devices: int = 2, seed: int = 17) -> dict:
-    from repro.bench.wallclock import CLUSTER_LOAD
-    from repro.cluster import DevicePool, run_replicated_logging
-
-    load = dict(CLUSTER_LOAD)
-    load.pop("seed")
-    pool = DevicePool(devices=devices, seed=seed)
-    result = run_replicated_logging(pool, **load)
-    return {
-        "records_per_sec": round(result.records_per_sec, 1),
-        "ba_legs": result.ba_legs,
-        "block_legs": result.block_legs,
-        "simulated_seconds": result.sim_seconds,
-    }
-
-
-def golden_leg(name: str) -> dict:
-    from repro.bench.golden import run_scenario
-
-    return json.loads(run_scenario(name))
+_EX = "repro.bench.experiments"
+_AB = "repro.bench.ablations"
+_GOLDEN = "repro.bench.golden"
 
 
 # -- BA warm sweep: the snapshot-reuse workload ------------------------------
@@ -262,6 +123,16 @@ SWEEP_POINTS = ((0, 4), (32, 6), (64, 8), (96, 12), (128, 16), (192, 24),
                 (1200, 192))
 
 
+#: The die-parallel compaction leg, shared by the perf and gate matrices.
+_COMPACTION = leg("compaction", f"{_EX}:run_compaction_throughput",
+                  ops=1400, keys=220, seed=21)
+
+
+def _golden(name: str) -> Leg:
+    """The leg that runs golden scenario ``name``."""
+    return leg(f"golden:{name}", f"{_GOLDEN}:scenario_{name}")
+
+
 def ablation_sweep(warm: WarmSpec = _SWEEP_WARM) -> list[Leg]:
     """The single-sweep matrix for the >=1.3x snapshot-reuse criterion."""
     return [
@@ -274,28 +145,29 @@ def ablation_sweep(warm: WarmSpec = _SWEEP_WARM) -> list[Leg]:
 def full_matrix() -> list[Leg]:
     """The whole evaluation matrix: figures, ablations, cluster, sweep."""
     matrix = [
-        leg("table1", f"{_HERE}:table1_leg"),
-        leg("fig7", f"{_HERE}:fig7_leg", iterations=2),
-        leg("fig9:postgres", f"{_HERE}:fig9_postgres_leg",
+        leg("table1", f"{_EX}:run_table1"),
+        leg("fig7", f"{_EX}:run_fig7", iterations=2),
+        leg("fig9:postgres", f"{_EX}:run_fig9_postgres",
             txns=60, clients=2, seed=10, node_count=120),
-        leg("fig9:rocksdb", f"{_HERE}:fig9_rocksdb_leg",
+        leg("fig9:rocksdb", f"{_EX}:run_fig9_rocksdb",
             payloads=(128,), ops=300, clients=4, seed=11),
-        leg("fig9:redis", f"{_HERE}:fig9_redis_leg",
+        leg("fig9:redis", f"{_EX}:run_fig9_redis",
             payloads=(128,), ops=300, clients=4, seed=12),
-        leg("fig10", f"{_HERE}:fig10_leg",
+        leg("fig10", f"{_EX}:run_fig10",
             txns=60, clients=2, seed=13, node_count=120),
-        leg("ablation:wc", f"{_HERE}:wc_ablation_leg"),
-        leg("ablation:read-dma", f"{_HERE}:read_dma_ablation_leg"),
-        leg("ablation:double-buffering", f"{_HERE}:double_buffering_leg",
-            records=300),
-        leg("ablation:tail-latency", f"{_HERE}:tail_latency_leg",
+        leg("ablation:wc", f"{_AB}:run_write_combining_ablation"),
+        leg("ablation:read-dma", f"{_AB}:run_read_dma_ablation"),
+        leg("ablation:double-buffering",
+            f"{_AB}:run_double_buffering_ablation", records=300),
+        leg("ablation:tail-latency", f"{_AB}:run_tail_latency_ablation",
             commits=500, record_bytes=100),
-        leg("ablation:waf", f"{_HERE}:waf_ablation_leg",
+        leg("ablation:waf", f"{_AB}:run_waf_ablation",
             commits=400, record_bytes=100),
-        leg("compaction", f"{_HERE}:compaction_leg", ops=1400, keys=220, seed=21),
-        leg("cluster:2dev", f"{_HERE}:cluster_leg", devices=2, seed=17),
-        leg("golden:ba_datapath", f"{_HERE}:golden_leg", name="ba_datapath"),
-        leg("golden:block_gc", f"{_HERE}:golden_leg", name="block_gc"),
+        _COMPACTION,
+        leg("cluster:2dev", "repro.bench.wallclock:cluster_point",
+            devices=2, seed=17),
+        _golden("ba_datapath"),
+        _golden("block_gc"),
     ]
     matrix.extend(ablation_sweep())
     return matrix
@@ -313,12 +185,9 @@ def golden_matrix() -> list[Leg]:
         warm=f"{_HERE}:warm_sweep_platform",
         kwargs=(("populate_pages", 256), ("seed", 72)),
     )
-    legs = [
-        leg(f"golden:{name}", f"{_HERE}:golden_leg", name=name)
-        for name in ("ba_datapath", "ycsb_bawal", "block_gc",
-                     "cluster_replicated", "nemesis_campaign",
-                     "gateway_serving")
-    ]
+    legs = [_golden(name) for name in (
+        "ba_datapath", "ycsb_bawal", "block_gc", "cluster_replicated",
+        "nemesis_campaign", "gateway_serving")]
     legs.extend(
         leg(f"sweep:lba{lba}-n{npages}", f"{_HERE}:sweep_leg", warm=warm,
             lba=lba, npages=npages, entry_id=1)
@@ -327,6 +196,5 @@ def golden_matrix() -> list[Leg]:
     # The die-parallel compaction leg rides in the gate too (same
     # definition as the perf matrix), so CI proves its output identical
     # across worker counts on every push.
-    legs.append(leg("compaction", f"{_HERE}:compaction_leg",
-                    ops=1400, keys=220, seed=21))
+    legs.append(_COMPACTION)
     return legs

@@ -3,9 +3,9 @@
 The evaluation matrix (figures, ablations, cluster sweeps) is a set of
 fully independent deterministic simulations, so nothing about it needs
 to run serially.  This module expands a matrix into :class:`Leg` records,
-fans them out over a ``ProcessPoolExecutor``, and merges results and
-``obs`` tracer payloads back **in leg order** — the merge is therefore
-deterministic and the combined output byte-identical to a serial run.
+fans them out over a ``ProcessPoolExecutor``, and merges results back
+**in leg order** — the merge is therefore deterministic and the combined
+output byte-identical to a serial run.
 
 Legs that share a warm-up phase declare it as a :class:`WarmSpec`; the
 parent process resolves each distinct warm spec *once* (building and
@@ -17,16 +17,19 @@ git-tracked ``src/repro`` sources, so any code change invalidates stale
 disk snapshots automatically.
 
 Everything that crosses a process boundary is plain data: legs name
-their functions by dotted path (``"module:function"``), snapshots are
-pickled :class:`~repro.platform.PlatformSnapshot` dataclasses, and leg
-results must be JSON-safe.  See docs/performance.md for the leg model
-and seeding rules.
+their drivers by dotted path (``"module:function"``), snapshots are
+pickled :class:`~repro.platform.PlatformSnapshot` dataclasses, and the
+runner flattens every leg's result to JSON-safe data
+(:func:`_jsonify`), so a driver may return ``RunResult`` objects,
+dataclasses, int-keyed dicts and tuples.  See docs/performance.md for
+the leg model and seeding rules.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import gc
 import hashlib
 import importlib
@@ -36,8 +39,6 @@ import pickle
 import subprocess
 import time
 from typing import Callable, Optional, Sequence
-
-from repro.obs.tracing import Tracer, activated
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,10 +65,12 @@ class WarmSpec:
 class Leg:
     """One independent unit of matrix work.
 
-    ``fn`` is a dotted path.  Plain legs call ``fn(**kwargs)``; warm legs
-    call ``fn(platform, **kwargs)`` on a platform forked from the warm
-    snapshot (or warmed from scratch when reuse is disabled — the results
-    are byte-identical either way, which the determinism gate proves).
+    ``fn`` is the dotted path of the driver itself; whatever it returns
+    is flattened to JSON-safe data.  Plain legs call ``fn(**kwargs)``;
+    warm legs call ``fn(platform, **kwargs)`` on a platform forked from
+    the warm snapshot (or warmed from scratch when reuse is disabled —
+    the results are byte-identical either way, which the determinism
+    gate proves).
     Per-leg seeds ride in ``kwargs`` (plain legs) or in the warm spec's
     ``kwargs`` (warm legs), so a leg's draws never depend on which
     process runs it or in what order.
@@ -77,14 +80,13 @@ class Leg:
     fn: str
     kwargs: tuple = ()
     warm: Optional[WarmSpec] = None
-    traced: bool = False
 
 
 def leg(leg_id: str, fn: str, warm: Optional[WarmSpec] = None,
-        traced: bool = False, **kwargs) -> Leg:
+        **kwargs) -> Leg:
     """Convenience constructor: keyword args become the kwargs tuple."""
     return Leg(leg_id=leg_id, fn=fn, kwargs=tuple(sorted(kwargs.items())),
-               warm=warm, traced=traced)
+               warm=warm)
 
 
 def resolve(dotted: str) -> Callable:
@@ -202,6 +204,47 @@ def warm_snapshot_blob(warm: WarmSpec, cache: SnapshotCache) -> bytes:
 # -- leg execution -----------------------------------------------------------
 
 
+def _jsonify(value):
+    """Flatten driver output to JSON-safe data (RunResult -> dict, keys -> str)."""
+    from repro.bench.drivers import RunResult
+
+    if isinstance(value, RunResult):
+        return {
+            "operations": value.operations,
+            "elapsed_seconds": value.elapsed_seconds,
+            "commit_latency_total": value.commit_latency_total,
+            "throughput": value.throughput,
+            "mean_commit_latency": value.mean_commit_latency,
+        }
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _jsonify(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return {str(key): _jsonify(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonify(item) for item in value]
+    return value
+
+
+def prepare(leg: Leg, warm_blob: Optional[bytes] = None) -> Callable[[], object]:
+    """Set ``leg`` up and return its zero-argument call.
+
+    A warm leg's platform is built here, then restored from ``warm_blob``
+    or, without one, warmed from scratch — so the returned call runs the
+    leg body alone.  A plain leg needs no setup.
+    """
+    fn = resolve(leg.fn)
+    kwargs = dict(leg.kwargs)
+    if leg.warm is None:
+        return functools.partial(fn, **kwargs)
+    warm_kwargs = leg.warm.kwargs_dict()
+    platform = resolve(leg.warm.build)(**warm_kwargs)
+    if warm_blob is not None:
+        platform.restore(pickle.loads(warm_blob))
+    else:
+        resolve(leg.warm.warm)(platform, **warm_kwargs)
+    return functools.partial(fn, platform, **kwargs)
+
+
 def _execute_leg(leg: Leg, warm_blob: Optional[bytes]) -> dict:
     """Run one leg; module-level so it pickles into pool workers."""
     # Dead platforms are reference cycles, so a worker that just ran a
@@ -210,29 +253,7 @@ def _execute_leg(leg: Leg, warm_blob: Optional[bytes]) -> dict:
     # allocation behaviour (and thus its wall time) independent of
     # whatever the worker ran before it.
     gc.collect()
-    fn = resolve(leg.fn)
-    kwargs = dict(leg.kwargs)
-    tracer_payload = None
-    if leg.warm is not None:
-        warm_kwargs = leg.warm.kwargs_dict()
-        platform = resolve(leg.warm.build)(**warm_kwargs)
-        if warm_blob is not None:
-            platform.restore(pickle.loads(warm_blob))
-        else:
-            resolve(leg.warm.warm)(platform, **warm_kwargs)
-        if leg.traced:
-            with activated() as tracer:
-                result = fn(platform, **kwargs)
-            tracer_payload = tracer.snapshot()
-        else:
-            result = fn(platform, **kwargs)
-    elif leg.traced:
-        with activated() as tracer:
-            result = fn(**kwargs)
-        tracer_payload = tracer.snapshot()
-    else:
-        result = fn(**kwargs)
-    return {"leg_id": leg.leg_id, "result": result, "tracing": tracer_payload}
+    return {"leg_id": leg.leg_id, "result": _jsonify(prepare(leg, warm_blob)())}
 
 
 @dataclasses.dataclass
@@ -240,7 +261,6 @@ class RunnerReport:
     """The merged output of one matrix run."""
 
     results: dict  # leg_id -> result, in leg order
-    tracer: Tracer  # every traced leg's payload, absorbed in leg order
     wall_seconds: float
     jobs: int
     cache: dict  # SnapshotCache counters for this run
@@ -260,9 +280,9 @@ def run_legs(legs: Sequence[Leg], jobs: int = 1,
     Warm snapshots are resolved in the parent *before* fan-out (each
     distinct spec exactly once, so concurrent legs never race to warm),
     then every leg runs independently: in-process for ``jobs <= 1``,
-    else on a fork-based process pool.  Results and tracer payloads are
-    merged in leg order regardless of completion order, so output is
-    byte-identical across ``jobs`` settings.
+    else on a fork-based process pool.  Results are merged in leg order
+    regardless of completion order, so output is byte-identical across
+    ``jobs`` settings.
 
     ``reuse_snapshots=False`` is the pre-runner status quo — every warm
     leg re-simulates its warm-up — kept as the baseline the wallclock
@@ -291,15 +311,8 @@ def run_legs(legs: Sequence[Leg], jobs: int = 1,
             futures = [pool.submit(_execute_leg, item, blob)
                        for item, blob in zip(legs, blobs)]
             outputs = [future.result() for future in futures]
-    tracer = Tracer()
-    results = {}
-    for output in outputs:
-        results[output["leg_id"]] = output["result"]
-        if output["tracing"] is not None:
-            tracer.absorb(output["tracing"])
     return RunnerReport(
-        results=results,
-        tracer=tracer,
+        results={output["leg_id"]: output["result"] for output in outputs},
         wall_seconds=time.perf_counter() - t0,  # reprolint: disable=DET001
         jobs=jobs,
         cache=cache.counters(),

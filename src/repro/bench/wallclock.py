@@ -135,6 +135,21 @@ def _timed(fn: Callable[[], object]) -> float:
     return time.perf_counter() - t0
 
 
+def cluster_point(devices: int, seed: int = CLUSTER_LOAD["seed"]) -> dict:
+    """One pool size of ``devices`` under :data:`CLUSTER_LOAD`."""
+    from repro.cluster import DevicePool, run_replicated_logging
+
+    load = {key: value for key, value in CLUSTER_LOAD.items() if key != "seed"}
+    result = run_replicated_logging(DevicePool(devices=devices, seed=seed),
+                                    **load)
+    return {
+        "records_per_sec": round(result.records_per_sec, 1),
+        "ba_legs": result.ba_legs,
+        "block_legs": result.block_legs,
+        "simulated_seconds": result.sim_seconds,
+    }
+
+
 def run_cluster_scaling(device_counts: tuple[int, ...] = (1, 2, 4)) -> dict:
     """Simulated aggregate append throughput per pool size at fixed load.
 
@@ -142,20 +157,8 @@ def run_cluster_scaling(device_counts: tuple[int, ...] = (1, 2, 4)) -> dict:
     records/sec, not wall-clock), so the reported ratio is stable across
     machines.  The scaling criterion compares 1 -> 4 devices.
     """
-    from repro.cluster import DevicePool, run_replicated_logging
-
-    load = dict(CLUSTER_LOAD)
-    seed = load.pop("seed")
-    per_devices: dict[str, dict] = {}
-    for devices in device_counts:
-        pool = DevicePool(devices=devices, seed=seed)
-        result = run_replicated_logging(pool, **load)
-        per_devices[str(devices)] = {
-            "records_per_sec": round(result.records_per_sec, 1),
-            "ba_legs": result.ba_legs,
-            "block_legs": result.block_legs,
-            "simulated_seconds": result.sim_seconds,
-        }
+    per_devices = {str(devices): cluster_point(devices)
+                   for devices in device_counts}
     first = per_devices[str(device_counts[0])]["records_per_sec"]
     last = per_devices[str(device_counts[-1])]["records_per_sec"]
     return {

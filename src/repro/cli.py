@@ -291,11 +291,11 @@ def _profile_leg(leg_id: str, top: int) -> int:
     import cProfile
     import pstats
 
-    from repro.bench import legs as legs_module
-    from repro.bench.runner import resolve
+    from repro.bench.legs import full_matrix, golden_matrix
+    from repro.bench.runner import prepare
 
-    matrix = {entry.leg_id: entry for entry in legs_module.full_matrix()}
-    for entry in legs_module.golden_matrix():
+    matrix = {entry.leg_id: entry for entry in full_matrix()}
+    for entry in golden_matrix():
         matrix.setdefault(entry.leg_id, entry)
     selected = matrix.get(leg_id)
     if selected is None:
@@ -303,22 +303,11 @@ def _profile_leg(leg_id: str, top: int) -> int:
         for name in sorted(matrix):
             print(f"  {name}")
         return 2
-    fn = resolve(selected.fn)
-    kwargs = dict(selected.kwargs)
+    body = prepare(selected)
     profiler = cProfile.Profile()
-    if selected.warm is not None:
-        build = resolve(selected.warm.build)
-        warm = resolve(selected.warm.warm)
-        warm_kwargs = selected.warm.kwargs_dict()
-        platform = build(**warm_kwargs)
-        warm(platform, **warm_kwargs)
-        profiler.enable()
-        fn(platform, **kwargs)
-        profiler.disable()
-    else:
-        profiler.enable()
-        fn(**kwargs)
-        profiler.disable()
+    profiler.enable()
+    body()
+    profiler.disable()
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(top)
     return 0

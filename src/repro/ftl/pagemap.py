@@ -130,9 +130,7 @@ class PageMapFTL:
         # event queue; recreate lazily on the next stall.
         self._fallback_batch = None
         self.engine.process(self._background_gc_loop(), name="ftl-background-gc")
-        if self._victim is not None:
-            self._full_blocks.append(self._victim)
-            self._victim = None
+        self._return_victim()
         pages_per_block = self.flash.geometry.pages_per_block
         self._stranded.update(
             key for key in self._full_blocks
@@ -502,6 +500,12 @@ class PageMapFTL:
         key = self._victim = self._full_blocks.pop(best_index)
         return best[0], key
 
+    def _return_victim(self) -> None:
+        """Hand an unerased GC victim back to the full blocks."""
+        if self._victim is not None:
+            self._full_blocks.append(self._victim)
+            self._victim = None
+
     def _kick_background_gc(self) -> None:
         if not self._bg_kicked:
             self._bg_kicked = True
@@ -551,7 +555,8 @@ class PageMapFTL:
         dies at once.  A failure (an uncorrectable page, a protocol
         error) fails the GC with both batches closed: a page still in
         flight then either lands and is re-checked as below, or is
-        dropped and stays on the victim, which is not erased."""
+        dropped and stays on the victim, which is not erased but goes
+        back to the full blocks for a later GC."""
         channel, die, block = key
         geometry = self.flash.geometry
         pages = sorted(self._valid.get(key, set()))
@@ -585,6 +590,7 @@ class PageMapFTL:
         except BaseException:
             reads.close()
             programs.close()
+            self._return_victim()
             raise
         yield from self.flash.erase_block(channel, die, block)
         self._victim = None

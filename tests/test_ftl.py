@@ -743,7 +743,8 @@ def test_batched_gc_is_sanitizer_clean():
 def test_a_gc_that_meets_an_uncorrectable_page_fails_contained():
     """The victim's third valid page is uncorrectable: the GC raises, as
     the serial loop did; every batch worker ends, the pages read before
-    it stay on the victim, and the victim's die serves the next read."""
+    it stay on the victim, the victim goes back to the full blocks, and
+    the victim's die serves the next read."""
     engine, ftl = make_ftl()
     for lpn in range(32):
         engine.run_process(ftl.write(lpn, bytes([lpn]) * 8))
@@ -775,6 +776,11 @@ def test_a_gc_that_meets_an_uncorrectable_page_fails_contained():
     assert ftl.map.lookup(2) == base + 1
     assert engine.run_process(ftl.read(2))[:8] == bytes([2]) * 8
     assert engine.run_process(ftl.read(6))[:8] == bytes([6]) * 8
+    ftl.check_consistency()
+    # The failed GC handed its victim back to the full blocks, so the
+    # next pick takes a block without losing the old victim.
+    assert ftl._victim is None and key in ftl._full_blocks
+    assert ftl._pick_victim() is not None
     ftl.check_consistency()
 
 

@@ -2,29 +2,56 @@
 
 The executor's contract is that *how* a matrix runs — pool width,
 snapshot reuse, completion order — never shows in its output: results
-and tracer payloads merge in leg order and are byte-identical across
-``jobs`` settings.  These tests pin that, plus the snapshot cache's
-hit/miss/store accounting and the dotted-path leg model's edges.
+merge in leg order, flattened to JSON-safe data, and are byte-identical
+across ``jobs`` settings.  These tests pin that, plus the snapshot
+cache's hit/miss/store accounting and the dotted-path leg model's edges.
 """
+
+import dataclasses
+import inspect
+import json
 
 import pytest
 
-from repro.bench.legs import ablation_sweep, golden_matrix
+from repro.bench.drivers import RunResult
+from repro.bench.golden import canonical_json
+from repro.bench.legs import ablation_sweep, full_matrix, golden_matrix
 from repro.bench.runner import (
     Leg,
     SnapshotCache,
     WarmSpec,
     leg,
+    prepare,
     resolve,
     run_legs,
     source_digest,
+    warm_snapshot_blob,
 )
+from repro.nemesis.legs import nemesis_matrix
 
 _HERE = "tests.test_runner"
 
 
 def double(value: int = 0) -> dict:
     return {"value": value * 2}
+
+
+@dataclasses.dataclass
+class _Point:
+    x: int
+    tags: tuple
+
+
+def mixed_output() -> dict:
+    """Every shape a driver returns that JSON cannot carry as is."""
+    return {
+        "run": RunResult(operations=4, elapsed_seconds=2.0,
+                         commit_latency_total=1.0),
+        "point": _Point(x=1, tags=(2, 3)),
+        128: {"Ba": RunResult(operations=2, elapsed_seconds=0.0,
+                              commit_latency_total=0.0)},
+        "series": (1.5, (2, 3)),
+    }
 
 
 class TestLegModel:
@@ -117,3 +144,57 @@ class TestWarmLegs(object):
         built = Leg(leg_id="x", fn="m:f")
         with pytest.raises(AttributeError):
             built.fn = "m:g"  # type: ignore[misc]
+
+
+class TestJsonContract:
+    def test_driver_output_comes_back_json_safe(self):
+        expected = {
+            "run": {"operations": 4, "elapsed_seconds": 2.0,
+                    "commit_latency_total": 1.0, "throughput": 2.0,
+                    "mean_commit_latency": 0.25},
+            "point": {"x": 1, "tags": [2, 3]},
+            "128": {"Ba": {"operations": 2, "elapsed_seconds": 0.0,
+                           "commit_latency_total": 0.0, "throughput": 0.0,
+                           "mean_commit_latency": 0.0}},
+            "series": [1.5, [2, 3]],
+        }
+        for jobs in (1, 2):
+            result = run_legs([leg("mixed", f"{_HERE}:mixed_output")],
+                              jobs=jobs).results["mixed"]
+            assert result == expected
+            assert json.loads(json.dumps(result)) == result
+
+    def test_prepare_restores_a_warm_leg_as_it_warms_one(self):
+        warm_leg = next(item for item in golden_matrix()
+                        if item.warm is not None)
+        blob = warm_snapshot_blob(warm_leg.warm, SnapshotCache())
+        warmed = canonical_json(prepare(warm_leg)())
+        restored = canonical_json(prepare(warm_leg, blob)())
+        assert restored == warmed
+
+
+class TestDottedPaths:
+    def test_every_matrix_leg_binds_to_its_driver(self):
+        """A renamed driver or kwarg fails here, not at ``repro perf`` time.
+
+        Nothing runs: each dotted path resolves to a callable whose
+        signature accepts the leg's kwargs (after the platform, for a
+        warm leg), and each warm spec's build and warm steps accept its
+        kwargs.
+        """
+        legs = (full_matrix() + golden_matrix() + ablation_sweep()
+                + nemesis_matrix())
+        unbound = []
+        for item in legs:
+            platform = ("platform",) if item.warm is not None else ()
+            calls = [(item.fn, platform, dict(item.kwargs))]
+            if item.warm is not None:
+                warm_kwargs = item.warm.kwargs_dict()
+                calls += [(item.warm.build, (), warm_kwargs),
+                          (item.warm.warm, platform, warm_kwargs)]
+            for dotted, args, kwargs in calls:
+                try:
+                    inspect.signature(resolve(dotted)).bind(*args, **kwargs)
+                except (AttributeError, ImportError, TypeError) as error:
+                    unbound.append(f"{item.leg_id}: {dotted}: {error}")
+        assert not unbound
